@@ -1,0 +1,91 @@
+"""Golden outputs: encoder codewords and ANETF reports, frozen as files.
+
+`tests/golden/encode.json` holds, for every acceptance example code and the
+three [84,62] stripe shapes over GF(2^8), seeded data vectors and their
+codewords.  `tests/golden/anetf.json` holds `report_to_json` for the 13
+Table 1 rows under both oracles at a fixed seed.  Any change to the encoder
+or the ANETF simulator that moves a single symbol or count fails here.
+
+Regenerate (only when a behaviour change is intended and justified):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import random
+from pathlib import Path
+
+from eii import anetf, codec
+from eii.codespec import dimension, spec_from_capability
+from eii.gf import field
+from eii.words import word_to_text
+
+from test_acceptance import TABLE_1, example_codes
+
+GOLDEN = Path(__file__).parent / "golden"
+STRIPE_SHAPES = (
+    "(1,1,1,1,1,2,2,2,2,3,3,3)",
+    "((1,1,2),(1,2,3),(1,2,3),(1,2,3))",
+    "(((1,1,2),(1,2,3)),((1,2,3),(1,2,3)))",
+)
+WORDS_PER_CODE = 3
+ANETF_SEED = 20260810
+ANETF_TRIALS = 2_000
+
+
+def golden_codes():
+    codes = dict(example_codes())
+    for cap in STRIPE_SHAPES:
+        codes[f"stripe-gf256-{cap}"] = spec_from_capability(field(8), cap, 7)
+    return codes
+
+
+def encode_outputs() -> dict:
+    out = {}
+    for label, spec in golden_codes().items():
+        rng = random.Random(f"golden:{label}")
+        entries = []
+        for _ in range(WORDS_PER_CODE):
+            data = [rng.randrange(spec.ctx.q) for _ in range(dimension(spec))]
+            entries.append({"data": " ".join(map(str, data)),
+                            "codeword": word_to_text(codec.encode(spec, data))})
+        out[label] = entries
+    return out
+
+
+def anetf_outputs() -> dict:
+    out = {}
+    for cap, w, n, _, _ in TABLE_1:
+        spec = spec_from_capability(field(w), cap, n)
+        for mode in (anetf.CAPABILITY, anetf.PCHECK):
+            config = anetf.AnetfConfig(spec, mode, ANETF_TRIALS, ANETF_SEED)
+            out[f"{cap} {mode}"] = anetf.report_to_json(anetf.simulate(config))
+    return out
+
+
+def _load(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text())
+
+
+def test_encoder_golden():
+    want = _load("encode.json")
+    got = encode_outputs()
+    assert sorted(got) == sorted(want)
+    for label, entries in want.items():
+        for i, entry in enumerate(entries):
+            assert got[label][i]["data"] == entry["data"], label
+            assert got[label][i]["codeword"] == entry["codeword"], label
+
+
+def test_anetf_golden():
+    want = _load("anetf.json")
+    got = anetf_outputs()
+    assert sorted(got) == sorted(want)
+    for key, text in want.items():
+        assert got[key] == text, key
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "encode.json").write_text(json.dumps(encode_outputs(), indent=1) + "\n")
+    (GOLDEN / "anetf.json").write_text(json.dumps(anetf_outputs(), indent=1) + "\n")
