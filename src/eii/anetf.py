@@ -5,9 +5,8 @@ failure count is the number of erasures present the first time the chosen
 decoding oracle rejects the pattern.  Two oracles are supported: the
 guaranteed-capability predicate (`codec.correctable`) and parity-check
 decoding (erased columns of the reduced matrix stay linearly independent).
-The hybrid mode tries capability first and falls back to the parity-check
-test; since every capability-correctable mask is also matrix-decodable,
-its failure counts coincide with parity-check mode.
+Both oracles walk a whole batch of trials at once; a single permutation is
+a batch of one.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -33,8 +32,7 @@ from .codespec import (
 
 CAPABILITY = "capability"
 PCHECK = "pcheck"
-HYBRID = "hybrid"
-MODES = (CAPABILITY, PCHECK, HYBRID)
+MODES = (CAPABILITY, PCHECK)
 
 
 class InvalidPermutationError(ValueError):
@@ -145,80 +143,6 @@ def _make_state(chain):
     return _ArrayState(chain)
 
 
-class _CapabilityTracker:
-    """Feeds erasures one by one; ok() mirrors codec.correctable exactly."""
-
-    def __init__(self, spec: CodeSpec):
-        self.root = _make_state((spec,))
-
-    def reset(self):
-        self.root.reset()
-
-    def add(self, pos: int) -> bool:
-        return self.root.add(pos) == 0
-
-
-# -- single-shot oracle walks ------------------------------------------------------
-
-
-def _check_permutation(permutation, n: int):
-    perm = [int(p) for p in permutation]
-    if sorted(perm) != list(range(n)):
-        raise InvalidPermutationError(f"not a permutation of 0..{n - 1}")
-    return perm
-
-
-def _capability_failure(spec: CodeSpec, perm) -> int:
-    tracker = _CapabilityTracker(spec)
-    for k, pos in enumerate(perm, start=1):
-        if not tracker.add(pos):
-            return k
-    raise AssertionError("full erasure of a positive-dimension code must fail")
-
-
-def _pcheck_failure_single(h_data: np.ndarray, ctx, perm) -> int:
-    mt = ctx.mul_table
-    inv = ctx.inv_table
-    rows = h_data.shape[0]
-    basis = {}  # pivot index -> normalized column
-    for k, pos in enumerate(perm, start=1):
-        v = h_data[:, pos].copy()
-        for p in sorted(basis):
-            f = v[p]
-            if f:
-                v ^= mt[basis[p], f]
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return k
-        p = int(nz[0])
-        piv = int(v[p])
-        if piv != 1:
-            v = mt[v, inv[piv]]
-        basis[p] = v
-        if len(basis) > rows:
-            raise AssertionError("basis larger than row count")
-    raise AssertionError("full erasure of a positive-dimension code must fail")
-
-
-def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
-    """Smallest k for which the first k erased positions are uncorrectable.
-
-    A zero-dimensional code stores nothing and is counted as failing at the
-    first erasure.  In hybrid mode the parity-check test is only consulted
-    once the capability predicate rejects; decoder dominance makes the
-    result equal to parity-check mode.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    perm = _check_permutation(permutation, length(spec))
-    if dimension(spec) == 0:
-        return 1
-    if mode == CAPABILITY:
-        return _capability_failure(spec, perm)
-    pc = pcheck.build_parity_check(spec)
-    return _pcheck_failure_single(pc.reduced.data, spec.ctx, perm)
-
-
 # -- batched simulation ---------------------------------------------------------------
 
 
@@ -233,12 +157,12 @@ def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray
 
 
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
-    tracker = _CapabilityTracker(spec)
+    root = _make_state((spec,))
+    add = root.add
     counts = np.empty(perms.shape[0], dtype=np.int64)
     rows = perms.tolist()
     for i, perm in enumerate(rows):
-        tracker.reset()
-        add = tracker.root.add
+        root.reset()
         k = 0
         for pos in perm:
             k += 1
@@ -287,6 +211,26 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     return counts
 
 
+_COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
+
+
+def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
+    """Smallest k for which the first k erased positions are uncorrectable.
+
+    A zero-dimensional code stores nothing and is counted as failing at the
+    first erasure.  The count comes from the batched walk of `simulate`,
+    run on a batch of one permutation.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    perm = [int(p) for p in permutation]
+    if sorted(perm) != list(range(length(spec))):
+        raise InvalidPermutationError(f"not a permutation of 0..{length(spec) - 1}")
+    if dimension(spec) == 0:
+        return 1
+    return int(_COUNTS[mode](spec, np.array([perm], dtype=np.int64))[0])
+
+
 def simulate(config: AnetfConfig, batch: int = 50_000) -> AnetfReport:
     """Monte-Carlo ANETF estimate; deterministic for a fixed (seed, trials, mode)."""
     spec = config.spec
@@ -298,10 +242,7 @@ def simulate(config: AnetfConfig, batch: int = 50_000) -> AnetfReport:
         for start in range(0, config.trials, batch):
             count = min(batch, config.trials - start)
             perms = _trial_permutations(config.seed, start, count, n)
-            if config.mode == CAPABILITY:
-                all_counts.append(_capability_counts(spec, perms))
-            else:
-                all_counts.append(_pcheck_counts(spec, perms))
+            all_counts.append(_COUNTS[config.mode](spec, perms))
     counts = np.concatenate(all_counts)
     mean = float(counts.mean())
     std_error = float(counts.std(ddof=1) / np.sqrt(len(counts))) if len(counts) > 1 else 0.0

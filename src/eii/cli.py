@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
                    help="word file; ? marks an erasure")
     p.add_argument("--erasures", metavar="LIST",
                    help="extra erased positions, comma-separated zero-based indices")
-    p.add_argument("--mode", choices=("alg", "pcheck", "hybrid"), default="alg")
+    p.add_argument("--mode", choices=("alg", "pcheck"), default="alg")
     p.add_argument("--output", metavar="FILE")
 
     p = subs.add_parser("pcheck", help="print the parity-check matrix")
@@ -148,14 +148,7 @@ def _cmd_decode(args) -> int:
             print("uncorrectable erasure pattern", file=sys.stderr)
             return DECODE_FAILURE
     else:
-        pc = pcheck.build_parity_check(spec)
-        out = None
-        if args.mode == "hybrid":
-            got, report = codec.decode(spec, word)
-            if report.outcome == codec.RECOVERED:
-                out = got
-        if out is None:
-            out = pcheck.pc_decode(pc, word)
+        out = pcheck.pc_decode(pcheck.build_parity_check(spec), word)
         if out is None:
             print("erased columns are dependent: undetermined", file=sys.stderr)
             return DECODE_FAILURE

@@ -10,6 +10,10 @@ result lands in a child code that can finish the repair.
 
 Encoding is the same machinery run on a fixed mask: data fills the
 systematic positions and every parity position is treated as an erasure.
+
+Membership is checked by the syndrome H . c against the reduced
+parity-check matrix from `pcheck`, and the leaf solves and block
+triangulations are precomputed with the elimination kernel in `matrix`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from . import matrix as mx
 from .codespec import (
     CodeSpec,
     LeafSpec,
@@ -30,7 +37,8 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .words import SymbolWord
+from .pcheck import build_parity_check
+from .words import SymbolWord, check_symbols
 
 
 class NoCodewordsError(ValueError):
@@ -91,54 +99,14 @@ def correctable(spec: CodeSpec, mask) -> bool:
 # -- membership ----------------------------------------------------------------
 
 
-def _leaf_syndrome(spec: LeafSpec, symbols) -> bool:
-    ctx = spec.ctx
-    for r in range(spec.u):
-        acc = 0
-        for c, sym in enumerate(symbols):
-            if sym:
-                acc ^= ctx.mul(ctx.alpha_pow(r * c), sym)
-        if acc:
-            return False
-    return True
-
-
 def is_codeword(spec: CodeSpec, word: SymbolWord) -> bool:
-    """Membership test; the word must be fully known."""
+    """Membership test H . c = 0; the word must be fully known."""
     if len(word) != length(spec):
         raise ValueError(f"word length {len(word)} != code length {length(spec)}")
     if any(word.erased):
         raise ValueError("membership test needs a fully known word")
-    return _is_codeword_symbols(spec, list(word.symbols))
-
-
-def _is_codeword_symbols(spec: CodeSpec, symbols) -> bool:
-    if isinstance(spec, LeafSpec):
-        return _leaf_syndrome(spec, symbols)
-    ctx = spec.ctx
-    m = block_count(spec)
-    n_sub = length(spec.children[0])
-    blocks = [symbols[j * n_sub:(j + 1) * n_sub] for j in range(m)]
-    if not all(_is_codeword_symbols(spec.children[0], blk) for blk in blocks):
-        return False
-    tails = tail_counts(spec)
-    t = len(spec.children)
-    # row r of the weighted-sum system lands in the strongest child whose
-    # tail count still exceeds r; checking that one code suffices by nesting
-    for r in range(tails[1] if t >= 1 else 0):
-        level = max(i for i in range(1, t + 1) if tails[i] > r)
-        combo = [0] * n_sub
-        for j, blk in enumerate(blocks):
-            coef = ctx.alpha_pow(r * j)
-            for x, sym in enumerate(blk):
-                if sym:
-                    combo[x] ^= ctx.mul(coef, sym)
-        if level == t:
-            if any(combo):
-                return False
-        elif not _is_codeword_symbols(spec.children[level], combo):
-            return False
-    return True
+    check_symbols(word.symbols, spec.ctx.q)
+    return not any(mx.mat_vec(build_parity_check(spec).reduced, word.symbols))
 
 
 # -- systematic layout ----------------------------------------------------------
@@ -172,31 +140,13 @@ def _leaf_solver(ctx: FieldContext, n: int, u: int, erased: tuple):
     pattern is consistent iff check_rows . syn == 0.
     """
     e = len(erased)
-    aug = []
-    for r in range(u):
-        row = [ctx.alpha_pow(r * c) for c in erased]
-        row.extend(1 if k == r else 0 for k in range(u))
-        aug.append(row)
-    # forward elimination on the erased columns, carrying the identity part
-    rank = 0
-    for col in range(e):
-        p = next((r for r in range(rank, u) if aug[r][col]), None)
-        if p is None:
-            continue
-        aug[rank], aug[p] = aug[p], aug[rank]
-        inv = ctx.inv(aug[rank][col])
-        if inv != 1:
-            aug[rank] = [ctx.mul(inv, x) for x in aug[rank]]
-        for r in range(u):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x ^ ctx.mul(f, y) for x, y in zip(aug[r], aug[rank])]
-        rank += 1
-    if rank < e:
+    aug = np.hstack([mx.vandermonde(ctx, u, n).data[:, list(erased)], np.eye(u, dtype=np.uint8)])
+    pivots = mx._eliminate(aug, ctx, e)
+    if len(pivots) < e:
         return None
-    solve_rows = tuple(tuple(row[e:]) for row in aug[:e])
-    check_rows = tuple(tuple(row[e:]) for row in aug[e:])
-    return solve_rows, check_rows
+    free = sorted(set(range(u)) - {r for r, _ in pivots})
+    solve_rows = tuple(map(tuple, mx._back_substitute(aug, ctx, pivots)[:, e:].tolist()))
+    return solve_rows, tuple(map(tuple, aug[free, e:].tolist()))
 
 
 def _decode_leaf(spec: LeafSpec, symbols, erased):
@@ -244,17 +194,9 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> tuple:
     leading 1 sits on successive ordered blocks.  Works because every
     leading minor is a Vandermonde determinant on distinct points.
     """
-    m = len(col_blocks)
-    rows = [[ctx.alpha_pow(r * j) for j in col_blocks] for r in range(n_rows)]
-    for k in range(n_rows):
-        inv = ctx.inv(rows[k][k])
-        if inv != 1:
-            rows[k] = [ctx.mul(inv, x) for x in rows[k]]
-        for r in range(k + 1, n_rows):
-            f = rows[r][k]
-            if f:
-                rows[r] = [x ^ ctx.mul(f, y) for x, y in zip(rows[r], rows[k])]
-    return tuple(tuple(row) for row in rows[:n_rows]) if n_rows else ()
+    rows = mx.vandermonde(ctx, n_rows, len(col_blocks)).data[:, list(col_blocks)]
+    mx._eliminate(rows, ctx, n_rows)
+    return tuple(map(tuple, rows.tolist()))
 
 
 class _Uncorrectable(Exception):
@@ -333,18 +275,14 @@ def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_pee
 
 
 def _decode_child(spec: CodeSpec, symbols, erased, sl):
+    sub_sym = symbols[sl]
+    sub_era = erased[sl]
     if isinstance(spec, LeafSpec):
-        sub_sym = symbols[sl]
-        sub_era = erased[sl]
         _decode_leaf(spec, sub_sym, sub_era)
-        symbols[sl] = sub_sym
-        erased[sl] = sub_era
     else:
-        sub_sym = symbols[sl]
-        sub_era = erased[sl]
         _decode_node(spec, sub_sym, sub_era)
-        symbols[sl] = sub_sym
-        erased[sl] = sub_era
+    symbols[sl] = sub_sym
+    erased[sl] = sub_era
 
 
 def decode(spec: CodeSpec, word: SymbolWord, verify: bool = True):
@@ -358,6 +296,7 @@ def decode(spec: CodeSpec, word: SymbolWord, verify: bool = True):
     """
     if len(word) != length(spec):
         raise ValueError(f"word length {len(word)} != code length {length(spec)}")
+    check_symbols(word.symbols, spec.ctx.q)
     symbols = list(word.symbols)
     erased = list(word.erased)
     peel: list = []
@@ -372,7 +311,7 @@ def decode(spec: CodeSpec, word: SymbolWord, verify: bool = True):
     except _Uncorrectable:
         report = DecodeReport(UNCORRECTABLE, tuple(levels), ())
         return word, report
-    if verify and not _is_codeword_symbols(spec, symbols):
+    if verify and any(mx.mat_vec(build_parity_check(spec).reduced, symbols)):
         raise InconsistentWordError("known symbols contradict every codeword")
     out = SymbolWord(tuple(symbols), (False,) * len(symbols))
     return out, DecodeReport(RECOVERED, tuple(levels), tuple(peel))
@@ -387,6 +326,7 @@ def encode(spec: CodeSpec, data) -> SymbolWord:
     k = dimension(spec)
     if len(data) != k:
         raise ValueError(f"data length {len(data)} != dimension {k}")
+    check_symbols(data, spec.ctx.q)
     mask = parity_mask(spec)
     symbols = []
     it = iter(data)
@@ -465,8 +405,6 @@ def _min_weight_symbols(spec: CodeSpec):
 def brute_force_min_weight(spec: CodeSpec, limit: int = 1 << 24) -> int:
     """Minimum nonzero codeword weight by enumerating all q^k data vectors."""
     import itertools
-
-    import numpy as np
 
     k = dimension(spec)
     q = spec.ctx.q

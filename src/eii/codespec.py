@@ -399,22 +399,31 @@ def spec_to_json(spec: CodeSpec) -> str:
     return json.dumps({"field": {"w": spec.ctx.w}, "code": _code_to_dict(spec)}, indent=2)
 
 
-def _code_from_dict(ctx: FieldContext, d: dict) -> CodeSpec:
-    if "leaf" in d:
-        return LeafSpec(ctx, int(d["leaf"]["n"]), int(d["leaf"]["u"]))
-    if "node" in d:
-        node = d["node"]
-        children = tuple(_code_from_dict(ctx, c) for c in node["children"])
-        return NodeSpec(ctx, children, tuple(int(x) for x in node["s"]))
+def _entry(d, key: str, kind: type):
+    """d[key], checked to be a JSON value of the given type."""
+    value = d.get(key) if isinstance(d, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"spec JSON: {key!r} must be a {kind.__name__} in {d!r}")
+    return value
+
+
+def _code_from_dict(ctx: FieldContext, d) -> CodeSpec:
+    if isinstance(d, dict) and "leaf" in d:
+        leaf = _entry(d, "leaf", dict)
+        return LeafSpec(ctx, _entry(leaf, "n", int), _entry(leaf, "u", int))
+    if isinstance(d, dict) and "node" in d:
+        node = _entry(d, "node", dict)
+        children = tuple(_code_from_dict(ctx, c) for c in _entry(node, "children", list))
+        s = _entry(node, "s", list)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in s):
+            raise ValidationError(f"spec JSON: 's' must list integers, got {s!r}")
+        return NodeSpec(ctx, children, tuple(s))
     raise ValidationError("code object needs a 'leaf' or 'node' key")
 
 
 def spec_from_json(text: str) -> CodeSpec:
     doc = json.loads(text)
-    try:
-        ctx = field(int(doc["field"]["w"]))
-    except KeyError:
-        raise ValidationError("spec JSON needs a field.w entry") from None
-    spec = _code_from_dict(ctx, doc["code"])
+    ctx = field(_entry(_entry(doc, "field", dict), "w", int))
+    spec = _code_from_dict(ctx, _entry(doc, "code", dict))
     validate(spec)
     return spec

@@ -2,8 +2,9 @@
 
 Matrices are stored row-major as read-only numpy uint8 arrays; all products
 go through the field's q x q multiplication table, so every routine here is
-exact integer arithmetic.  Row reduction uses leftmost-nonzero pivoting with
-pivots normalized to 1, which gives a deterministic echelon form.
+exact integer arithmetic.  `_eliminate` is the package's one elimination
+kernel: row reduction, rank, erasure solving, parity-check reduction and the
+decoder's precomputed solves all run on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldContext
-from .words import SymbolWord
+from .words import SymbolWord, check_symbols
 
 
 class InconsistentWordError(ValueError):
@@ -133,34 +134,48 @@ def mat_vec(m: MatrixGF, vec) -> list:
     return [int(x) for x in np.bitwise_xor.reduce(prod, axis=1)]
 
 
-def _eliminate(arr: np.ndarray, ctx: FieldContext):
-    """In-place forward elimination; returns (rank, pivot_cols)."""
+def _eliminate(arr: np.ndarray, ctx: FieldContext, ncols: int | None = None) -> list:
+    """In-place forward elimination on the first `ncols` columns (default all).
+
+    Rows are visited top to bottom, without swaps.  A row, once the pivots
+    above it have cleared their columns from it, takes its leftmost nonzero
+    entry among the first `ncols` columns as its pivot; the row is scaled to
+    a unit pivot and the pivot column is cleared from every row below.
+    Columns from `ncols` on are carried along (a right-hand side or an
+    identity block).  Returns the (row, col) pivots in row order; every
+    other row is zero in the first `ncols` columns.
+    """
     mt = ctx.mul_table
     inv = ctx.inv_table
-    rows, cols = arr.shape
-    rank = 0
-    pivot_cols = []
-    for col in range(cols):
-        sub = arr[rank:, col]
-        nz = np.nonzero(sub)[0]
+    ncols = arr.shape[1] if ncols is None else ncols
+    pivots = []
+    for r in range(arr.shape[0]):
+        if len(pivots) == ncols:
+            break
+        nz = arr[r, :ncols].nonzero()[0]
         if nz.size == 0:
             continue
-        p = rank + int(nz[0])
-        if p != rank:
-            arr[[rank, p]] = arr[[p, rank]]
-        pivot = arr[rank, col]
+        col = int(nz[0])
+        pivot = arr[r, col]
         if pivot != 1:
-            arr[rank] = mt[arr[rank], inv[pivot]]
-        below = arr[rank + 1:, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows_hit = rank + 1 + hit
-            arr[rows_hit] ^= mt[arr[rank][None, :], below[hit][:, None]]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    return rank, pivot_cols
+            arr[r] = mt[arr[r], inv[pivot]]
+        # a zero factor multiplies to a zero row, so every row below is updated
+        arr[r + 1:] ^= mt[arr[r + 1:, col, None], arr[r]]
+        pivots.append((r, col))
+    return pivots
+
+
+def _back_substitute(arr: np.ndarray, ctx: FieldContext, pivots) -> np.ndarray:
+    """Rows [I | X] from a forward elimination whose pivots fill columns 0..e-1.
+
+    Returns a copy of the pivot rows in pivot-column order, with the entries
+    above each pivot cleared as well; X is then the carried solution.
+    """
+    mt = ctx.mul_table
+    out = arr[[r for r, _ in sorted(pivots, key=lambda rc: rc[1])]]
+    for i in range(len(out) - 1, 0, -1):
+        out[:i] ^= mt[out[:i, i, None], out[i]]
+    return out
 
 
 def row_reduce(m: MatrixGF):
@@ -169,8 +184,10 @@ def row_reduce(m: MatrixGF):
     Returns (echelon, rank, pivot_cols); the row space is preserved.
     """
     arr = m.data.copy()
-    rank, pivot_cols = _eliminate(arr, m.ctx)
-    return MatrixGF(m.ctx, arr), rank, pivot_cols
+    pivots = sorted(_eliminate(arr, m.ctx), key=lambda rc: rc[1])
+    order = [r for r, _ in pivots]
+    order += sorted(set(range(m.rows)) - set(order))
+    return MatrixGF(m.ctx, arr[order]), len(pivots), [c for _, c in pivots]
 
 
 def rank(m: MatrixGF) -> int:
@@ -182,10 +199,12 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
 
     Returns the completed SymbolWord when the erased columns of h are
     linearly independent, or None when the system is underdetermined.
-    Raises InconsistentWordError when no completion exists at all.
+    Raises InconsistentWordError when no completion exists at all, and
+    ValueError for a symbol outside the field.
     """
     if len(word) != h.cols:
         raise ValueError(f"word length {len(word)} != matrix columns {h.cols}")
+    check_symbols(word.symbols, h.ctx.q)
     erased = [i for i, e in enumerate(word.erased) if e]
     syms = np.array(word.symbols, dtype=np.uint8)
     known = np.array([not e for e in word.erased], dtype=bool)
@@ -199,26 +218,17 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
             raise InconsistentWordError("nonzero syndrome with no erasures")
         return word
 
-    aug = np.hstack([h.data[:, erased], syndrome[:, None]]).copy()
-    r, pivots = _eliminate(aug, h.ctx)
     ncols = len(erased)
-    if pivots and pivots[-1] == ncols:
+    aug = np.hstack([h.data[:, erased], syndrome[:, None]])
+    pivots = _eliminate(aug, h.ctx, ncols)
+    free = np.ones(h.rows, dtype=bool)
+    free[[r for r, _ in pivots]] = False
+    if aug[free, ncols].any():
         raise InconsistentWordError("known symbols are inconsistent with the parity checks")
-    if r < ncols:
+    if len(pivots) < ncols:
         return None
-    # unique solution: back-substitute the unit-pivot echelon form
-    values = [0] * ncols
-    for i in range(ncols - 1, -1, -1):
-        acc = int(aug[i, ncols])
-        row = aug[i]
-        for j in range(i + 1, ncols):
-            if row[j]:
-                acc ^= h.ctx.mul(int(row[j]), values[j])
-        values[i] = acc
-    out = list(word.symbols)
-    for pos, val in zip(erased, values):
-        out[pos] = val
-    return SymbolWord(tuple(out), (False,) * len(out))
+    syms[erased] = _back_substitute(aug, h.ctx, pivots)[:, ncols]
+    return SymbolWord.known(syms.tolist())
 
 
 def to_csv(m: MatrixGF) -> str:

@@ -89,40 +89,15 @@ def _construct(spec: CodeSpec) -> MatrixGF:
     if tails[len(children)]:
         left = mx.vandermonde(ctx, tails[len(children)], m)
         blocks.append(mx.kronecker(left, mx.identity(ctx, length(children[0]))))
-    return mx.stack(blocks)
-
-
-def _earliest_independent_rows(h: MatrixGF) -> MatrixGF:
-    """Keep each row that enlarges the span of the rows above it."""
-    mt = h.ctx.mul_table
-    inv = h.ctx.inv_table
-    basis = []   # normalized rows, each with leading 1 at its pivot column
-    pivots = []  # (pivot column, index into basis), kept sorted by column
-    keep = []
-    for idx in range(h.rows):
-        v = h.data[idx].copy()
-        for col, ri in pivots:
-            f = v[col]
-            if f:
-                v ^= mt[basis[ri], f]
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            continue
-        col = int(nz[0])
-        piv = int(v[col])
-        if piv != 1:
-            v = mt[v, inv[piv]]
-        basis.append(v)
-        pivots.append((col, len(basis) - 1))
-        pivots.sort()
-        keep.append(idx)
-    return MatrixGF(h.ctx, h.data[keep])
+    return mx.stack(blocks) if blocks else mx.zeros(ctx, 0, length(spec))
 
 
 @lru_cache(maxsize=None)
 def build_parity_check(spec: CodeSpec) -> ParityCheck:
     h = _construct(spec)
-    reduced = _earliest_independent_rows(h)
+    # rows that enlarge the span of the rows above them; the rest are dropped
+    kept = [r for r, _ in mx._eliminate(h.data.copy(), spec.ctx)]
+    reduced = MatrixGF(spec.ctx, h.data[kept])
     digest = hashlib.sha256(spec_to_json(spec).encode()).hexdigest()[:12]
     pc = ParityCheck(h, reduced, digest)
     if pc.rank != length(spec) - dimension(spec):
@@ -136,8 +111,9 @@ def reduce(pc: ParityCheck) -> ParityCheck:
 
 
 def density(pc: ParityCheck) -> float:
-    """Fraction of nonzero entries of the as-constructed matrix."""
-    return pc.h.nonzero_count() / (pc.h.rows * pc.h.cols)
+    """Fraction of nonzero entries of the as-constructed matrix (0 for no rows)."""
+    total = pc.h.rows * pc.h.cols
+    return pc.h.nonzero_count() / total if total else 0.0
 
 
 def pc_decode(pc: ParityCheck, word: SymbolWord):

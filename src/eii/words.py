@@ -42,6 +42,13 @@ class SymbolWord:
         return SymbolWord(self.symbols, tuple(erased))
 
 
+def check_symbols(symbols, q: int) -> None:
+    """Raise ValueError naming the first position whose symbol is outside 0..q-1."""
+    for i, s in enumerate(symbols):
+        if not 0 <= s < q:
+            raise ValueError(f"symbol {s} at position {i} outside 0..{q - 1}")
+
+
 def word_to_text(word: SymbolWord) -> str:
     return " ".join("?" if e else str(s) for s, e in zip(word.symbols, word.erased))
 

@@ -72,15 +72,9 @@ def random_codeword(spec, rng):
 
 def sample_correctable_positions(spec, rng):
     """Random prefix of a random erasure order, cut before the first failure."""
-    n = length(spec)
-    tracker = anetf._CapabilityTracker(spec)
-    order = list(range(n))
+    order = list(range(length(spec)))
     rng.shuffle(order)
-    good = []
-    for pos in order:
-        if not tracker.add(pos):
-            break
-        good.append(pos)
+    good = order[: anetf.erasures_to_failure(spec, anetf.CAPABILITY, order) - 1]
     return good[: rng.randint(0, len(good))]
 
 

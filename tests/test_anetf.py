@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from eii import anetf, codec
+from eii import anetf, codec, matrix as mx, pcheck
 from eii.codespec import LeafSpec, NodeSpec, length, spec_from_capability
 from eii.gf import field
+from eii.matrix import MatrixGF
 
 G8 = field(3)
 G16 = field(4)
@@ -62,13 +63,25 @@ def test_failure_counts_match_direct_predicate():
 
 
 def test_batched_paths_match_single_shot():
+    # independent oracles: the capability predicate on each prefix mask, and
+    # the rank of the erased columns of the reduced parity-check matrix
     spec = spec_from_capability(G16, "(1,1,1,1,1,2,2,2,2,3,3,3)", 7)
+    h = pcheck.build_parity_check(spec).reduced
     perms = anetf._trial_permutations(77, 0, 200, 84)
     cap = anetf._capability_counts(spec, perms)
     chk = anetf._pcheck_counts(spec, perms)
     for i, perm in enumerate(perms):
         assert cap[i] == anetf.erasures_to_failure(spec, anetf.CAPABILITY, perm)
         assert chk[i] == anetf.erasures_to_failure(spec, anetf.PCHECK, perm)
+        mask = [False] * 84
+        for pos in perm[:cap[i] - 1]:
+            mask[pos] = True
+        assert codec.correctable(spec, mask)
+        mask[perm[cap[i] - 1]] = True
+        assert not codec.correctable(spec, mask)
+        k = int(chk[i])
+        assert mx.rank(MatrixGF(G16, h.data[:, perm[:k - 1]])) == k - 1
+        assert mx.rank(MatrixGF(G16, h.data[:, perm[:k]])) == k - 1
 
 
 def test_mode_dominance_per_permutation():
@@ -78,9 +91,7 @@ def test_mode_dominance_per_permutation():
         perm = rng.permutation(84)
         c = anetf.erasures_to_failure(spec, anetf.CAPABILITY, perm)
         p = anetf.erasures_to_failure(spec, anetf.PCHECK, perm)
-        h = anetf.erasures_to_failure(spec, anetf.HYBRID, perm)
         assert p >= c
-        assert h == p
 
 
 def test_pcheck_failure_exceeds_distance():

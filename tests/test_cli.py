@@ -83,7 +83,7 @@ def test_decode_erasure_list_and_modes(tmp_path, capsys):
     word = codec.encode(spec, [i % 8 for i in range(62)])
     path = tmp_path / "word.txt"
     path.write_text(word_to_text(word))
-    for mode in ("alg", "pcheck", "hybrid"):
+    for mode in ("alg", "pcheck"):
         assert run(["decode", *EX4, "--word", str(path),
                     "--erasures", "1,2,22", "--mode", mode]) == 0
         assert word_from_text(capsys.readouterr().out) == word
@@ -158,3 +158,46 @@ def test_mindist_brute_guard(capsys):
     code = run(["mindist-brute", *EX4])
     assert code == 2
     assert "refusing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["density", "anetf"])
+def test_zero_row_parity_check_tree(command, capsys):
+    # the all-zero first block has an empty parity-check matrix
+    args = [command, "--capability", "((0,0,0),(1,1,1))", "--field", "3", "--n", "7"]
+    if command == "anetf":
+        args += ["--mode", "pcheck", "--trials", "20"]
+    assert run(args) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("symbol", [9, -1])
+def test_encode_symbol_out_of_range(symbol, tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text(" ".join(["1"] * 30 + [str(symbol)] + ["1"] * 31))
+    assert run(["encode", *EX4, "--data", str(data)]) == 2
+    assert "position 30" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["alg", "pcheck"])
+def test_decode_symbol_out_of_range(mode, tmp_path, capsys):
+    spec = spec_from_capability(field(3), "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    symbols = list(codec.encode(spec, [0] * 62).symbols)
+    symbols[5] = 300
+    path = tmp_path / "word.txt"
+    path.write_text(" ".join(map(str, symbols)))
+    assert run(["decode", *EX4, "--word", str(path), "--erasures", "0", "--mode", mode]) == 2
+    assert "position 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("code", [
+    {"node": {}},
+    {"node": {"s": [1, 0], "children": 5}},
+    {"node": {"s": ["1", 0], "children": [{"leaf": {"n": 7, "u": 1}}]}},
+    {"leaf": {"n": 7}},
+    {"leaf": [7, 1]},
+])
+def test_spec_json_schema(code, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"field": {"w": 3}, "code": code}))
+    assert run(["info", "--spec", str(path)]) == 2
+    assert "error" in capsys.readouterr().err

@@ -6,10 +6,12 @@ from eii import codec
 from eii.codespec import (
     LeafSpec,
     NodeSpec,
+    block_count,
     dimension,
     length,
     min_distance,
     spec_from_capability,
+    tail_counts,
 )
 from eii.gf import field
 from eii.matrix import InconsistentWordError
@@ -65,6 +67,63 @@ def random_correctable_mask(spec, rng):
 # -- membership -------------------------------------------------------------
 
 
+def _leaf_syndrome(spec, symbols) -> bool:
+    ctx = spec.ctx
+    for r in range(spec.u):
+        acc = 0
+        for c, sym in enumerate(symbols):
+            if sym:
+                acc ^= ctx.mul(ctx.alpha_pow(r * c), sym)
+        if acc:
+            return False
+    return True
+
+
+def recursive_is_codeword(spec, symbols) -> bool:
+    """Membership from the code's definition, independent of the parity-check
+    matrix: every block lies in the weakest child, and the weighted block
+    sums land in the nested child codes."""
+    if isinstance(spec, LeafSpec):
+        return _leaf_syndrome(spec, symbols)
+    ctx = spec.ctx
+    m = block_count(spec)
+    n_sub = length(spec.children[0])
+    blocks = [symbols[j * n_sub:(j + 1) * n_sub] for j in range(m)]
+    if not all(recursive_is_codeword(spec.children[0], blk) for blk in blocks):
+        return False
+    tails = tail_counts(spec)
+    t = len(spec.children)
+    # row r of the weighted-sum system lands in the strongest child whose
+    # tail count still exceeds r; checking that one code suffices by nesting
+    for r in range(tails[1] if t >= 1 else 0):
+        level = max(i for i in range(1, t + 1) if tails[i] > r)
+        combo = [0] * n_sub
+        for j, blk in enumerate(blocks):
+            coef = ctx.alpha_pow(r * j)
+            for x, sym in enumerate(blk):
+                if sym:
+                    combo[x] ^= ctx.mul(coef, sym)
+        if level == t:
+            if any(combo):
+                return False
+        elif not recursive_is_codeword(spec.children[level], combo):
+            return False
+    return True
+
+
+def test_is_codeword_matches_recursive_oracle():
+    from test_acceptance import example_codes as acceptance_codes
+    rng = random.Random(12)
+    for name, spec in acceptance_codes().items():
+        word = random_codeword(spec, rng)
+        assert codec.is_codeword(spec, word) and recursive_is_codeword(spec, word.symbols), name
+        for pos in range(length(spec)):
+            symbols = list(word.symbols)
+            symbols[pos] ^= rng.randrange(1, spec.ctx.q)
+            got = codec.is_codeword(spec, SymbolWord.known(symbols))
+            assert got == recursive_is_codeword(spec, symbols), (name, pos)
+
+
 def test_zero_word_is_codeword():
     word = SymbolWord.known([0] * 49)
     assert codec.is_codeword(EX1, word)
@@ -90,6 +149,32 @@ def test_is_codeword_needs_full_word():
     word = SymbolWord.known([0] * 49).with_erasures([3])
     with pytest.raises(ValueError):
         codec.is_codeword(EX1, word)
+
+
+def test_symbol_range_checked_at_every_entry_point():
+    from eii.pcheck import build_parity_check, pc_decode
+    bad = SymbolWord.known([0] * 10 + [8] + [0] * 38)
+    for call in (lambda: codec.is_codeword(EX1, bad),
+                 lambda: codec.decode(EX1, bad.with_erasures([0])),
+                 lambda: pc_decode(build_parity_check(EX1), bad.with_erasures([0])),
+                 lambda: codec.encode(EX1, [0] * 23 + [-1])):
+        with pytest.raises(ValueError, match="position"):
+            call()
+
+
+@pytest.mark.parametrize("cap, outcome", [("((0,0,0),(1,1,1))", codec.RECOVERED),
+                                          ("(0,0,0)", codec.UNCORRECTABLE),
+                                          ("((0,0,0),(0,0,0))", codec.UNCORRECTABLE)])
+def test_zero_row_parity_check_codes(cap, outcome):
+    from eii.pcheck import build_parity_check
+    spec = spec_from_capability(G8, cap, 7)
+    assert build_parity_check(spec).rank == length(spec) - dimension(spec)
+    word = random_codeword(spec, random.Random(13))
+    assert codec.is_codeword(spec, word)
+    erased = word.with_erasures([3])
+    out, report = codec.decode(spec, erased)
+    assert report.outcome == outcome
+    assert out == (word if outcome == codec.RECOVERED else erased)
 
 
 # -- systematic layout --------------------------------------------------------
@@ -184,6 +269,23 @@ def test_decode_inconsistent_known_symbols():
     word = SymbolWord(tuple(symbols), tuple(i == 3 for i in range(49)))
     with pytest.raises(InconsistentWordError):
         codec.decode(EX1, word)
+
+
+def test_leaf_solver_check_rows():
+    # check_rows span the left null space of the erased Vandermonde columns:
+    # they vanish on every column syndrome and have full rank u - e
+    from eii import matrix as mx
+    for ctx, n, u in ((G8, 7, 4), (field(8), 7, 3)):
+        h = mx.vandermonde(ctx, u, n).data
+        for erased in ((0,), (1, 4), (2, 3, 6), (0, 1, 2, 3)[:u]):
+            solve_rows, check_rows = codec._leaf_solver(ctx, n, u, erased)
+            assert len(solve_rows) == len(erased) and len(check_rows) == u - len(erased)
+            checks = mx.from_rows(ctx, check_rows) if check_rows else mx.zeros(ctx, 0, u)
+            cols = mx.MatrixGF(ctx, h[:, list(erased)])
+            assert not any(mx.matmul(checks, cols).data.ravel())
+            assert mx.rank(checks) == u - len(erased)
+            # solve_rows invert the erased columns: solve . cols = I
+            assert mx.matmul(mx.from_rows(ctx, solve_rows), cols) == mx.identity(ctx, len(erased))
 
 
 # -- correctability ---------------------------------------------------------------

@@ -176,6 +176,40 @@ def test_solve_erasures_inconsistent():
         mx.solve_erasures(h, bad)
 
 
+def test_solve_erasures_inconsistent_with_erasures():
+    # the carried syndrome column ends nonzero below the rank: no completion
+    f = field(3)
+    leaf = LeafSpec(f, 7, 3)
+    h = build_parity_check(leaf).h
+    from eii.codec import encode
+    word = encode(leaf, [1, 2, 3, 4])
+    symbols = list(word.symbols)
+    symbols[6] ^= 5
+    damaged = SymbolWord(tuple(symbols), (False,) * 7).with_erasures([0, 2])
+    with pytest.raises(mx.InconsistentWordError):
+        mx.solve_erasures(h, damaged)
+    # the same corruption erased as well is repaired
+    assert mx.solve_erasures(h, damaged.with_erasures([6])) == word
+
+
+def test_eliminate_carries_columns():
+    # pivots come only from the first ncols columns; the identity block
+    # carried along records the row operations: E . A = reduced A
+    f = field(4)
+    rng = random.Random(9)
+    for _ in range(20):
+        a = np.array([[rng.randrange(16) for _ in range(3)] for _ in range(5)], dtype=np.uint8)
+        a[rng.randrange(5)] = 0
+        aug = np.hstack([a, np.eye(5, dtype=np.uint8)])
+        pivots = mx._eliminate(aug, f, 3)
+        assert all(c < 3 for _, c in pivots)
+        assert len(pivots) == mx.rank(mx.MatrixGF(f, a))
+        ops = mx.MatrixGF(f, aug[:, 3:])
+        assert mx.matmul(ops, mx.MatrixGF(f, a)) == mx.MatrixGF(f, aug[:, :3])
+        for r, c in pivots:
+            assert aug[r, c] == 1 and not aug[r, :c].any() and not aug[r + 1:, c].any()
+
+
 def test_solve_erasures_example_1_grid():
     # the worked 7x7 erasure pattern, solved against the full parity-check
     # matrix and cross-checked with the recursive decoder
