@@ -157,6 +157,7 @@ def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray
 
 
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
+    """Failure count per permutation; root level 0 mirrors `codec.correctable`."""
     root = _make_state((spec,))
     add = root.add
     counts = np.empty(perms.shape[0], dtype=np.int64)

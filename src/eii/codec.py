@@ -140,13 +140,14 @@ def _leaf_solver(ctx: FieldContext, n: int, u: int, erased: tuple):
     pattern is consistent iff check_rows . syn == 0.
     """
     e = len(erased)
-    aug = np.hstack([mx.vandermonde(ctx, u, n).data[:, list(erased)], np.eye(u, dtype=np.uint8)])
+    columns = mx.vandermonde(ctx, u, n).data[:, list(erased)]
+    aug = np.hstack([columns, np.eye(u, dtype=np.uint8)])
     pivots = mx._eliminate(aug, ctx, e)
     if len(pivots) < e:
         return None
-    free = sorted(set(range(u)) - {r for r, _ in pivots})
-    solve_rows = tuple(map(tuple, mx._back_substitute(aug, ctx, pivots)[:, e:].tolist()))
-    return solve_rows, tuple(map(tuple, aug[free, e:].tolist()))
+    solve_rows = mx._back_substitute(aug, ctx, pivots)[:, e:]
+    check_rows = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
+    return tuple(map(tuple, solve_rows.tolist())), tuple(map(tuple, check_rows.tolist()))
 
 
 def _decode_leaf(spec: LeafSpec, symbols, erased):

@@ -221,9 +221,7 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
     ncols = len(erased)
     aug = np.hstack([h.data[:, erased], syndrome[:, None]])
     pivots = _eliminate(aug, h.ctx, ncols)
-    free = np.ones(h.rows, dtype=bool)
-    free[[r for r, _ in pivots]] = False
-    if aug[free, ncols].any():
+    if np.delete(aug[:, ncols], [r for r, _ in pivots]).any():
         raise InconsistentWordError("known symbols are inconsistent with the parity checks")
     if len(pivots) < ncols:
         return None

@@ -4,7 +4,6 @@ import pytest
 from eii import anetf, codec, matrix as mx, pcheck
 from eii.codespec import LeafSpec, NodeSpec, length, spec_from_capability
 from eii.gf import field
-from eii.matrix import MatrixGF
 
 G8 = field(3)
 G16 = field(4)
@@ -80,8 +79,8 @@ def test_batched_paths_match_single_shot():
         mask[perm[cap[i] - 1]] = True
         assert not codec.correctable(spec, mask)
         k = int(chk[i])
-        assert mx.rank(MatrixGF(G16, h.data[:, perm[:k - 1]])) == k - 1
-        assert mx.rank(MatrixGF(G16, h.data[:, perm[:k]])) == k - 1
+        assert mx.rank(mx.MatrixGF(G16, h.data[:, perm[:k - 1]])) == k - 1
+        assert mx.rank(mx.MatrixGF(G16, h.data[:, perm[:k]])) == k - 1
 
 
 def test_mode_dominance_per_permutation():
