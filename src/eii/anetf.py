@@ -3,10 +3,13 @@
 Symbols are erased one at a time in a uniformly random order; a trial's
 failure count is the number of erasures present the first time the chosen
 decoding oracle rejects the pattern.  Two oracles are supported: the
-guaranteed-capability predicate (`codec.correctable`) and parity-check
-decoding (erased columns of the reduced matrix stay linearly independent).
-Both oracles walk a whole batch of trials at once; a single permutation is
-a batch of one.
+guaranteed-capability predicate of `codec` and parity-check decoding
+(erased columns of the reduced matrix stay linearly independent).  Both
+oracles walk a whole batch of trials at once; a single permutation is a
+batch of one.  The capability walk is a binary search over prefix length,
+one call of the batched predicate per step; the pcheck walk inserts one
+erased column per step into each trial's basis.  Batches are capped so
+their working arrays stay within a fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -15,20 +18,12 @@ no matter how trials are batched.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pcheck
-from .codespec import (
-    CodeSpec,
-    LeafSpec,
-    block_count,
-    dimension,
-    length,
-    tail_counts,
-)
+from . import codec, pcheck
+from .codespec import CodeSpec, dimension, length
 
 CAPABILITY = "capability"
 PCHECK = "pcheck"
@@ -63,86 +58,6 @@ class AnetfReport:
     mode: str
 
 
-# -- incremental capability oracle ------------------------------------------------
-#
-# A block's minimal sufficient level only grows as erasures accumulate, so
-# each tree node keeps per-block levels plus suffix counts of blocks at
-# each level, updating both in O(depth * levels) per erasure.
-
-
-class _RowState:
-    """Erasure counter for one MDS row against a chain of leaf codes."""
-
-    __slots__ = ("us", "count", "level")
-
-    def __init__(self, chain):
-        self.us = tuple(ch.u for ch in chain)
-        self.count = 0
-        self.level = 0
-
-    def reset(self):
-        self.count = 0
-        self.level = 0
-
-    def add(self, _pos: int) -> int:
-        self.count += 1
-        self.level = bisect_left(self.us, self.count)
-        return self.level
-
-
-class _ArrayState:
-    """Erasure tracker for one block against a chain of node codes."""
-
-    __slots__ = ("profiles", "t_sub", "sub_len", "subs", "sub_levels", "suffix", "level")
-
-    def __init__(self, chain):
-        grandkids = chain[0].children
-        self.profiles = tuple(tail_counts(ch)[1:] for ch in chain)
-        self.t_sub = len(grandkids)
-        self.sub_len = length(grandkids[0])
-        m = block_count(chain[0])
-        self.subs = [_make_state(grandkids) for _ in range(m)]
-        self.sub_levels = [0] * m
-        self.suffix = [0] * (self.t_sub + 1)
-        self.level = 0
-
-    def reset(self):
-        for sub in self.subs:
-            sub.reset()
-        self.sub_levels = [0] * len(self.subs)
-        self.suffix = [0] * (self.t_sub + 1)
-        self.level = 0
-
-    def _fits(self, profile) -> bool:
-        suffix = self.suffix
-        for v in range(1, self.t_sub + 1):
-            if suffix[v] > profile[v - 1]:
-                return False
-        return True
-
-    def add(self, pos: int) -> int:
-        j, off = divmod(pos, self.sub_len)
-        new = self.subs[j].add(off)
-        old = self.sub_levels[j]
-        if new > old:
-            self.sub_levels[j] = new
-            suffix = self.suffix
-            for v in range(old + 1, new + 1):
-                suffix[v] += 1
-            lv = self.level
-            profiles = self.profiles
-            while lv < len(profiles) and not self._fits(profiles[lv]):
-                lv += 1
-            self.level = lv
-        return self.level
-
-
-def _make_state(chain):
-    if isinstance(chain[0], LeafSpec):
-        return _RowState(chain)
-    return _ArrayState(chain)
-
-
 # -- batched simulation ---------------------------------------------------------------
 
 
@@ -157,20 +72,24 @@ def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray
 
 
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
-    """Failure count per permutation; root level 0 mirrors `codec.correctable`."""
-    root = _make_state((spec,))
-    add = root.add
-    counts = np.empty(perms.shape[0], dtype=np.int64)
-    rows = perms.tolist()
-    for i, perm in enumerate(rows):
-        root.reset()
-        k = 0
-        for pos in perm:
-            k += 1
-            if add(pos) != 0:
-                break
-        counts[i] = k
-    return counts
+    """Failure count per permutation under `codec`'s capability predicate.
+
+    Every superset of an uncorrectable mask is uncorrectable, so the count
+    is one more than the longest accepted prefix, found by bisecting the
+    prefix length of all trials at once.  With when[b, perms[b, i]] = i,
+    the prefix masks of length k are when < k[:, None].
+    """
+    n_trials, n = perms.shape
+    when = np.empty_like(perms)
+    np.put_along_axis(when, perms, np.arange(n), axis=1)
+    lo = np.zeros(n_trials, dtype=np.int64)  # a prefix length that is accepted
+    hi = np.full(n_trials, n, dtype=np.int64)  # one that is rejected
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = codec._chain_levels((spec,), when < mid[:, None]) == 0
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return hi
 
 
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
@@ -214,6 +133,22 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
 
 _COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
 
+_BATCH_BYTES = 16 << 20  # cap on the working arrays of one simulate batch
+
+
+def _batch_trials(spec: CodeSpec, mode: str) -> int:
+    """Trials per batch that keep its largest arrays within _BATCH_BYTES.
+
+    Per trial these are the int64 permutation, plus the int64 rank array of
+    the capability walk or the rows x rows basis of the pcheck walk.
+    """
+    n = length(spec)
+    if mode == CAPABILITY:
+        extra = 8 * n
+    else:
+        extra = pcheck.build_parity_check(spec).reduced.rows ** 2
+    return max(1, _BATCH_BYTES // (8 * n + extra))
+
 
 def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
     """Smallest k for which the first k erased positions are uncorrectable.
@@ -240,6 +175,7 @@ def simulate(config: AnetfConfig, batch: int = 50_000) -> AnetfReport:
     if dimension(spec) == 0:
         all_counts.append(np.ones(config.trials, dtype=np.int64))
     else:
+        batch = min(batch, _batch_trials(spec, config.mode))
         for start in range(0, config.trials, batch):
             count = min(batch, config.trials - start)
             perms = _trial_permutations(config.seed, start, count, n)

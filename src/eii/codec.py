@@ -8,6 +8,13 @@ over that ordering; and blocks are peeled off the bottom of the triangle,
 each time combining the target block with already-known blocks so the
 result lands in a child code that can finish the repair.
 
+Guaranteed correctability is one rule, written once as `_chain_levels`:
+vectorized over a batch of masks, it gives each mask the weakest member of
+a nested chain of sibling codes that can repair it.  `correctable` asks it
+about one mask, the decoder about the blocks of each node it visits (one
+call per node gives every block's level), and `anetf` about whole batches
+of prefix masks.
+
 Encoding is the same machinery run on a fixed mask: data fills the
 systematic positions and every parity position is treated as an erasure.
 
@@ -57,43 +64,53 @@ class DecodeReport:
 
 
 # -- correctability -----------------------------------------------------------
+#
+# A pattern is guaranteed correctable iff, with every block assigned the
+# weakest child able to repair it (the implicit zero code, level t, accepts
+# anything), at most tail_i blocks need level i or deeper, for each i >= 1.
 
 
-def _sub_masks(spec: NodeSpec, mask):
-    n_sub = length(spec.children[0])
-    return [mask[j * n_sub:(j + 1) * n_sub] for j in range(block_count(spec))]
+@lru_cache(maxsize=None)
+def _chain_tails(chain: tuple) -> np.ndarray:
+    """The u of each leaf in a leaf chain; rows tail_1..tail_t of a node chain."""
+    if isinstance(chain[0], LeafSpec):
+        return np.array([ch.u for ch in chain])
+    return np.array([tail_counts(ch)[1:] for ch in chain])
 
 
-def _block_level(spec: NodeSpec, sub_mask) -> int:
-    """Index of the weakest child able to repair this block, t for none.
+def _over_tails(levels: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Whether more than tail_i blocks sit at level i or deeper, for some i >= 1.
 
-    The implicit zero code (level t) accepts any pattern.
+    levels has shape (..., m); tails is (C, t), one profile per chain
+    member; the result is (..., C).
     """
-    for i, ch in enumerate(spec.children):
-        if correctable(ch, sub_mask):
-            return i
-    return len(spec.children)
+    deep = (levels[..., None] >= np.arange(1, tails.shape[-1] + 1)).sum(axis=-2)
+    return (deep[..., None, :] > tails).any(axis=-1)
+
+
+def _chain_levels(chain: tuple, masks: np.ndarray) -> np.ndarray:
+    """Index of the weakest spec in `chain` guaranteed to correct each mask.
+
+    `chain` is a strictly nested tuple of siblings sharing their children;
+    `masks` is boolean, (..., N).  A mask no member corrects gets
+    len(chain).  Nesting makes the tail profiles grow along the chain, so
+    the members that reject a mask form a prefix and counting them gives
+    the level.
+    """
+    tails = _chain_tails(chain)
+    head = chain[0]
+    if isinstance(head, LeafSpec):
+        return np.searchsorted(tails, masks.sum(axis=-1))
+    blocks = masks.reshape(masks.shape[:-1] + (block_count(head), -1))
+    return _over_tails(_chain_levels(head.children, blocks), tails).sum(axis=-1)
 
 
 def correctable(spec: CodeSpec, mask) -> bool:
-    """Guaranteed-correctability test for an erasure mask.
-
-    A node pattern is guaranteed iff, with every block assigned the weakest
-    child level able to repair it, at most tail_i blocks need level i or
-    deeper, for each i >= 1.
-    """
-    mask = list(mask)
-    if len(mask) != length(spec):
+    """Guaranteed-correctability test for an erasure mask."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 1 or len(mask) != length(spec):
         raise ValueError(f"mask length {len(mask)} != code length {length(spec)}")
-    if isinstance(spec, LeafSpec):
-        return sum(mask) <= spec.u
-    levels = [_block_level(spec, sm) for sm in _sub_masks(spec, mask)]
-    tails = tail_counts(spec)
-    t = len(spec.children)
-    for i in range(1, t + 1):
-        if sum(1 for lv in levels if lv >= i) > tails[i]:
-            return False
-    return True
+    return bool(_chain_levels((spec,), mask) == 0)
 
 
 # -- membership ----------------------------------------------------------------
@@ -214,27 +231,22 @@ def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_pee
     def block(j):
         return slice(j * n_sub, (j + 1) * n_sub)
 
-    levels = [0] * m
+    blocks = np.array(erased, dtype=bool).reshape(m, n_sub)
+    level_arr = _chain_levels(spec.children, blocks)
+    levels = level_arr.tolist()
     pending = []
-    for j in range(m):
-        sl = block(j)
-        if not any(erased[sl]):
-            continue
-        sub_mask = erased[sl]
-        if correctable(child0, sub_mask):
-            _decode_child(child0, symbols, erased, sl)
+    for j, hit in enumerate(blocks.any(axis=1).tolist()):
+        if levels[j]:
+            pending.append(j)
+        elif hit:
+            _decode_child(child0, symbols, erased, block(j))
             if report_peel is not None:
                 report_peel.append(j)
-            continue
-        levels[j] = _block_level(spec, sub_mask)
-        pending.append(j)
 
     if report_levels is not None:
         report_levels.extend(levels)
-    tails = tail_counts(spec)
-    for i in range(1, t + 1):
-        if sum(1 for lv in levels if lv >= i) > tails[i]:
-            raise _Uncorrectable
+    if _over_tails(level_arr, _chain_tails((spec,)))[0]:
+        raise _Uncorrectable
 
     if not pending:
         return

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from eii import anetf, codec, matrix as mx, pcheck
+from eii import anetf, matrix as mx, pcheck
 from eii.codespec import LeafSpec, NodeSpec, length, spec_from_capability
 from eii.gf import field
+from test_codec import recursive_correctable
 
 G8 = field(3)
 G16 = field(4)
@@ -56,9 +59,9 @@ def test_failure_counts_match_direct_predicate():
         mask = [False] * n
         for pos in perm[:k]:
             mask[pos] = True
-        assert not codec.correctable(spec, mask)
+        assert not recursive_correctable(spec, mask)
         mask[perm[k - 1]] = False
-        assert codec.correctable(spec, mask)
+        assert recursive_correctable(spec, mask)
 
 
 def test_batched_paths_match_single_shot():
@@ -75,9 +78,9 @@ def test_batched_paths_match_single_shot():
         mask = [False] * 84
         for pos in perm[:cap[i] - 1]:
             mask[pos] = True
-        assert codec.correctable(spec, mask)
+        assert recursive_correctable(spec, mask)
         mask[perm[cap[i] - 1]] = True
-        assert not codec.correctable(spec, mask)
+        assert not recursive_correctable(spec, mask)
         k = int(chk[i])
         assert mx.rank(mx.MatrixGF(G16, h.data[:, perm[:k - 1]])) == k - 1
         assert mx.rank(mx.MatrixGF(G16, h.data[:, perm[:k]])) == k - 1
@@ -113,6 +116,24 @@ def test_simulate_deterministic_across_batching():
     assert c == d
     assert anetf.report_to_text(a) == anetf.report_to_text(b)
     assert anetf.report_to_json(c) == anetf.report_to_json(d)
+
+
+def test_simulate_batch_memory_is_capped():
+    # Example 12's 81 x 420 code costs about 10 KB per trial uncapped
+    g8 = field(3)
+    leaves = tuple(LeafSpec(g8, 7, u) for u in (1, 2, 3))
+    arrays = tuple(NodeSpec(g8, leaves, s) for s in ((4, 1, 0, 0), (3, 2, 0, 0), (3, 1, 1, 0)))
+    groups = tuple(NodeSpec(g8, arrays, s) for s in ((2, 2, 0, 0), (2, 1, 1, 0), (1, 2, 1, 0)))
+    ex12 = NodeSpec(g8, groups, (1, 1, 1, 0))
+    pcheck.build_parity_check(ex12)
+    for mode in anetf.MODES:
+        tracemalloc.start()
+        try:
+            anetf.simulate(anetf.AnetfConfig(ex12, mode, trials=4000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, (mode, peak)
 
 
 def test_report_invariants():

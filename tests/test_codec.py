@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eii import codec
 from eii.codespec import (
@@ -12,6 +14,7 @@ from eii.codespec import (
     min_distance,
     spec_from_capability,
     tail_counts,
+    validate,
 )
 from eii.gf import field
 from eii.matrix import InconsistentWordError
@@ -247,6 +250,7 @@ def test_decode_uncorrectable_returns_input():
     erased = word.with_erasures(list(range(14)) + [14, 15, 16, 17, 18])
     out, report = codec.decode(EX1, erased)
     assert report.outcome == codec.UNCORRECTABLE
+    assert report.assignment == (4, 4, 3, 0, 0, 0, 0)
     assert out == erased
 
 
@@ -289,6 +293,90 @@ def test_leaf_solver_check_rows():
 
 
 # -- correctability ---------------------------------------------------------------
+
+
+def _recursive_block_level(spec, sub_mask) -> int:
+    """Index of the weakest child able to repair this block, t for none.
+
+    The implicit zero code (level t) accepts any pattern.
+    """
+    for i, ch in enumerate(spec.children):
+        if recursive_correctable(ch, sub_mask):
+            return i
+    return len(spec.children)
+
+
+def recursive_correctable(spec, mask) -> bool:
+    """Guaranteed correctability from the paper's recursive rule, written
+    independently of `codec`: with every block assigned the weakest child
+    level able to repair it, at most tail_i blocks need level i or deeper,
+    for each i >= 1."""
+    mask = [bool(x) for x in mask]
+    if isinstance(spec, LeafSpec):
+        return sum(mask) <= spec.u
+    n_sub = length(spec.children[0])
+    levels = [
+        _recursive_block_level(spec, mask[j * n_sub:(j + 1) * n_sub])
+        for j in range(block_count(spec))
+    ]
+    tails = tail_counts(spec)
+    for i in range(1, len(spec.children) + 1):
+        if sum(1 for lv in levels if lv >= i) > tails[i]:
+            return False
+    return True
+
+
+@st.composite
+def ordered_chains(draw, depth, n):
+    """A strictly nested chain of 1-3 sibling specs over GF(8), `depth`
+    layers above rows of length n, sharing one chain of children.
+
+    A node is described by the sorted levels of its blocks; raising levels
+    blockwise keeps the profiles totally ordered, and a profile with every
+    block in the zero code is dropped because it stores nothing."""
+    if depth == 0:
+        us = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        return tuple(LeafSpec(G8, n, u) for u in sorted(us))
+    children = draw(ordered_chains(depth - 1, n))
+    t = len(children)
+    m = draw(st.integers(1, 3))
+    levels = sorted(draw(st.lists(st.integers(0, t - 1), min_size=m, max_size=m)))
+    profiles = [tuple(levels)]
+    for _ in range(draw(st.integers(0, 2))):
+        bumps = draw(st.lists(st.integers(0, t), min_size=m, max_size=m))
+        raised = tuple(sorted(min(t, lv + b) for lv, b in zip(profiles[-1], bumps)))
+        if raised != profiles[-1] and min(raised) < t:
+            profiles.append(raised)
+    return tuple(
+        NodeSpec(G8, children, tuple(p.count(i) for i in range(t + 1))) for p in profiles
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_chain_levels_match_recursive_oracle(data):
+    n = data.draw(st.integers(1, 7))
+    chain = data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))
+    for spec in chain:
+        validate(spec)
+    size = length(chain[0])
+    masks = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        order = data.draw(st.permutations(range(size)))
+        weight = data.draw(st.integers(0, size))
+        mask = np.zeros(size, dtype=bool)
+        mask[list(order[:weight])] = True
+        masks.append(mask)
+    batch = codec._chain_levels(chain, np.array(masks))
+    assert batch.shape == (len(masks),)
+    for mask, level in zip(masks, batch.tolist()):
+        assert codec._chain_levels(chain, mask) == level
+        expect = next(
+            (i for i, spec in enumerate(chain) if recursive_correctable(spec, mask)), len(chain)
+        )
+        assert level == expect
+        for spec in chain:
+            assert codec.correctable(spec, mask) == recursive_correctable(spec, mask)
 
 
 def test_correctable_empty_mask():
