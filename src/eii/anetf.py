@@ -13,7 +13,8 @@ their working arrays stay within a fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
-no matter how trials are batched.
+no matter how trials are batched.  A batch builds one Philox and resets
+it before trial i to key (seed, i) and counter 0, as a new one would start.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ class AnetfConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be an integer in 0..2**64-1")
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,14 @@ class AnetfReport:
 
 
 def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray:
-    out = np.empty((count, n), dtype=np.int64)
-    mask = (1 << 64) - 1
-    for i in range(count):
-        key = np.array([seed & mask, (start + i) & mask], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        out[i] = rng.permutation(n)
+    out = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+    bitgen = np.random.Philox(key=seed)
+    fresh = bitgen.state  # key (seed, 0), counter 0, empty buffer
+    shuffle = np.random.Generator(bitgen).shuffle  # permutation(n) shuffles arange(n)
+    for i, row in enumerate(out):
+        fresh["state"]["key"][1] = start + i
+        bitgen.state = fresh
+        shuffle(row)
     return out
 
 
@@ -159,7 +164,9 @@ def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    perm = [int(p) for p in permutation]
+    perm = list(permutation)
+    if not all(isinstance(p, (int, np.integer)) for p in perm):
+        raise InvalidPermutationError("permutation entries must be integers")
     if sorted(perm) != list(range(length(spec))):
         raise InvalidPermutationError(f"not a permutation of 0..{length(spec) - 1}")
     if dimension(spec) == 0:
@@ -169,6 +176,8 @@ def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
 
 def simulate(config: AnetfConfig, batch: int = 50_000) -> AnetfReport:
     """Monte-Carlo ANETF estimate; deterministic for a fixed (seed, trials, mode)."""
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     spec = config.spec
     n = length(spec)
     all_counts = []

@@ -34,6 +34,13 @@ def test_invalid_permutation():
         anetf.erasures_to_failure(leaf, anetf.CAPABILITY, [0, 1, 2, 3, 4, 5, 5])
 
 
+@pytest.mark.parametrize("perm", [[0, 1, 2, 3, 4, 5, 6.7], np.arange(7, dtype=float)])
+def test_non_integer_permutation_entries(perm):
+    leaf = LeafSpec(G8, 7, 2)
+    with pytest.raises(anetf.InvalidPermutationError, match="integers"):
+        anetf.erasures_to_failure(leaf, anetf.CAPABILITY, perm)
+
+
 def test_zero_dimension_fails_at_first_erasure():
     leaf = LeafSpec(G8, 1, 1)
     assert anetf.erasures_to_failure(leaf, anetf.CAPABILITY, [0]) == 1
@@ -118,6 +125,55 @@ def test_simulate_deterministic_across_batching():
     assert anetf.report_to_json(c) == anetf.report_to_json(d)
 
 
+def fresh_permutation(seed, i, n):
+    """The stream of trial i, from a newly built generator (the oracle)."""
+    key = np.array([seed, i], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).permutation(n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 7, 84, 420])
+def test_trial_permutations_match_fresh_generators(seed, start, n):
+    # n = 1 draws nothing, so a state left over from one trial would show
+    # in the next
+    perms = anetf._trial_permutations(seed, start, 6, n)
+    assert perms.shape == (6, n)
+    for i, row in enumerate(perms):
+        assert np.array_equal(row, fresh_permutation(seed, start + i, n))
+
+
+def test_trial_permutations_interleaved_seeds():
+    a, b = 5, 2**64 - 2
+    separate = [anetf._trial_permutations(s, 3, 4, 84) for s in (a, b, a)]
+    interleaved = [anetf._trial_permutations(s, 3 + i, 1, 84)
+                   for i in range(4) for s in (a, b, a)]
+    for k in range(3):
+        assert np.array_equal(np.concatenate(interleaved[k::3]), separate[k])
+
+
+@pytest.mark.parametrize("mode", anetf.MODES)
+def test_simulate_builds_one_philox_per_batch(mode, monkeypatch):
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    anetf.simulate(anetf.AnetfConfig(spec, mode, trials=1000, seed=4), batch=300)
+    assert 0 < len(built) <= 4  # batches of 300, 300, 300 and 100 trials
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_simulate_rejects_bad_batch(batch):
+    config = anetf.AnetfConfig(LeafSpec(G8, 7, 2), anetf.CAPABILITY, trials=10, seed=0)
+    with pytest.raises(ValueError, match="batch must be >= 1"):
+        anetf.simulate(config, batch=batch)
+
+
 def test_simulate_batch_memory_is_capped():
     # Example 12's 81 x 420 code costs about 10 KB per trial uncapped
     g8 = field(3)
@@ -149,5 +205,11 @@ def test_config_validation():
     spec = LeafSpec(G8, 7, 2)
     with pytest.raises(ValueError):
         anetf.AnetfConfig(spec, "bogus", trials=10, seed=0)
-    with pytest.raises(ValueError):
-        anetf.AnetfConfig(spec, anetf.CAPABILITY, trials=0, seed=0)
+    for trials in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            anetf.AnetfConfig(spec, anetf.CAPABILITY, trials=trials, seed=0)
+    for seed in (-1, 2**64, 1.5, True):
+        with pytest.raises(ValueError):
+            anetf.AnetfConfig(spec, anetf.CAPABILITY, trials=10, seed=seed)
+    for seed in (0, 2**64 - 1):
+        assert anetf.AnetfConfig(spec, anetf.CAPABILITY, trials=1, seed=seed).seed == seed

@@ -148,6 +148,13 @@ def test_anetf_json(capsys):
     assert doc["trials"] == 50
 
 
+@pytest.mark.parametrize("option", [["--seed", "-1"], ["--seed", str(2**64)], ["--trials", "0"]])
+def test_anetf_bad_seed_or_trials(option, capsys):
+    args = ["anetf", "--capability", "(1,2,7)", "--field", "3", "--n", "7", *option]
+    assert run(args) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_mindist_brute_tiny(capsys):
     assert run(["mindist-brute", "--capability", "(1,3)", "--field", "2", "--n", "3"]) == 0
     out = capsys.readouterr().out
