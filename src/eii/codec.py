@@ -15,12 +15,14 @@ about one mask, the decoder about the blocks of each node it visits (one
 call per node gives every block's level), and `anetf` about whole batches
 of prefix masks.
 
-Encoding is the same machinery run on a fixed mask: data fills the
-systematic positions and every parity position is treated as an erasure.
+Encoding does not use the decoder: data fills the systematic positions,
+every parity position is an erasure, and `pcheck.pc_decode` fills them
+from the reduced parity-check matrix, by one cached parity product once
+the code has been encoded before.
 
-Membership is checked by the syndrome H . c against the reduced
-parity-check matrix from `pcheck`, and the leaf solves and block
-triangulations are precomputed with the elimination kernel in `matrix`.
+Membership is checked by the syndrome H . c against the same matrix, and
+the decoder's leaf solves and block triangulations are precomputed with
+the elimination kernel in `matrix`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import build_parity_check
+from .pcheck import build_parity_check, pc_decode
 from .words import SymbolWord, check_symbols
 
 
@@ -298,14 +300,14 @@ def _decode_child(spec: CodeSpec, symbols, erased, sl):
     erased[sl] = sub_era
 
 
-def decode(spec: CodeSpec, word: SymbolWord, verify: bool = True):
+def decode(spec: CodeSpec, word: SymbolWord):
     """Erasure decode; returns (word, DecodeReport).
 
     Every mask accepted by `correctable` is recovered.  On an uncorrectable
     mask the input word is returned unchanged with outcome "uncorrectable".
-    Raises InconsistentWordError when the known symbols cannot belong to
-    any codeword; `verify=False` skips the final membership check for
-    inputs already known to be punctured codewords.
+    A recovered word always passes a final membership check, so
+    InconsistentWordError is raised whenever the known symbols cannot
+    belong to any codeword.
     """
     if len(word) != length(spec):
         raise ValueError(f"word length {len(word)} != code length {length(spec)}")
@@ -324,7 +326,7 @@ def decode(spec: CodeSpec, word: SymbolWord, verify: bool = True):
     except _Uncorrectable:
         report = DecodeReport(UNCORRECTABLE, tuple(levels), ())
         return word, report
-    if verify and any(mx.mat_vec(build_parity_check(spec).reduced, symbols)):
+    if any(mx.mat_vec(build_parity_check(spec).reduced, symbols)):
         raise InconsistentWordError("known symbols contradict every codeword")
     out = SymbolWord(tuple(symbols), (False,) * len(symbols))
     return out, DecodeReport(RECOVERED, tuple(levels), tuple(peel))
@@ -334,20 +336,20 @@ def decode(spec: CodeSpec, word: SymbolWord, verify: bool = True):
 
 
 def encode(spec: CodeSpec, data) -> SymbolWord:
-    """Systematic encode: data in layout order, parities solved by decoding."""
+    """Systematic encode: the data fills the systematic positions in layout
+    order, and the parities are the erasure solve of `parity_mask(spec)`
+    against the reduced parity-check matrix (`pcheck.pc_decode`, so from
+    the second call on a code it is one cached parity product)."""
     data = list(data)
     k = dimension(spec)
     if len(data) != k:
         raise ValueError(f"data length {len(data)} != dimension {k}")
     check_symbols(data, spec.ctx.q)
     mask = parity_mask(spec)
-    symbols = []
     it = iter(data)
-    for p in mask:
-        symbols.append(0 if p else next(it))
-    word = SymbolWord(tuple(symbols), mask)
-    out, report = decode(spec, word, verify=False)
-    if report.outcome != RECOVERED:  # the parity layout is correctable by design
+    word = SymbolWord(tuple(0 if p else next(it) for p in mask), mask)
+    out = pc_decode(build_parity_check(spec), word)
+    if out is None:  # the parity columns are independent by design
         raise AssertionError("systematic layout failed to decode")
     return out
 

@@ -46,6 +46,19 @@ class NotTotallyOrderedError(ValidationError):
     """Sibling capabilities cannot be arranged into a nested chain."""
 
 
+def _hash_once(spec, fields: tuple) -> int:
+    """hash(fields), computed on first use and kept on the spec.
+
+    Specs key the package's lru_caches, and the hash of a deep NodeSpec
+    walks its whole tree; equal specs still hash equal.
+    """
+    h = spec.__dict__.get("_hash")
+    if h is None:
+        h = hash(fields)
+        object.__setattr__(spec, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class LeafSpec:
     """An [n, n-u, u+1] MDS row code; u parity symbols sit at the end."""
@@ -53,6 +66,9 @@ class LeafSpec:
     ctx: FieldContext
     n: int
     u: int
+
+    def __hash__(self):
+        return _hash_once(self, (self.ctx, self.n, self.u))
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,9 @@ class NodeSpec:
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "s", tuple(int(x) for x in self.s))
+
+    def __hash__(self):
+        return _hash_once(self, (self.ctx, self.children, self.s))
 
 
 CodeSpec = LeafSpec | NodeSpec

@@ -194,6 +194,13 @@ def rank(m: MatrixGF) -> int:
     return row_reduce(m)[1]
 
 
+def check_word(h: MatrixGF, word: SymbolWord) -> None:
+    """ValueError unless `word` has h.cols symbols, each an integer in the field."""
+    if len(word) != h.cols:
+        raise ValueError(f"word length {len(word)} != matrix columns {h.cols}")
+    check_symbols(word.symbols, h.ctx.q)
+
+
 def solve_erasures(h: MatrixGF, word: SymbolWord):
     """Fill the erased positions of `word` so that h . c^T = 0.
 
@@ -202,9 +209,7 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
     Raises InconsistentWordError when no completion exists at all, and
     ValueError for a symbol outside the field.
     """
-    if len(word) != h.cols:
-        raise ValueError(f"word length {len(word)} != matrix columns {h.cols}")
-    check_symbols(word.symbols, h.ctx.q)
+    check_word(h, word)
     erased = [i for i, e in enumerate(word.erased) if e]
     syms = np.array(word.symbols, dtype=np.uint8)
     known = np.array([not e for e in word.erased], dtype=bool)

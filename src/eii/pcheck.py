@@ -7,11 +7,21 @@ the incremental rows B_i that extend the (i-1)-th matrix to the i-th; for
 node children those rows recurse through the shared grandchildren.  Dense
 as-constructed matrices may carry dependent rows; `reduce` drops the later
 dependent ones.
+
+Erasure repair against a parity-check matrix is linear in the known
+symbols: for a fixed mask the erased symbols are X . known, and the known
+symbols are consistent iff C . known = 0.  `pc_decode` solves a mask
+directly the first time it sees it and, from the second time on, replays
+an `ErasurePlan` (X and C) with one table lookup and an XOR-reduce.  Both
+the sightings and the plans sit in bounded caches, so masks that never
+repeat cost one direct solve each and no memory beyond the sightings
+table.  `codec.encode` is the plan for the systematic parity mask.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,8 +38,14 @@ from .codespec import (
     spec_to_json,
     tail_counts,
 )
-from .matrix import MatrixGF
+from .gf import FieldContext
+from .matrix import InconsistentWordError, MatrixGF
 from .words import SymbolWord
+
+# (matrix, mask) pairs whose sightings are counted, and plans kept; a
+# degraded array cycles through a few failure masks per code
+PLAN_SIGHTINGS = 1024
+PLAN_CACHE = 128
 
 
 @dataclass(frozen=True)
@@ -116,11 +132,75 @@ def density(pc: ParityCheck) -> float:
     return pc.h.nonzero_count() / total if total else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class ErasurePlan:
+    """The repair of one erasure mask against one parity-check matrix.
+
+    With v the known symbols in position order, C . v must vanish for v to
+    be consistent and X . v gives the erased symbols in position order.
+    `rows` stacks C over X; X is None when the erased columns are
+    dependent, and `rows` is then C alone.
+    """
+
+    ctx: FieldContext
+    erased: np.ndarray   # erased positions, increasing
+    known: np.ndarray    # known positions, increasing
+    checks: np.ndarray   # C
+    solve: np.ndarray | None  # X
+    rows: np.ndarray
+
+    def apply(self, word: SymbolWord):
+        """solve_erasures for a word already checked by `mx.check_word`."""
+        syms = np.array(word.symbols, dtype=np.uint8)
+        out = np.bitwise_xor.reduce(self.ctx.mul_table[self.rows, syms[self.known]], axis=1)
+        if out[:len(self.checks)].any():
+            raise InconsistentWordError("known symbols are inconsistent with the parity checks")
+        if self.solve is None:
+            return None
+        syms[self.erased] = out[len(self.checks):]
+        return SymbolWord.known(syms.tolist())
+
+
+@lru_cache(maxsize=PLAN_SIGHTINGS)
+def _sightings(h: MatrixGF, bits: bytes):
+    """Counter of the calls for one (matrix, packed mask) pair, from 0."""
+    return itertools.count()
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(h: MatrixGF, bits: bytes) -> ErasurePlan:
+    """One elimination of [H_E | H_K] on the erased columns: the pivot rows
+    back-substitute to [I | X], the other rows carry C."""
+    mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=h.cols).astype(bool)
+    erased, known = np.flatnonzero(mask), np.flatnonzero(~mask)
+    e = len(erased)
+    aug = np.hstack([h.data[:, erased], h.data[:, known]])
+    pivots = mx._eliminate(aug, h.ctx, e)
+    checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
+    if len(pivots) < e:
+        return ErasurePlan(h.ctx, erased, known, checks, None, checks)
+    rows = np.vstack([checks, mx._back_substitute(aug, h.ctx, pivots)[:, e:]])
+    c = len(checks)
+    return ErasurePlan(h.ctx, erased, known, rows[:c], rows[c:], rows)
+
+
 def pc_decode(pc: ParityCheck, word: SymbolWord):
-    """Matrix-based erasure decode: solve the syndrome system on the
-    erased columns.  Succeeds on every guaranteed-correctable mask and on
-    any extra mask whose erased columns stay independent."""
-    return mx.solve_erasures(pc.reduced, word)
+    """Matrix-based erasure decode: fill the erased positions so that
+    H . c = 0 for the reduced parity-check matrix H.
+
+    Succeeds on every guaranteed-correctable mask and on any extra mask
+    whose erased columns stay independent; returns None when they are
+    dependent.  Raises ValueError for a wrong length or a symbol that is
+    not an integer in the field, then InconsistentWordError when no
+    completion exists.  A mask seen before is replayed from its cached
+    plan; the result is the same either way.
+    """
+    h = pc.reduced
+    mx.check_word(h, word)
+    bits = np.packbits(np.frombuffer(bytes(word.erased), dtype=bool)).tobytes()
+    if next(_sightings(h, bits)) == 0:
+        return mx.solve_erasures(h, word)
+    return _plan(h, bits).apply(word)
 
 
 def to_alist(pc: ParityCheck, reduced: bool = False) -> str:

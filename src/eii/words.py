@@ -6,6 +6,7 @@ Text format (used by the CLI): whitespace-separated integers 0..q-1, with
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -43,8 +44,15 @@ class SymbolWord:
 
 
 def check_symbols(symbols, q: int) -> None:
-    """Raise ValueError naming the first position whose symbol is outside 0..q-1."""
+    """Raise ValueError naming the first position whose symbol is not an
+    integer in 0..q-1.
+
+    Python and numpy integers pass; bools, floats and every other type are
+    rejected, because numpy would silently truncate or coerce them.
+    """
     for i, s in enumerate(symbols):
+        if type(s) is not int and (isinstance(s, bool) or not isinstance(s, numbers.Integral)):
+            raise ValueError(f"symbol {s!r} at position {i} is not an integer")
         if not 0 <= s < q:
             raise ValueError(f"symbol {s} at position {i} outside 0..{q - 1}")
 

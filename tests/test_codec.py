@@ -165,6 +165,35 @@ def test_symbol_range_checked_at_every_entry_point():
             call()
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(3.0), True, np.bool_(False), "5", None])
+def test_non_integer_symbols_rejected_at_every_entry_point(bad):
+    from eii.pcheck import build_parity_check, pc_decode
+    word = SymbolWord.known([0] * 10 + [bad] + [0] * 38)
+    pc = build_parity_check(EX1)
+    calls = [lambda: codec.is_codeword(EX1, word),
+             lambda: codec.decode(EX1, word.with_erasures([0])),
+             lambda: codec.encode(EX1, [0] * 10 + [bad] + [0] * 13)]
+    # pc_decode three times: direct solve, plan build, plan replay
+    calls += [lambda: pc_decode(pc, word.with_erasures([0]))] * 3
+    for call in calls:
+        with pytest.raises(ValueError, match="position 10"):
+            call()
+
+
+def test_numpy_integer_symbols_accepted():
+    rng = random.Random(14)
+    data = [rng.randrange(8) for _ in range(dimension(EX1))]
+    word = codec.encode(EX1, data)
+    assert codec.encode(EX1, np.array(data, dtype=np.uint8)) == word
+    assert codec.encode(EX1, [np.int64(x) for x in data]) == word
+    assert codec.is_codeword(EX1, SymbolWord.known(np.array(word.symbols, dtype=np.int32)))
+
+
+def test_decode_has_no_verify_switch():
+    with pytest.raises(TypeError):
+        codec.decode(EX1, SymbolWord.known([0] * 49), verify=False)
+
+
 @pytest.mark.parametrize("cap, outcome", [("((0,0,0),(1,1,1))", codec.RECOVERED),
                                           ("(0,0,0)", codec.UNCORRECTABLE),
                                           ("((0,0,0),(0,0,0))", codec.UNCORRECTABLE)])
@@ -218,6 +247,18 @@ def test_encode_zero_syndrome_all_examples():
         for _ in range(20):
             word = random_codeword(spec, rng)
             assert not any(mx.mat_vec(h, word.symbols)), name
+
+
+def decode_based_encode(spec, data):
+    """The encoder before erasure plans, kept as the oracle: the systematic
+    word with every parity position erased, repaired by the recursive
+    decoder."""
+    mask = codec.parity_mask(spec)
+    it = iter(data)
+    word = SymbolWord(tuple(0 if p else next(it) for p in mask), mask)
+    out, report = codec.decode(spec, word)
+    assert report.outcome == codec.RECOVERED
+    return out
 
 
 # -- decoding ------------------------------------------------------------------
@@ -377,6 +418,23 @@ def test_chain_levels_match_recursive_oracle(data):
         assert level == expect
         for spec in chain:
             assert codec.correctable(spec, mask) == recursive_correctable(spec, mask)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_encode_matches_decode_based_oracle(data):
+    # three data vectors per spec: the first encode solves directly, the
+    # second builds the parity plan, the third replays it
+    n = data.draw(st.integers(1, 7))
+    chain = data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))
+    for spec in chain:
+        validate(spec)
+        k = dimension(spec)
+        for _ in range(3):
+            symbols = data.draw(st.lists(st.integers(0, 7), min_size=k, max_size=k))
+            word = codec.encode(spec, symbols)
+            assert word == decode_based_encode(spec, symbols)
+            assert codec.is_codeword(spec, word)
 
 
 def test_correctable_empty_mask():

@@ -281,6 +281,23 @@ def test_json_round_trip():
     assert again == spec
 
 
+def test_equal_specs_built_separately_hash_equal():
+    # the hash is kept on the spec after its first use; specs built apart,
+    # hashed in either order, must still agree and find each other as keys
+    cap = "(((1,1,2),(1,2,3)),((1,2,3),(1,2,3)))"
+    a = spec_from_capability(G8, cap, 7)
+    b = spec_from_capability(G8, cap, 7)
+    c = spec_from_json(spec_to_json(a))
+    assert a is not b and a == b == c
+    assert hash(b) == hash(a) == hash(c) == hash(a)
+    assert hash(a) == hash((a.ctx, a.children, a.s))
+    assert {a: 1}[c] == 1 and {c: 2}[b] == 2
+    leaf = LeafSpec(G8, 7, 2)
+    assert hash(leaf) == hash(LeafSpec(G8, 7, 2)) == hash((G8, 7, 2))
+    assert a != NodeSpec(G8, a.children, (3, 1, 0))
+    assert hash(NodeSpec(G8, a.children, a.s)) == hash(a)
+
+
 def test_json_leaf():
     doc = '{"field": {"w": 3}, "code": {"leaf": {"n": 7, "u": 2}}}'
     spec = spec_from_json(doc)

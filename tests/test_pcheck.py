@@ -9,6 +9,8 @@ from eii.codespec import (
     spec_from_capability,
 )
 from eii.gf import field
+from eii.words import SymbolWord
+
 G8 = field(3)
 G16 = field(4)
 
@@ -190,6 +192,79 @@ def test_pc_decode_beyond_capability_witness():
             found = True
             break
     assert found
+
+
+def _three_ways(pc, word) -> list:
+    """pc_decode on fresh plan caches three times: direct solve, plan build,
+    plan replay.  Each outcome is the returned word or the exception type."""
+    pcheck._sightings.cache_clear()
+    pcheck._plan.cache_clear()
+    outcomes = []
+    for built, replayed in ((0, 0), (1, 0), (1, 1)):
+        try:
+            outcomes.append(pcheck.pc_decode(pc, word))
+        except mx.InconsistentWordError as exc:
+            outcomes.append(type(exc))
+        info = pcheck._plan.cache_info()
+        assert (info.misses, info.hits) == (built, replayed)
+    return outcomes
+
+
+def test_plan_paths_agree_on_every_example_code():
+    from eii.codespec import min_distance
+    from test_codec import example_codes
+    rng = random.Random(31)
+    for name, spec in example_codes().items():
+        pc = pcheck.build_parity_check(spec)
+        n = length(spec)
+        word = codec.encode(spec, [rng.randrange(spec.ctx.q) for _ in range(dimension(spec))])
+        # fewer than d - 1 erasures: unique completion, and any corrupted
+        # known symbol leaves the code
+        erased = rng.sample(range(n), min_distance(spec) - 2)
+        assert _three_ways(pc, word.with_erasures(erased)) == [word] * 3, name
+        symbols = list(word.symbols)
+        pos = rng.choice([i for i in range(n) if i not in erased])
+        symbols[pos] ^= rng.randrange(1, spec.ctx.q)
+        bad = SymbolWord.known(symbols).with_erasures(erased)
+        assert _three_ways(pc, bad) == [mx.InconsistentWordError] * 3, name
+        assert _three_ways(pc, word.with_erasures(range(n))) == [None] * 3, name
+        # dependent erased columns with a check row left intact: None while
+        # consistent, InconsistentWordError first once a checked symbol is hit
+        h = pc.reduced.data
+        row = h[(h != 0).sum(axis=1).argmin()]
+        dependent = [i for i in range(n) if not row[i]]
+        assert mx.rank(mx.MatrixGF(spec.ctx, h[:, dependent])) < len(dependent), name
+        assert _three_ways(pc, word.with_erasures(dependent)) == [None] * 3, name
+        symbols = list(word.symbols)
+        symbols[int(row.nonzero()[0][0])] ^= 1
+        bad = SymbolWord.known(symbols).with_erasures(dependent)
+        assert _three_ways(pc, bad) == [mx.InconsistentWordError] * 3, name
+
+
+def test_plan_caches_stay_bounded_on_fresh_masks():
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    pc = pcheck.build_parity_check(spec)
+    word = codec.encode(spec, [0] * dimension(spec))
+    pcheck._sightings.cache_clear()
+    pcheck._plan.cache_clear()
+    rng = random.Random(37)
+    seen = set()
+    while len(seen) < 5000:
+        mask = tuple(sorted(rng.sample(range(84), rng.randint(1, 3))))
+        if mask in seen:
+            continue
+        seen.add(mask)
+        assert pcheck.pc_decode(pc, word.with_erasures(mask)) == word
+    sightings, plans = pcheck._sightings.cache_info(), pcheck._plan.cache_info()
+    assert sightings.maxsize == pcheck.PLAN_SIGHTINGS < 5000
+    assert sightings.currsize == pcheck.PLAN_SIGHTINGS
+    assert plans.maxsize == pcheck.PLAN_CACHE
+    assert (plans.currsize, plans.misses, plans.hits) == (0, 0, 0)
+    # the last mask, seen once above, is planned on its second sighting
+    for _ in range(2):
+        assert pcheck.pc_decode(pc, word.with_erasures(mask)) == word
+    plans = pcheck._plan.cache_info()
+    assert (plans.currsize, plans.misses, plans.hits) == (1, 1, 1)
 
 
 def test_alist_export():
