@@ -338,8 +338,9 @@ def decode(spec: CodeSpec, word: SymbolWord):
 def encode(spec: CodeSpec, data) -> SymbolWord:
     """Systematic encode: the data fills the systematic positions in layout
     order, and the parities are the erasure solve of `parity_mask(spec)`
-    against the reduced parity-check matrix (`pcheck.pc_decode`, so from
-    the second call on a code it is one cached parity product)."""
+    against the reduced parity-check matrix by `pcheck.pc_decode`: a
+    direct solve on a code's first encode, one product with a cached
+    plan from the second on."""
     data = list(data)
     k = dimension(spec)
     if len(data) != k:

@@ -132,32 +132,33 @@ def density(pc: ParityCheck) -> float:
     return pc.h.nonzero_count() / total if total else 0.0
 
 
-@dataclass(frozen=True, eq=False)
 class ErasurePlan:
     """The repair of one erasure mask against one parity-check matrix.
 
     With v the known symbols in position order, C . v must vanish for v to
     be consistent and X . v gives the erased symbols in position order.
-    `rows` stacks C over X; X is None when the erased columns are
-    dependent, and `rows` is then C alone.
+    `rows` stacks C (its first `n_checks` rows) over X, so one product
+    evaluates both; X is left out, and `solvable` is false, when the
+    erased columns are dependent.
     """
 
-    ctx: FieldContext
-    erased: np.ndarray   # erased positions, increasing
-    known: np.ndarray    # known positions, increasing
-    checks: np.ndarray   # C
-    solve: np.ndarray | None  # X
-    rows: np.ndarray
+    __slots__ = ("ctx", "erased", "known", "n_checks", "solvable", "rows")
+
+    def __init__(self, ctx: FieldContext, erased, known, checks, solve):
+        self.ctx, self.erased, self.known = ctx, erased, known
+        self.n_checks = len(checks)
+        self.solvable = solve is not None
+        self.rows = np.vstack([checks, solve]) if self.solvable else checks
 
     def apply(self, word: SymbolWord):
         """solve_erasures for a word already checked by `mx.check_word`."""
         syms = np.array(word.symbols, dtype=np.uint8)
         out = np.bitwise_xor.reduce(self.ctx.mul_table[self.rows, syms[self.known]], axis=1)
-        if out[:len(self.checks)].any():
+        if out[:self.n_checks].any():
             raise InconsistentWordError("known symbols are inconsistent with the parity checks")
-        if self.solve is None:
+        if not self.solvable:
             return None
-        syms[self.erased] = out[len(self.checks):]
+        syms[self.erased] = out[self.n_checks:]
         return SymbolWord.known(syms.tolist())
 
 
@@ -177,11 +178,8 @@ def _plan(h: MatrixGF, bits: bytes) -> ErasurePlan:
     aug = np.hstack([h.data[:, erased], h.data[:, known]])
     pivots = mx._eliminate(aug, h.ctx, e)
     checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
-    if len(pivots) < e:
-        return ErasurePlan(h.ctx, erased, known, checks, None, checks)
-    rows = np.vstack([checks, mx._back_substitute(aug, h.ctx, pivots)[:, e:]])
-    c = len(checks)
-    return ErasurePlan(h.ctx, erased, known, rows[:c], rows[c:], rows)
+    solve = mx._back_substitute(aug, h.ctx, pivots)[:, e:] if len(pivots) == e else None
+    return ErasurePlan(h.ctx, erased, known, checks, solve)
 
 
 def pc_decode(pc: ParityCheck, word: SymbolWord):

@@ -420,6 +420,19 @@ def test_chain_levels_match_recursive_oracle(data):
             assert codec.correctable(spec, mask) == recursive_correctable(spec, mask)
 
 
+def test_encode_does_not_run_the_recursive_decoder(monkeypatch):
+    def boom(*args):
+        raise AssertionError("encode ran the recursive decoder")
+
+    rng = random.Random(15)
+    data = [rng.randrange(8) for _ in range(dimension(EX1))]
+    expect = decode_based_encode(EX1, data)
+    monkeypatch.setattr(codec, "_decode_node", boom)
+    monkeypatch.setattr(codec, "_decode_leaf", boom)
+    for _ in range(3):
+        assert codec.encode(EX1, data) == expect
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(data=st.data())
 def test_encode_matches_decode_based_oracle(data):
