@@ -7,9 +7,10 @@ guaranteed-capability predicate of `codec` and parity-check decoding
 (erased columns of the reduced matrix stay linearly independent).  Both
 oracles walk a whole batch of trials at once; a single permutation is a
 batch of one.  The capability walk is a binary search over prefix length,
-one call of the batched predicate per step; the pcheck walk inserts one
-erased column per step into each trial's basis.  Batches are capped so
-their working arrays stay within a fixed memory budget.
+one call of the batched predicate per step; the pcheck walk is one
+batched forward elimination over each trial's first rows + 1 erased
+columns, one column per step.  Batches are capped so their working arrays
+stay within a fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -98,61 +99,71 @@ def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
 
 
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
-    pc = pcheck.build_parity_check(spec)
-    h = pc.reduced.data
+    """Failure count per permutation under parity-check decoding.
+
+    The count is the first k at which the erased columns h[:, perm[:k]] of
+    the reduced matrix are linearly dependent.  Any rows + 1 columns are,
+    so one forward elimination over the first rows + 1 erased columns of
+    every trial decides it.  Step s keeps only the rows and columns not yet
+    eliminated, so column s is dependent on the earlier ones exactly when
+    its remaining entries are all zero; that trial fails at s + 1 and leaves
+    the batch.  Otherwise its first nonzero entry is the pivot, and one
+    rank-one update, in trial chunks of about _CHUNK products, clears the
+    column.  Trials that never fail get rows + 1.
+    """
+    h = pcheck.build_parity_check(spec).reduced.data
     ctx = spec.ctx
-    mt = ctx.mul_table
     inv = ctx.inv_table
     rows = h.shape[0]
-    n_trials = perms.shape[0]
-    counts = np.zeros(n_trials, dtype=np.int64)
-    active = np.arange(n_trials)
-    basis = np.zeros((n_trials, rows, rows), dtype=np.uint8)
-    has_pivot = np.zeros((n_trials, rows), dtype=bool)
-    step = 0
-    while active.size:
-        cols = h[:, perms[active, step]].T.copy()  # (A, rows)
-        for p in range(rows):
-            f = cols[:, p]
-            hot = (f != 0) & has_pivot[active, p]
-            if hot.any():
-                idx = np.nonzero(hot)[0]
-                cols[idx] ^= mt[basis[active[idx], p], f[idx, None]]
-        dead = ~cols.any(axis=1)
+    counts = np.full(perms.shape[0], rows + 1, dtype=np.int64)
+    ids = np.arange(perms.shape[0])
+    m = h.T[perms[:, : rows + 1]].transpose(0, 2, 1)  # (trials, rows, rows + 1)
+    for s in range(rows):
+        nonzero = m[:, :, 0] != 0
+        dead = ~nonzero.any(axis=1)
         if dead.any():
-            counts[active[dead]] = step + 1
-        live = np.nonzero(~dead)[0]
-        if live.size:
-            sub = cols[live]
-            pivots = np.argmax(sub != 0, axis=1)
-            piv_vals = sub[np.arange(live.size), pivots]
-            sub = mt[sub, inv[piv_vals][:, None]]
-            basis[active[live], pivots] = sub
-            has_pivot[active[live], pivots] = True
-        active = active[~dead]
-        step += 1
-        if active.size and step > rows:
-            raise AssertionError("trial survived past the matrix rank")
+            counts[ids[dead]] = s + 1
+            ids, m, nonzero = ids[~dead], m[~dead], nonzero[~dead]
+        if not ids.size:
+            break
+        at = np.arange(ids.size)
+        p = nonzero.argmax(axis=1)
+        pivot_row = ctx.mul_arrays(m[at, p, 1:], inv[m[at, p, 0]][:, None])
+        m[at, p] = m[:, 0]  # row 0 takes the pivot's place, then drops out
+        m = m[:, 1:]
+        out = np.empty((ids.size, rows - 1 - s, rows - s), dtype=np.uint8)
+        step = max(1, _CHUNK // max(1, out[0].size))
+        for i in range(0, ids.size, step):
+            j = i + step
+            out[i:j] = m[i:j, :, 1:] ^ ctx.mul_arrays(m[i:j, :, :1], pivot_row[i:j, None, :])
+        m = out  # frees the previous step's matrix
     return counts
 
 
 _COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
 
 _BATCH_BYTES = 16 << 20  # cap on the working arrays of one simulate batch
+_CHUNK = 1 << 16  # products per chunk of the pcheck walk's rank-one update
 
 
 def _batch_trials(spec: CodeSpec, mode: str) -> int:
     """Trials per batch that keep its largest arrays within _BATCH_BYTES.
 
-    Per trial these are the int64 permutation, plus the int64 rank array of
-    the capability walk or the rows x rows basis of the pcheck walk.
+    Per trial these are the int64 permutation, plus either the int64 rank
+    array of the capability walk, or the rows x (rows + 1) matrix of the
+    pcheck walk and the copy each elimination step makes of it.  The pcheck
+    walk's gather temporaries, 12 bytes per product of one chunk, come off
+    the budget first.
     """
     n = length(spec)
+    budget = _BATCH_BYTES
     if mode == CAPABILITY:
         extra = 8 * n
     else:
-        extra = pcheck.build_parity_check(spec).reduced.rows ** 2
-    return max(1, _BATCH_BYTES // (8 * n + extra))
+        rows = pcheck.build_parity_check(spec).reduced.rows
+        extra = 2 * rows * (rows + 1)
+        budget -= 12 * _CHUNK
+    return max(1, budget // (8 * n + extra))
 
 
 def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:

@@ -135,6 +135,14 @@ class FieldContext:
             object.__setattr__(self, "_mul_table", table)
         return table
 
+    def mul_arrays(self, a, b) -> np.ndarray:
+        """Elementwise product of symbol arrays, broadcast like mul_table[a, b].
+
+        One gather from the flattened table at a * q + b, which costs about
+        half as much per element as the 2-D fancy index.
+        """
+        return self.mul_table.ravel().take((np.asarray(a, dtype=np.uint16) << self.w) | b)
+
     @property
     def inv_table(self) -> np.ndarray:
         table = getattr(self, "_inv_table", None)

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eii import anetf, matrix as mx, pcheck
-from eii.codespec import LeafSpec, NodeSpec, length, spec_from_capability
+from eii.codespec import LeafSpec, NodeSpec, length, min_distance, spec_from_capability
 from eii.gf import field
-from test_codec import recursive_correctable
+from test_acceptance import TABLE_1
+from test_codec import ordered_chains, recursive_correctable
 
 G8 = field(3)
 G16 = field(4)
@@ -104,13 +106,55 @@ def test_mode_dominance_per_permutation():
 
 
 def test_pcheck_failure_exceeds_distance():
-    # every mask smaller than the minimum distance is matrix-decodable
-    from eii.codespec import min_distance
-    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
-    d = min_distance(spec)
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        assert anetf.erasures_to_failure(spec, anetf.PCHECK, rng.permutation(84)) >= d
+    # any d - 1 columns of H are independent and any rows + 1 are not, so on
+    # every Table 1 row each pcheck count lies in [d, rows + 1]
+    for cap, w, n, _, _ in TABLE_1:
+        spec = spec_from_capability(field(w), cap, n)
+        rows = pcheck.build_parity_check(spec).reduced.rows
+        report = anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=2000, seed=8))
+        assert min_distance(spec) <= min(report.histogram), cap
+        assert max(report.histogram) <= rows + 1, cap
+
+
+def rank_failure_count(spec, perm):
+    """First k whose erased columns of the reduced H have rank below k (the oracle)."""
+    h = pcheck.build_parity_check(spec).reduced
+    for k in range(1, length(spec) + 1):
+        if mx.rank(mx.MatrixGF(spec.ctx, h.data[:, perm[:k]])) < k:
+            return k
+    raise AssertionError("no erasure prefix is dependent")
+
+
+def check_pcheck_counts(spec, perms):
+    batch = anetf._pcheck_counts(spec, perms).tolist()
+    assert batch == [int(anetf._pcheck_counts(spec, perm[None])[0]) for perm in perms]
+    assert batch == [rank_failure_count(spec, perm) for perm in perms]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_pcheck_counts_match_rank_oracle(data):
+    n = data.draw(st.integers(1, 7))
+    spec = data.draw(st.sampled_from(data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))))
+    size = length(spec)
+    perms = [data.draw(st.permutations(range(size))) for _ in range(data.draw(st.integers(1, 4)))]
+    check_pcheck_counts(spec, np.array(perms, dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec", [
+    spec_from_capability(G8, "((0,0,0),(1,1,1))", 7),  # its node adds no rows
+    LeafSpec(G8, 7, 0),  # no rows at all: every count is 1
+    NodeSpec(G8, (LeafSpec(G8, 5, 0), LeafSpec(G8, 5, 2)), (1, 2, 0)),
+], ids=["zero-row-tree", "u0-leaf", "u0-children"])
+def test_pcheck_counts_on_codes_with_empty_blocks(spec):
+    check_pcheck_counts(spec, anetf._trial_permutations(3, 0, 20, length(spec)))
+
+
+def test_table1_batches_hold_1000_trials():
+    for cap, w, n, _, _ in TABLE_1:
+        spec = spec_from_capability(field(w), cap, n)
+        for mode in anetf.MODES:
+            assert anetf._batch_trials(spec, mode) >= 1000, (cap, mode)
 
 
 def test_simulate_deterministic_across_batching():

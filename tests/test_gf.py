@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from eii.gf import MODULI, field
@@ -98,3 +99,22 @@ def test_context_is_shared_and_comparable():
 def test_unsupported_degree():
     with pytest.raises(ValueError):
         field(9)
+
+
+@pytest.mark.parametrize("w", sorted(MODULI))
+def test_mul_arrays_matches_table(w):
+    # every pair of symbols, as an outer product, flat pairs and higher-rank
+    # broadcasts; w = 1 is not a supported degree
+    f = field(w)
+    table = f.mul_table
+    syms = np.arange(f.q, dtype=np.uint8)
+    outer = f.mul_arrays(syms[:, None], syms[None, :])
+    assert outer.dtype == np.uint8
+    assert np.array_equal(outer, table)
+    a, b = (x.ravel() for x in np.meshgrid(syms, syms, indexing="ij"))
+    assert np.array_equal(f.mul_arrays(a, b), table[a, b])
+    cube = syms.reshape(-1, 1, 1)[:: max(1, f.q // 8)]
+    grid = np.stack([syms, syms[::-1]])[None]  # (1, 2, q)
+    assert f.mul_arrays(cube, grid).shape == (cube.shape[0], 2, f.q)
+    assert np.array_equal(f.mul_arrays(cube, grid), table[cube, grid])
+    assert np.array_equal(f.mul_arrays(syms, 3), table[syms, 3])
