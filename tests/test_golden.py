@@ -1,10 +1,15 @@
-"""Golden outputs: encoder codewords and ANETF reports, frozen as files.
+"""Golden outputs: encoder codewords, decoder results and ANETF reports,
+frozen as files.
 
 `tests/golden/encode.json` holds, for every acceptance example code and the
 three [84,62] stripe shapes over GF(2^8), seeded data vectors and their
-codewords.  `tests/golden/anetf.json` holds `report_to_json` for the 13
-Table 1 rows under both oracles at a fixed seed.  Any change to the encoder
-or the ANETF simulator that moves a single symbol or count fails here.
+codewords.  `tests/golden/decode.json` holds, for the same codes, seeded
+codewords erased along a random order at two correctable and two
+uncorrectable prefix lengths, with the decoder's outcome, assignment, peel
+order and output word.  `tests/golden/anetf.json` holds `report_to_json`
+for the 13 Table 1 rows under both oracles at a fixed seed.  Any change to
+the encoder, the decoder or the ANETF simulator that moves a single symbol,
+block or count fails here.
 
 Regenerate (only when a behaviour change is intended and justified):
 
@@ -16,7 +21,7 @@ import random
 from pathlib import Path
 
 from eii import anetf, codec
-from eii.codespec import dimension, spec_from_capability
+from eii.codespec import dimension, length, spec_from_capability
 from eii.gf import field
 from eii.words import word_to_text
 
@@ -53,6 +58,34 @@ def encode_outputs() -> dict:
     return out
 
 
+def _ints(values) -> str:
+    return " ".join(map(str, values))
+
+
+def decode_outputs() -> dict:
+    out = {}
+    for label, spec in golden_codes().items():
+        rng = random.Random(f"golden-decode:{label}")
+        n = length(spec)
+        entries = []
+        for _ in range(WORDS_PER_CODE):
+            word = codec.encode(spec, [rng.randrange(spec.ctx.q) for _ in range(dimension(spec))])
+            order = rng.sample(range(n), n)
+            masks = ([i in order[:f] for i in range(n)] for f in range(n + 1))
+            first_bad = next(f for f, mask in enumerate(masks) if not codec.correctable(spec, mask))
+            for cut in (first_bad - 1, rng.randint(0, first_bad - 1),
+                        first_bad, rng.randint(first_bad, n)):
+                erased = word.with_erasures(order[:cut])
+                got, report = codec.decode(spec, erased)
+                entries.append({"input": word_to_text(erased),
+                                "outcome": report.outcome,
+                                "assignment": _ints(report.assignment),
+                                "peel_order": _ints(report.peel_order),
+                                "output": word_to_text(got)})
+        out[label] = entries
+    return out
+
+
 def anetf_outputs() -> dict:
     out = {}
     for cap, w, n, _, _ in TABLE_1:
@@ -77,6 +110,16 @@ def test_encoder_golden():
             assert got[label][i]["codeword"] == entry["codeword"], label
 
 
+def test_decoder_golden():
+    want = _load("decode.json")
+    got = decode_outputs()
+    assert sorted(got) == sorted(want)
+    for label, entries in want.items():
+        assert len(got[label]) == len(entries), label
+        for i, entry in enumerate(entries):
+            assert got[label][i] == entry, (label, i)
+
+
 def test_anetf_golden():
     want = _load("anetf.json")
     got = anetf_outputs()
@@ -88,4 +131,5 @@ def test_anetf_golden():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "encode.json").write_text(json.dumps(encode_outputs(), indent=1) + "\n")
+    (GOLDEN / "decode.json").write_text(json.dumps(decode_outputs(), indent=1) + "\n")
     (GOLDEN / "anetf.json").write_text(json.dumps(anetf_outputs(), indent=1) + "\n")
