@@ -20,9 +20,13 @@ every parity position is an erasure, and `pcheck.pc_decode` fills them
 from the reduced parity-check matrix, by one cached parity product once
 the code has been encoded before.
 
-Membership is checked by the syndrome H . c against the same matrix, and
-the decoder's leaf solves and block triangulations are precomputed with
-the elimination kernel in `matrix`.
+The decoder works in place on numpy views of one symbol array: a node
+reshapes its word into blocks, a leaf block is filled by the cached
+`pcheck.ErasurePlan` of its row code's mask, and each peel combines the
+known blocks with one multiplication-table gather and an XOR-reduce.  The
+block triangulations are precomputed with the elimination kernel in
+`matrix`.  Membership is checked by the syndrome H . c against the reduced
+parity-check matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import build_parity_check, pc_decode
+from .pcheck import ErasurePlan, build_parity_check, pc_decode
 from .words import SymbolWord, check_symbols
 
 
@@ -147,66 +151,27 @@ def parity_mask(spec: CodeSpec) -> tuple:
     return tuple(out)
 
 
-# -- leaf erasure solving ----------------------------------------------------------
+# -- recursive erasure decoding ------------------------------------------------------
+#
+# The word is one uint8 symbol array and one bool erasure array; a node
+# works on their (m, n_sub) block views, so every repair lands in place.
 
 
 @lru_cache(maxsize=4096)
-def _leaf_solver(ctx: FieldContext, n: int, u: int, erased: tuple):
-    """Precomputed solve for a leaf erasure pattern.
-
-    Returns (solve_rows, check_rows): with syndrome vector syn of length u
-    over the known symbols, the erased values are solve_rows . syn and the
-    pattern is consistent iff check_rows . syn == 0.
-    """
-    e = len(erased)
-    columns = mx.vandermonde(ctx, u, n).data[:, list(erased)]
-    aug = np.hstack([columns, np.eye(u, dtype=np.uint8)])
-    pivots = mx._eliminate(aug, ctx, e)
-    if len(pivots) < e:
-        return None
-    solve_rows = mx._back_substitute(aug, ctx, pivots)[:, e:]
-    check_rows = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
-    return tuple(map(tuple, solve_rows.tolist())), tuple(map(tuple, check_rows.tolist()))
+def _leaf_plan(spec: LeafSpec, bits: bytes) -> ErasurePlan:
+    """The erasure plan of a row code for the mask whose bool bytes are `bits`."""
+    return ErasurePlan(mx.vandermonde(spec.ctx, spec.u, spec.n), np.frombuffer(bits, dtype=bool))
 
 
 def _decode_leaf(spec: LeafSpec, symbols, erased):
-    """In-place leaf repair; assumes the pattern passed `correctable`."""
-    ctx = spec.ctx
-    positions = tuple(i for i, e in enumerate(erased) if e)
-    if not positions:
-        return
-    solver = _leaf_solver(ctx, spec.n, spec.u, positions)
-    if solver is None:  # cannot happen for <= u erasures of a Vandermonde check
-        raise InconsistentWordError("dependent erased columns in MDS row")
-    solve_rows, check_rows = solver
-    syndrome = []
-    for r in range(spec.u):
-        acc = 0
-        for c in range(spec.n):
-            if not erased[c] and symbols[c]:
-                acc ^= ctx.mul(ctx.alpha_pow(r * c), symbols[c])
-        syndrome.append(acc)
-    for row in check_rows:
-        acc = 0
-        for coef, s in zip(row, syndrome):
-            if coef and s:
-                acc ^= ctx.mul(coef, s)
-        if acc:
-            raise InconsistentWordError("known symbols contradict the row code")
-    for pos, row in zip(positions, solve_rows):
-        acc = 0
-        for coef, s in zip(row, syndrome):
-            if coef and s:
-                acc ^= ctx.mul(coef, s)
-        symbols[pos] = acc
-        erased[pos] = False
-
-
-# -- triangulated block system -------------------------------------------------
+    """In-place leaf repair; assumes the pattern passed `correctable`, so
+    the erased Vandermonde columns are independent."""
+    _leaf_plan(spec, erased.tobytes()).fill(symbols)
+    erased[:] = False
 
 
 @lru_cache(maxsize=4096)
-def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> tuple:
+def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarray:
     """Unit upper-triangular combination rows for the block ordering.
 
     Row r of the raw system carries coefficient alpha^(r j) on block j;
@@ -216,7 +181,8 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> tuple:
     """
     rows = mx.vandermonde(ctx, n_rows, len(col_blocks)).data[:, list(col_blocks)]
     mx._eliminate(rows, ctx, n_rows)
-    return tuple(map(tuple, rows.tolist()))
+    rows.setflags(write=False)
+    return rows
 
 
 class _Uncorrectable(Exception):
@@ -224,24 +190,16 @@ class _Uncorrectable(Exception):
 
 
 def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_peel=None):
-    ctx = spec.ctx
     m = block_count(spec)
-    n_sub = length(spec.children[0])
-    t = len(spec.children)
-    child0 = spec.children[0]
-
-    def block(j):
-        return slice(j * n_sub, (j + 1) * n_sub)
-
-    blocks = np.array(erased, dtype=bool).reshape(m, n_sub)
-    level_arr = _chain_levels(spec.children, blocks)
+    sym, era = symbols.reshape(m, -1), erased.reshape(m, -1)
+    level_arr = _chain_levels(spec.children, era)
     levels = level_arr.tolist()
     pending = []
-    for j, hit in enumerate(blocks.any(axis=1).tolist()):
+    for j, hit in enumerate(era.any(axis=1).tolist()):
         if levels[j]:
             pending.append(j)
         elif hit:
-            _decode_child(child0, symbols, erased, block(j))
+            _decode_child(spec.children[0], sym[j], era[j])
             if report_peel is not None:
                 report_peel.append(j)
 
@@ -253,51 +211,32 @@ def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_pee
     if not pending:
         return
     pending.sort(key=lambda j: (-levels[j], j))
-    clean = [j for j in range(m) if j not in pending]
-    order = pending + clean
-    n_pending = len(pending)
-    tri = _triangulate(ctx, tuple(order), n_pending)
-
-    for k in range(n_pending - 1, -1, -1):
-        j = order[k]
-        lv = levels[j]
-        row = tri[k]
-        combo = [0] * n_sub
-        for p in range(k + 1, m):
-            coef = row[p]
-            if not coef:
-                continue
-            src = symbols[block(order[p])]
-            for x, sym in enumerate(src):
-                if sym:
-                    combo[x] ^= ctx.mul(coef, sym)
-        sl = block(j)
-        target = symbols[sl]
-        target_erased = erased[sl]
-        mixed = [a ^ b for a, b in zip(target, combo)]
-        if lv == t:
+    order = pending + [j for j in range(m) if j not in pending]
+    tri = _triangulate(spec.ctx, tuple(order), len(pending))
+    order = np.array(order)
+    mt = spec.ctx.mul_table
+    for k in range(len(pending) - 1, -1, -1):
+        j = pending[k]
+        combo = np.bitwise_xor.reduce(mt[tri[k, k + 1:, None], sym[order[k + 1:]]], axis=0)
+        mixed = sym[j] ^ combo
+        if levels[j] == len(spec.children):
             # the combination lies in the zero code: known part must vanish
-            for x, e in enumerate(target_erased):
-                if not e and mixed[x]:
-                    raise InconsistentWordError("zero-code block combination is nonzero")
-                mixed[x] = 0
+            if mixed[~era[j]].any():
+                raise InconsistentWordError("zero-code block combination is nonzero")
+            sym[j] = combo
         else:
-            _decode_child(spec.children[lv], mixed, list(target_erased), slice(0, n_sub))
-        symbols[sl] = [a ^ b for a, b in zip(mixed, combo)]
-        erased[sl] = [False] * n_sub
+            _decode_child(spec.children[levels[j]], mixed, era[j])
+            sym[j] = mixed ^ combo
+        era[j] = False
         if report_peel is not None:
             report_peel.append(j)
 
 
-def _decode_child(spec: CodeSpec, symbols, erased, sl):
-    sub_sym = symbols[sl]
-    sub_era = erased[sl]
+def _decode_child(spec: CodeSpec, symbols, erased):
     if isinstance(spec, LeafSpec):
-        _decode_leaf(spec, sub_sym, sub_era)
+        _decode_leaf(spec, symbols, erased)
     else:
-        _decode_node(spec, sub_sym, sub_era)
-    symbols[sl] = sub_sym
-    erased[sl] = sub_era
+        _decode_node(spec, symbols, erased)
 
 
 def decode(spec: CodeSpec, word: SymbolWord):
@@ -312,13 +251,13 @@ def decode(spec: CodeSpec, word: SymbolWord):
     if len(word) != length(spec):
         raise ValueError(f"word length {len(word)} != code length {length(spec)}")
     check_symbols(word.symbols, spec.ctx.q)
-    symbols = list(word.symbols)
-    erased = list(word.erased)
+    symbols = np.array(word.symbols, dtype=np.uint8)
+    erased = np.array(word.erased, dtype=bool)
     peel: list = []
     levels: list = []
     try:
         if isinstance(spec, LeafSpec):
-            if sum(erased) > spec.u:
+            if erased.sum() > spec.u:
                 raise _Uncorrectable
             _decode_leaf(spec, symbols, erased)
         else:
@@ -328,7 +267,7 @@ def decode(spec: CodeSpec, word: SymbolWord):
         return word, report
     if any(mx.mat_vec(build_parity_check(spec).reduced, symbols)):
         raise InconsistentWordError("known symbols contradict every codeword")
-    out = SymbolWord(tuple(symbols), (False,) * len(symbols))
+    out = SymbolWord.known(symbols.tolist())
     return out, DecodeReport(RECOVERED, tuple(levels), tuple(peel))
 
 
@@ -362,28 +301,19 @@ def min_weight_codeword(spec: CodeSpec) -> SymbolWord:
     """A codeword whose weight equals min_distance(spec)."""
     if dimension(spec) < 1:
         raise NoCodewordsError("zero-dimensional code")
-    return SymbolWord.known(_min_weight_symbols(spec))
+    return SymbolWord.known(_min_weight_symbols(spec).tolist())
 
 
-def _min_weight_symbols(spec: CodeSpec):
+def _min_weight_symbols(spec: CodeSpec) -> np.ndarray:
     ctx = spec.ctx
     if isinstance(spec, LeafSpec):
-        if spec.u == 0:
-            return [1] + [0] * (spec.n - 1)
-        # weight-(u+1) codeword supported on positions 0..u: solve for the
-        # nullspace of the u x (u+1) leading Vandermonde columns
-        positions = tuple(range(1, spec.u + 1))
-        solver = _leaf_solver(ctx, spec.n, spec.u, positions)
-        solve_rows, _ = solver
-        syndrome = [ctx.alpha_pow(0)] * spec.u  # column 0 carrying value 1
-        out = [0] * spec.n
+        # weight-(u+1) codeword supported on positions 0..u: a 1 at position
+        # 0, and positions 1..u filled as erasures of the row code
+        out = np.zeros(spec.n, dtype=np.uint8)
         out[0] = 1
-        for pos, row in zip(positions, solve_rows):
-            acc = 0
-            for coef, s in zip(row, syndrome):
-                if coef:
-                    acc ^= ctx.mul(coef, s)
-            out[pos] = acc
+        mask = np.zeros(spec.n, dtype=bool)
+        mask[1:spec.u + 1] = True
+        _leaf_plan(spec, mask.tobytes()).fill(out)
         return out
     m = block_count(spec)
     tails = tail_counts(spec)
@@ -405,14 +335,9 @@ def _min_weight_symbols(spec: CodeSpec):
             nxt[d + 1] ^= coef
             nxt[d] ^= ctx.mul(root, coef)
         poly = nxt
-    n_sub = length(spec.children[0])
-    out = [0] * (m * n_sub)
-    for s_idx, coef in enumerate(poly):
-        base = s_idx * n_sub
-        for x, sym in enumerate(witness):
-            if sym:
-                out[base + x] = ctx.mul(coef, sym)
-    return out
+    out = np.zeros((m, len(witness)), dtype=np.uint8)
+    out[:deg + 1] = ctx.mul_table[np.array(poly)[:, None], witness]
+    return out.ravel()
 
 
 # -- brute force (guard rail for tests and the CLI) -----------------------------------

@@ -162,10 +162,6 @@ def level_count(spec: CodeSpec) -> int:
 # -- nesting ----------------------------------------------------------------
 
 
-def _profile(spec: NodeSpec) -> tuple:
-    return tail_counts(spec)
-
-
 def is_nested(a: CodeSpec, b: CodeSpec) -> bool:
     """True when b is a subcode of a (b subset-of a).
 
@@ -182,7 +178,7 @@ def is_nested(a: CodeSpec, b: CodeSpec) -> bool:
             raise DifferentChildrenError("nodes are not built over identical children")
         if block_count(a) != block_count(b):
             raise DifferentChildrenError("nodes have different block counts")
-        return all(x <= y for x, y in zip(_profile(a), _profile(b)))
+        return all(x <= y for x, y in zip(tail_counts(a), tail_counts(b)))
     raise DifferentChildrenError("cannot compare a leaf spec with a node spec")
 
 

@@ -138,8 +138,10 @@ class FieldContext:
     def mul_arrays(self, a, b) -> np.ndarray:
         """Elementwise product of symbol arrays, broadcast like mul_table[a, b].
 
-        One gather from the flattened table at a * q + b, which costs about
-        half as much per element as the 2-D fancy index.
+        One gather from the flattened table at a * q + b.  Its fixed cost is
+        higher than the 2-D fancy index's, so it is faster only above about
+        500 products; on large operands it costs about half as much per
+        element.
         """
         return self.mul_table.ravel().take((np.asarray(a, dtype=np.uint16) << self.w) | b)
 

@@ -10,12 +10,15 @@ dependent ones.
 
 Erasure repair against a parity-check matrix is linear in the known
 symbols: for a fixed mask the erased symbols are X . known, and the known
-symbols are consistent iff C . known = 0.  `pc_decode` solves a mask
-directly the first time it sees it and, from the second time on, replays
-an `ErasurePlan` (X and C) with one table lookup and an XOR-reduce.  Both
+symbols are consistent iff C . known = 0.  An `ErasurePlan` holds X and
+C for one (matrix, mask) pair and fills a uint8 word in place with one
+table lookup and an XOR-reduce.  `pc_decode` solves a mask directly the
+first time it sees it and replays its plan from the second time on.  Both
 the sightings and the plans sit in bounded caches, so masks that never
 repeat cost one direct solve each and no memory beyond the sightings
-table.  `codec.encode` is the plan for the systematic parity mask.
+table.  `codec.encode` is the plan for the systematic parity mask, and
+`codec.decode` repairs each row-code block with the plan of that leaf's
+Vandermonde matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .codespec import (
     spec_to_json,
     tail_counts,
 )
-from .gf import FieldContext
 from .matrix import InconsistentWordError, MatrixGF
 from .words import SymbolWord
 
@@ -135,31 +137,43 @@ def density(pc: ParityCheck) -> float:
 class ErasurePlan:
     """The repair of one erasure mask against one parity-check matrix.
 
-    With v the known symbols in position order, C . v must vanish for v to
-    be consistent and X . v gives the erased symbols in position order.
-    `rows` stacks C (its first `n_checks` rows) over X, so one product
-    evaluates both; X is left out, and `solvable` is false, when the
-    erased columns are dependent.
+    One elimination of [H_E | H_K] on the erased columns: the pivot rows
+    back-substitute to [I | X], the other rows carry C.  With v the known
+    symbols in position order, C . v must vanish for v to be consistent
+    and X . v gives the erased symbols in position order.  `rows` stacks C
+    (its first `n_checks` rows) over X, so one product evaluates both; X is
+    left out, and `solvable` is false, when the erased columns are
+    dependent.
     """
 
     __slots__ = ("ctx", "erased", "known", "n_checks", "solvable", "rows")
 
-    def __init__(self, ctx: FieldContext, erased, known, checks, solve):
-        self.ctx, self.erased, self.known = ctx, erased, known
+    def __init__(self, h: MatrixGF, mask):
+        self.ctx = h.ctx
+        self.erased, self.known = np.flatnonzero(mask), np.flatnonzero(~mask)
+        e = len(self.erased)
+        aug = np.hstack([h.data[:, self.erased], h.data[:, self.known]])
+        pivots = mx._eliminate(aug, h.ctx, e)
+        checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
         self.n_checks = len(checks)
-        self.solvable = solve is not None
-        self.rows = np.vstack([checks, solve]) if self.solvable else checks
+        self.solvable = len(pivots) == e
+        self.rows = checks
+        if self.solvable:
+            self.rows = np.vstack([checks, mx._back_substitute(aug, h.ctx, pivots)[:, e:]])
 
-    def apply(self, word: SymbolWord):
-        """solve_erasures for a word already checked by `mx.check_word`."""
-        syms = np.array(word.symbols, dtype=np.uint8)
+    def fill(self, syms: np.ndarray) -> bool:
+        """Fill the erased entries of the uint8 array `syms` in place.
+
+        Raises InconsistentWordError when the known entries fail C; returns
+        False, leaving `syms` as it was, when the erased columns are
+        dependent.
+        """
         out = np.bitwise_xor.reduce(self.ctx.mul_table[self.rows, syms[self.known]], axis=1)
         if out[:self.n_checks].any():
             raise InconsistentWordError("known symbols are inconsistent with the parity checks")
-        if not self.solvable:
-            return None
-        syms[self.erased] = out[self.n_checks:]
-        return SymbolWord.known(syms.tolist())
+        if self.solvable:
+            syms[self.erased] = out[self.n_checks:]
+        return self.solvable
 
 
 @lru_cache(maxsize=PLAN_SIGHTINGS)
@@ -170,16 +184,8 @@ def _sightings(h: MatrixGF, bits: bytes):
 
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(h: MatrixGF, bits: bytes) -> ErasurePlan:
-    """One elimination of [H_E | H_K] on the erased columns: the pivot rows
-    back-substitute to [I | X], the other rows carry C."""
     mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=h.cols).astype(bool)
-    erased, known = np.flatnonzero(mask), np.flatnonzero(~mask)
-    e = len(erased)
-    aug = np.hstack([h.data[:, erased], h.data[:, known]])
-    pivots = mx._eliminate(aug, h.ctx, e)
-    checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
-    solve = mx._back_substitute(aug, h.ctx, pivots)[:, e:] if len(pivots) == e else None
-    return ErasurePlan(h.ctx, erased, known, checks, solve)
+    return ErasurePlan(h, mask)
 
 
 def pc_decode(pc: ParityCheck, word: SymbolWord):
@@ -198,14 +204,14 @@ def pc_decode(pc: ParityCheck, word: SymbolWord):
     bits = np.packbits(np.frombuffer(bytes(word.erased), dtype=bool)).tobytes()
     if next(_sightings(h, bits)) == 0:
         return mx.solve_erasures(h, word)
-    return _plan(h, bits).apply(word)
+    syms = np.array(word.symbols, dtype=np.uint8)
+    return SymbolWord.known(syms.tolist()) if _plan(h, bits).fill(syms) else None
 
 
-def to_alist(pc: ParityCheck, reduced: bool = False) -> str:
-    """Sparse export: `rows cols` header, then 1-based column indices per row."""
-    m = pc.reduced if reduced else pc.h
-    lines = [f"{m.rows} {m.cols}"]
-    for row in m.data:
+def to_alist(pc: ParityCheck) -> str:
+    """Sparse export of pc.h: `rows cols` header, then 1-based column indices per row."""
+    lines = [f"{pc.h.rows} {pc.h.cols}"]
+    for row in pc.h.data:
         cols = np.nonzero(row)[0] + 1
         lines.append(" ".join(str(int(c)) for c in cols))
     return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eii import codec
+from eii import codec, pcheck
 from eii.codespec import (
     LeafSpec,
     NodeSpec,
@@ -16,7 +16,7 @@ from eii.codespec import (
     tail_counts,
     validate,
 )
-from eii.gf import field
+from eii.gf import FieldContext, field
 from eii.matrix import InconsistentWordError
 from eii.words import SymbolWord
 
@@ -316,21 +316,45 @@ def test_decode_inconsistent_known_symbols():
         codec.decode(EX1, word)
 
 
-def test_leaf_solver_check_rows():
-    # check_rows span the left null space of the erased Vandermonde columns:
-    # they vanish on every column syndrome and have full rank u - e
+def test_leaf_plan_check_rows():
+    # the check rows C have full rank u - e and, with the solve rows X,
+    # map every leaf codeword's known symbols to 0 and to its erased ones
     from eii import matrix as mx
+    rng = random.Random(9)
     for ctx, n, u in ((G8, 7, 4), (field(8), 7, 3)):
-        h = mx.vandermonde(ctx, u, n).data
+        leaf = LeafSpec(ctx, n, u)
         for erased in ((0,), (1, 4), (2, 3, 6), (0, 1, 2, 3)[:u]):
-            solve_rows, check_rows = codec._leaf_solver(ctx, n, u, erased)
-            assert len(solve_rows) == len(erased) and len(check_rows) == u - len(erased)
-            checks = mx.from_rows(ctx, check_rows) if check_rows else mx.zeros(ctx, 0, u)
-            cols = mx.MatrixGF(ctx, h[:, list(erased)])
-            assert not any(mx.matmul(checks, cols).data.ravel())
+            plan = codec._leaf_plan(leaf, np.isin(np.arange(n), erased).tobytes())
+            assert plan.solvable and plan.n_checks == u - len(erased)
+            checks = mx.MatrixGF(ctx, plan.rows[:plan.n_checks])
+            solve = mx.MatrixGF(ctx, plan.rows[plan.n_checks:])
             assert mx.rank(checks) == u - len(erased)
-            # solve_rows invert the erased columns: solve . cols = I
-            assert mx.matmul(mx.from_rows(ctx, solve_rows), cols) == mx.identity(ctx, len(erased))
+            for _ in range(5):
+                word = random_codeword(leaf, rng).symbols
+                known = [word[i] for i in plan.known]
+                assert not any(mx.mat_vec(checks, known))
+                assert mx.mat_vec(solve, known) == [word[i] for i in erased]
+
+
+def test_decode_and_encode_make_no_scalar_field_calls(monkeypatch):
+    codes = dict(example_codes(), leaf=LeafSpec(G8, 7, 3))
+    calls = []
+    for name in ("mul", "alpha_pow"):
+        def counted(self, *args, _name=name, _real=getattr(FieldContext, name)):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(FieldContext, name, counted)
+    rng = random.Random(10)
+    for name, spec in codes.items():
+        for _ in range(5):
+            word = random_codeword(spec, rng)
+            mask = random_correctable_mask(spec, rng)
+            out, _ = codec.decode(spec, word.with_erasures([i for i, e in enumerate(mask) if e]))
+            assert out == word, name
+    assert calls == []
+    # the wrapper sees the v(x) expansion of the minimum-weight witness
+    codec.min_weight_codeword(EX1)
+    assert calls
 
 
 # -- correctability ---------------------------------------------------------------
@@ -418,6 +442,30 @@ def test_chain_levels_match_recursive_oracle(data):
         assert level == expect
         for spec in chain:
             assert codec.correctable(spec, mask) == recursive_correctable(spec, mask)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_decode_matches_recursive_oracle_and_pc_decode(data):
+    # correctable masks are recovered, and agree with the matrix decoder;
+    # on every other mask the input comes back unchanged
+    n = data.draw(st.integers(1, 7))
+    chain = data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))
+    for spec in chain:
+        validate(spec)
+        k = dimension(spec)
+        word = codec.encode(spec, data.draw(st.lists(st.integers(0, 7), min_size=k, max_size=k)))
+        order = data.draw(st.permutations(range(length(spec))))
+        for weight in data.draw(st.lists(st.integers(0, length(spec)), min_size=1, max_size=3)):
+            erased = word.with_erasures(order[:weight])
+            out, report = codec.decode(spec, erased)
+            if recursive_correctable(spec, erased.erased):
+                assert report.outcome == codec.RECOVERED
+                assert out == word
+                assert pcheck.pc_decode(pcheck.build_parity_check(spec), erased) == out
+            else:
+                assert report.outcome == codec.UNCORRECTABLE
+                assert out == erased
 
 
 def test_encode_does_not_run_the_recursive_decoder(monkeypatch):
