@@ -7,25 +7,30 @@ codewords.  `tests/golden/decode.json` holds, for the same codes, seeded
 codewords erased along a random order at two correctable and two
 uncorrectable prefix lengths, with the decoder's outcome, assignment, peel
 order and output word.  `tests/golden/anetf.json` holds `report_to_json`
-for the 13 Table 1 rows under both oracles at a fixed seed.  Any change to
-the encoder, the decoder or the ANETF simulator that moves a single symbol,
-block or count fails here.
+for the 13 Table 1 rows under both oracles at a fixed seed.
+`tests/golden/pcheck.json` holds, for the same codes and four codes in
+which a leaf or a node contributes no rows, the shape and sha256 of the
+as-constructed and reduced parity-check matrices and their density.  Any
+change to the encoder, the decoder, the ANETF simulator or the
+parity-check synthesis that moves a single symbol, row, block or count
+fails here.
 
 Regenerate (only when a behaviour change is intended and justified):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
-from eii import anetf, codec
-from eii.codespec import dimension, length, spec_from_capability
+from eii import anetf, codec, pcheck
+from eii.codespec import NodeSpec, dimension, length, spec_from_capability
 from eii.gf import field
 from eii.words import word_to_text
 
-from test_acceptance import TABLE_1, example_codes
+from test_acceptance import G8, L12, TABLE_1, example_codes
 
 GOLDEN = Path(__file__).parent / "golden"
 STRIPE_SHAPES = (
@@ -96,6 +101,28 @@ def anetf_outputs() -> dict:
     return out
 
 
+def pcheck_codes():
+    codes = golden_codes()
+    # u = 0 leaves, and a node whose blocks all use child 0, add no rows
+    for cap in ("((0,0,0),(1,1,1))", "(0,0,0)", "((0,0,0),(0,0,0))"):
+        codes[f"gf8-{cap}"] = spec_from_capability(G8, cap, 7)
+    codes["all-in-child-0"] = NodeSpec(G8, L12, (4, 0, 0))
+    return codes
+
+
+def _digest(m) -> dict:
+    return {"shape": list(m.data.shape), "sha256": hashlib.sha256(m.data.tobytes()).hexdigest()}
+
+
+def pcheck_outputs() -> dict:
+    out = {}
+    for label, spec in pcheck_codes().items():
+        pc = pcheck.build_parity_check(spec)
+        out[label] = {"h": _digest(pc.h), "reduced": _digest(pc.reduced),
+                      "density": pcheck.density(pc)}
+    return out
+
+
 def _load(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text())
 
@@ -128,8 +155,17 @@ def test_anetf_golden():
         assert got[key] == text, key
 
 
+def test_pcheck_golden():
+    want = _load("pcheck.json")
+    got = pcheck_outputs()
+    assert sorted(got) == sorted(want)
+    for label, entry in want.items():
+        assert got[label] == entry, label
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "encode.json").write_text(json.dumps(encode_outputs(), indent=1) + "\n")
     (GOLDEN / "decode.json").write_text(json.dumps(decode_outputs(), indent=1) + "\n")
     (GOLDEN / "anetf.json").write_text(json.dumps(anetf_outputs(), indent=1) + "\n")
+    (GOLDEN / "pcheck.json").write_text(json.dumps(pcheck_outputs(), indent=1) + "\n")
