@@ -325,18 +325,13 @@ def _min_weight_symbols(spec: CodeSpec) -> np.ndarray:
     _, j = min(candidates)
     deg = tails[j + 1]
     witness = _min_weight_symbols(spec.children[j])
-    # expand v(x) = (x + 1)(x + alpha) ... (x + alpha^(deg-1)); all of its
-    # coefficients are nonzero because deg <= m - 1 < order(alpha) + 1
-    poly = [1]
-    for i in range(deg):
-        root = ctx.alpha_pow(i)
-        nxt = [0] * (len(poly) + 1)
-        for d, coef in enumerate(poly):
-            nxt[d + 1] ^= coef
-            nxt[d] ^= ctx.mul(root, coef)
-        poly = nxt
+    # v(x) = (x + 1)(x + alpha) ... (x + alpha^(deg-1)), lowest degree first;
+    # all of its coefficients are nonzero because deg <= m - 1 < order(alpha) + 1
+    poly = np.ones(1, dtype=np.uint8)
+    for root in ctx.exp_table[:deg]:
+        poly = np.append(0, poly) ^ np.append(ctx.mul_table[root, poly], 0)
     out = np.zeros((m, len(witness)), dtype=np.uint8)
-    out[:deg + 1] = ctx.mul_table[np.array(poly)[:, None], witness]
+    out[:deg + 1] = ctx.mul_table[poly[:, None], witness]
     return out.ravel()
 
 

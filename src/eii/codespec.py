@@ -30,10 +30,6 @@ class FieldTooSmallError(ValidationError):
     """Block count m must stay below the field size q."""
 
 
-class AlphaOrderError(ValidationError):
-    """order(alpha) must be at least the block count m."""
-
-
 class NegativeMultiplicityError(ValidationError):
     pass
 
@@ -215,8 +211,6 @@ def validate(spec: CodeSpec) -> None:
         raise ValidationError("node has zero blocks")
     if m >= spec.ctx.q:
         raise FieldTooSmallError(f"m={m} blocks needs a field larger than GF({spec.ctx.q})")
-    if spec.ctx.order(spec.ctx.alpha) < m:
-        raise AlphaOrderError(f"order(alpha) < m={m}")
     sub_len = length(spec.children[0])
     for ch in spec.children:
         validate(ch)
@@ -315,14 +309,6 @@ def _shape(entry):
     return tuple(_shape(e) for e in entry)
 
 
-def _dominates(a, b) -> bool:
-    return all(x <= y for x, y in zip(_flatten(a), _flatten(b)))
-
-
-def _is_full(entry, n) -> bool:
-    return all(v == n for v in _flatten(entry))
-
-
 def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     """Build nested specs for the given sorted, distinct capability entries.
 
@@ -337,33 +323,32 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     widths = {len(e) for e in entries}
     if len(widths) != 1:
         raise NotTotallyOrderedError("sibling capabilities have different block counts")
-    sub_entries = []
+    sub_entries, flats = [], []  # distinct sub-entries that are not full
     sub_mult = []  # per entry: list of (index into sub_entries) or None for full
     for e in entries:
         idxs = []
         for sub in e:
-            if _is_full(sub, n):
+            if sub in sub_entries:
+                idxs.append(sub_entries.index(sub))
+                continue
+            flat = _flatten(sub)
+            if flat == (n,) * len(flat):
                 idxs.append(None)
                 continue
-            for k, known in enumerate(sub_entries):
-                if sub == known:
-                    idxs.append(k)
-                    break
-            else:
-                sub_entries.append(sub)
-                idxs.append(len(sub_entries) - 1)
+            sub_entries.append(sub)
+            flats.append(flat)
+            idxs.append(len(sub_entries) - 1)
         sub_mult.append(idxs)
-    order = sorted(range(len(sub_entries)), key=lambda k: _flatten(sub_entries[k]))
-    sub_sorted = [sub_entries[k] for k in order]
-    shapes = {_shape(e) for e in sub_sorted}
-    if len(shapes) > 1:
-        raise NotTotallyOrderedError("sibling capabilities have mixed shapes")
-    for a, b in zip(sub_sorted, sub_sorted[1:]):
-        if not _dominates(a, b):
+    order = sorted(range(len(flats)), key=flats.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if not all(x <= y for x, y in zip(flats[a], flats[b])):
             raise NotTotallyOrderedError(
-                f"incomparable sibling capabilities {capability_to_string(a)} "
-                f"and {capability_to_string(b)}"
+                f"incomparable sibling capabilities {capability_to_string(sub_entries[a])} "
+                f"and {capability_to_string(sub_entries[b])}"
             )
+    sub_sorted = [sub_entries[k] for k in order]
+    if len({_shape(e) for e in sub_sorted}) > 1:
+        raise NotTotallyOrderedError("sibling capabilities have mixed shapes")
     remap = {old: new for new, old in enumerate(order)}
     children = _build_chain(ctx, sub_sorted, n)
     specs = []
@@ -387,16 +372,8 @@ def spec_from_capability(ctx: FieldContext, tree, n: int) -> CodeSpec:
         tree = (tree,)
     if len(tree) == 1 and isinstance(tree[0], int):
         spec = LeafSpec(ctx, n, tree[0])
-        validate(spec)
-        return spec
-    flat = sorted(tree, key=_flatten)
-    for a, b in zip(flat, flat[1:]):
-        if not _dominates(a, b):
-            raise NotTotallyOrderedError(
-                f"incomparable sibling capabilities {capability_to_string(a)} "
-                f"and {capability_to_string(b)}"
-            )
-    spec = _build_chain(ctx, [tuple(flat)], n)[0]
+    else:
+        spec = _build_chain(ctx, [tuple(tree)], n)[0]
     validate(spec)
     return spec
 

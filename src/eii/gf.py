@@ -37,7 +37,7 @@ class FieldContext:
     Attributes
     ----------
     w : extension degree (bits per symbol)
-    modulus : irreducible polynomial bitmask of degree w
+    modulus : irreducible polynomial bitmask of degree w, MODULI[w]
     q : field size, 2^w
     alpha : the generator (residue class of x, always the integer 2)
     exp_table : exp_table[i] = alpha^i for 0 <= i <= q-1 (period q-1)
@@ -45,7 +45,7 @@ class FieldContext:
     """
 
     w: int
-    modulus: int = _field(default=0)
+    modulus: int = _field(init=False, default=0)
     q: int = _field(init=False, compare=False, default=0)
     alpha: int = _field(init=False, compare=False, default=2)
     exp_table: tuple = _field(init=False, compare=False, repr=False, default=())
@@ -54,8 +54,7 @@ class FieldContext:
     def __post_init__(self):
         if self.w not in MODULI:
             raise ValueError(f"unsupported extension degree w={self.w} (need 2..8)")
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", MODULI[self.w])
+        object.__setattr__(self, "modulus", MODULI[self.w])
         q = 1 << self.w
         object.__setattr__(self, "q", q)
         exp = [0] * q

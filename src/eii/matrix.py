@@ -69,10 +69,6 @@ def from_rows(ctx: FieldContext, rows) -> MatrixGF:
     return MatrixGF(ctx, np.array(rows, dtype=np.uint8).reshape(len(rows), -1))
 
 
-def zeros(ctx: FieldContext, rows: int, cols: int) -> MatrixGF:
-    return MatrixGF(ctx, np.zeros((rows, cols), dtype=np.uint8))
-
-
 def identity(ctx: FieldContext, n: int) -> MatrixGF:
     return MatrixGF(ctx, np.eye(n, dtype=np.uint8))
 

@@ -1,12 +1,13 @@
 """Parity-check matrix synthesis for layered EII codes.
 
-The matrix of a node stacks an identity-Kronecker copy of the weakest
-child's matrix over Vandermonde-Kronecker strips, one strip per child
-transition.  The strip for the transition from child i-1 to child i uses
-the incremental rows B_i that extend the (i-1)-th matrix to the i-th; for
-node children those rows recurse through the shared grandchildren.  Dense
-as-constructed matrices may carry dependent rows; `reduce` drops the later
-dependent ones.
+The matrix of a node over m blocks is H = I_m (x) H(C_0) stacked over the
+increment from C_0^m, the code with every block in the weakest child C_0,
+to the node itself.  An increment between two nodes over the same children
+is one Vandermonde (x) B_j strip per tail count that grows, where B_j is
+the increment from child j-1 to child j (built the same way, down to the
+extra Vandermonde rows of a leaf) or the identity for the zero code.
+Dense as-constructed matrices may carry dependent rows; `reduce` drops the
+later dependent ones.
 
 Erasure repair against a parity-check matrix is linear in the known
 symbols: for a fixed mask the erased symbols are X . known, and the known
@@ -23,7 +24,6 @@ Vandermonde matrix.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +38,6 @@ from .codespec import (
     block_count,
     dimension,
     length,
-    spec_to_json,
     tail_counts,
 )
 from .matrix import InconsistentWordError, MatrixGF
@@ -54,37 +53,32 @@ PLAN_CACHE = 128
 class ParityCheck:
     h: MatrixGF              # as-constructed stack, possibly rank-deficient
     reduced: MatrixGF        # full-rank variant spanning the same row space
-    spec_digest: str
 
     @property
     def rank(self) -> int:
         return self.reduced.rows
 
 
-def _leaf_increment(ctx, n: int, u_prev: int, u_next: int) -> MatrixGF:
-    return mx.vandermonde(ctx, u_next - u_prev, n, u_prev)
-
-
 def _increment(prev: CodeSpec, nxt: CodeSpec) -> MatrixGF:
-    """Rows extending prev's parity-check matrix to one for nxt (nxt inside prev)."""
+    """Rows extending prev's parity-check matrix to one for nxt (nxt inside prev).
+
+    For nodes, strip j raises tail_j from prev's count to nxt's with
+    Vandermonde rows over B_j (see the module docstring).
+    """
     ctx = prev.ctx
     if isinstance(prev, LeafSpec):
-        return _leaf_increment(ctx, prev.n, prev.u, nxt.u)
+        return mx.vandermonde(ctx, nxt.u - prev.u, prev.n, prev.u)
     m = block_count(prev)
-    tails_prev = tail_counts(prev)
-    tails_next = tail_counts(nxt)
-    grandkids = prev.children
+    kids = prev.children
     strips = []
-    for j in range(1, len(grandkids) + 1):
-        delta = tails_next[j] - tails_prev[j]
-        if delta == 0:
+    for j, (lo, hi) in enumerate(zip(tail_counts(prev)[1:], tail_counts(nxt)[1:]), 1):
+        if hi == lo:
             continue
-        left = mx.vandermonde(ctx, delta, m, tails_prev[j])
-        if j < len(grandkids):
-            right = _increment(grandkids[j - 1], grandkids[j])
+        if j < len(kids):
+            right = _increment(kids[j - 1], kids[j])
         else:
-            right = mx.identity(ctx, length(grandkids[0]))
-        strips.append(mx.kronecker(left, right))
+            right = mx.identity(ctx, length(kids[0]))
+        strips.append(mx.kronecker(mx.vandermonde(ctx, hi - lo, m, lo), right))
     return mx.stack(strips)
 
 
@@ -93,21 +87,9 @@ def _construct(spec: CodeSpec) -> MatrixGF:
     if isinstance(spec, LeafSpec):
         return mx.vandermonde(ctx, spec.u, spec.n)
     m = block_count(spec)
-    tails = tail_counts(spec)
-    children = spec.children
-    blocks = []
-    h0 = _construct(children[0])
-    if h0.rows:
-        blocks.append(mx.kronecker(mx.identity(ctx, m), h0))
-    for i in range(1, len(children)):
-        if tails[i] == 0:
-            continue
-        left = mx.vandermonde(ctx, tails[i], m)
-        blocks.append(mx.kronecker(left, _increment(children[i - 1], children[i])))
-    if tails[len(children)]:
-        left = mx.vandermonde(ctx, tails[len(children)], m)
-        blocks.append(mx.kronecker(left, mx.identity(ctx, length(children[0]))))
-    return mx.stack(blocks) if blocks else mx.zeros(ctx, 0, length(spec))
+    top = mx.kronecker(mx.identity(ctx, m), _construct(spec.children[0]))
+    base = NodeSpec(ctx, spec.children, (m,) + (0,) * len(spec.children))
+    return top if base == spec else mx.stack([top, _increment(base, spec)])
 
 
 @lru_cache(maxsize=None)
@@ -115,9 +97,7 @@ def build_parity_check(spec: CodeSpec) -> ParityCheck:
     h = _construct(spec)
     # rows that enlarge the span of the rows above them; the rest are dropped
     kept = [r for r, _ in mx._eliminate(h.data.copy(), spec.ctx)]
-    reduced = MatrixGF(spec.ctx, h.data[kept])
-    digest = hashlib.sha256(spec_to_json(spec).encode()).hexdigest()[:12]
-    pc = ParityCheck(h, reduced, digest)
+    pc = ParityCheck(h, MatrixGF(spec.ctx, h.data[kept]))
     if pc.rank != length(spec) - dimension(spec):
         raise AssertionError("parity-check rank disagrees with the code dimension")
     return pc
@@ -125,7 +105,7 @@ def build_parity_check(spec: CodeSpec) -> ParityCheck:
 
 def reduce(pc: ParityCheck) -> ParityCheck:
     """Full-rank variant; keeps earliest rows, drops later dependent ones."""
-    return ParityCheck(pc.reduced, pc.reduced, pc.spec_digest)
+    return ParityCheck(pc.reduced, pc.reduced)
 
 
 def density(pc: ParityCheck) -> float:

@@ -9,9 +9,11 @@ from eii.codespec import (
     LeafSpec,
     NodeSpec,
     block_count,
+    capability,
     dimension,
     length,
     min_distance,
+    row_length,
     spec_from_capability,
     tail_counts,
     validate,
@@ -344,6 +346,13 @@ def test_decode_and_encode_make_no_scalar_field_calls(monkeypatch):
             calls.append(_name)
             return _real(self, *args)
         monkeypatch.setattr(FieldContext, name, counted)
+    pcheck.build_parity_check.cache_clear()
+    for name, spec in codes.items():
+        again = spec_from_capability(spec.ctx, capability(spec), row_length(spec))
+        assert again == spec, name
+        assert pcheck.build_parity_check(again).rank == length(spec) - dimension(spec)
+        witness = codec.min_weight_codeword(spec)
+        assert sum(1 for x in witness.symbols if x) == min_distance(spec), name
     rng = random.Random(10)
     for name, spec in codes.items():
         for _ in range(5):
@@ -352,9 +361,21 @@ def test_decode_and_encode_make_no_scalar_field_calls(monkeypatch):
             out, _ = codec.decode(spec, word.with_erasures([i for i, e in enumerate(mask) if e]))
             assert out == word, name
     assert calls == []
-    # the wrapper sees the v(x) expansion of the minimum-weight witness
-    codec.min_weight_codeword(EX1)
-    assert calls
+
+
+def test_zero_code_check_rejects_a_changed_known_symbol():
+    # blocks 0 and 1 are intact; block 2 (positions 14..20) sits in the zero
+    # code with only position 15 known.  Flipping it makes the peeled
+    # combination nonzero on a known position: without the zero-code check
+    # the decoder overwrites position 15 and returns a different codeword,
+    # which the final membership check accepts.
+    spec = NodeSpec(G8, (LeafSpec(G8, 7, 1), LeafSpec(G8, 7, 2)), (1, 1, 1))
+    word = random_codeword(spec, random.Random(3))
+    symbols = list(word.symbols)
+    symbols[15] ^= 1
+    bad = SymbolWord.known(symbols).with_erasures([i for i in range(14, 21) if i != 15])
+    with pytest.raises(InconsistentWordError, match="zero-code block combination is nonzero"):
+        codec.decode(spec, bad)
 
 
 # -- correctability ---------------------------------------------------------------
@@ -567,6 +588,26 @@ def test_min_weight_all_examples():
         weight = sum(1 for s in word.symbols if s)
         assert weight == min_distance(spec), name
         assert codec.is_codeword(spec, word), name
+
+
+def test_min_weight_blocks_are_v_coefficient_multiples():
+    # block d of a node's witness is v_d times one child witness, where
+    # v(x) = (x + 1)(x + alpha) ... (x + alpha^(deg-1)); reference by scalar products
+    for name, spec in example_codes().items():
+        ctx = spec.ctx
+        blocks = np.array(codec.min_weight_codeword(spec).symbols).reshape(block_count(spec), -1)
+        deg = int(np.count_nonzero(blocks.any(axis=1))) - 1
+        poly = [1]
+        for i in range(deg):
+            nxt = [0] * (len(poly) + 1)
+            for d, coef in enumerate(poly):
+                nxt[d + 1] ^= coef
+                nxt[d] ^= ctx.mul(ctx.alpha_pow(i), coef)
+            poly = nxt
+        child = [ctx.div(int(x), poly[0]) for x in blocks[0]]
+        for d, coef in enumerate(poly):
+            assert blocks[d].tolist() == [ctx.mul(coef, x) for x in child], (name, d)
+        assert not blocks[deg + 1:].any(), name
 
 
 def test_min_weight_zero_dimension():

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from eii.codespec import (
-    AlphaOrderError,
     DifferentChildrenError,
     FieldTooSmallError,
     LeafSpec,
@@ -11,6 +10,7 @@ from eii.codespec import (
     NodeSpec,
     NotNestedError,
     NotTotallyOrderedError,
+    ValidationError,
     capability,
     capability_to_string,
     dimension,
@@ -50,6 +50,18 @@ def test_validate_m_too_large():
     leaves_16 = (LeafSpec(G8, 7, 1), LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 3))
     with pytest.raises(FieldTooSmallError):
         validate(NodeSpec(G8, leaves_16, (5, 4, 3, 0)))  # m = 12 >= q = 8
+
+
+def test_block_count_boundary():
+    # m = q - 1 blocks fit GF(q): the block evaluation points 1, alpha, ...,
+    # alpha^(m-1) stay distinct; m = q does not
+    leaf = LeafSpec(G8, 7, 1)
+    validate(NodeSpec(G8, (leaf,), (7, 0)))
+    validate(NodeSpec(G8, (leaf,), (6, 1)))
+    with pytest.raises(FieldTooSmallError):
+        validate(NodeSpec(G8, (leaf,), (8, 0)))
+    with pytest.raises(FieldTooSmallError):
+        validate(NodeSpec(G8, (leaf,), (7, 1)))
 
 
 def test_validate_wrong_child_order():
@@ -239,6 +251,19 @@ def test_spec_from_capability_not_totally_ordered():
         spec_from_capability(G8, "((1,2),(2,1))", 7)
 
 
+@pytest.mark.parametrize("tree, error, message", [
+    ("((0,9),(1,0,0))", NotTotallyOrderedError, "incomparable sibling capabilities (0,9) and (1,0,0)"),
+    ("(((0,9),(1,0,0)),((0,9),(1,0,0)))", NotTotallyOrderedError,
+     "incomparable sibling capabilities (0,9) and (1,0,0)"),
+    ("((7,7),(6,8))", ValidationError, "leaf redundancy u=8 outside 0..7"),
+    ("((1,1),(1,1,1))", NotTotallyOrderedError, "sibling capabilities have mixed shapes"),
+])
+def test_spec_from_capability_rejects_malformed_trees(tree, error, message):
+    with pytest.raises(error) as info:
+        spec_from_capability(G8, tree, 7)
+    assert str(info.value) == message
+
+
 def test_spec_from_capability_round_trip():
     for text, w in [
         ("(1,1,1,1,1,2,2,2,2,3,3,3)", 4),
@@ -302,8 +327,3 @@ def test_json_leaf():
     doc = '{"field": {"w": 3}, "code": {"leaf": {"n": 7, "u": 2}}}'
     spec = spec_from_json(doc)
     assert spec == LeafSpec(G8, 7, 2)
-
-
-def test_alpha_order_error_is_validation_error():
-    from eii.codespec import ValidationError
-    assert issubclass(AlphaOrderError, ValidationError)

@@ -274,9 +274,3 @@ def test_alist_export():
     assert lines[0] == "2 4"
     assert lines[1] == "1 2 3 4"
     assert lines[2] == "1 2 3 4"
-
-
-def test_spec_digest_distinguishes_codes():
-    a = pcheck.build_parity_check(LeafSpec(G8, 7, 2))
-    b = pcheck.build_parity_check(LeafSpec(G8, 7, 3))
-    assert a.spec_digest != b.spec_digest
