@@ -11,7 +11,6 @@ from pathlib import Path
 
 from . import anetf, codec, matrix as mx, pcheck
 from .codespec import (
-    ValidationError,
     capability,
     capability_to_string,
     dimension,
@@ -135,8 +134,6 @@ def _cmd_decode(args) -> int:
     if args.erasures:
         positions = [int(tok) for tok in args.erasures.split(",") if tok.strip()]
         word = word.with_erasures(positions)
-    if len(word) != length(spec):
-        raise ValidationError(f"word length {len(word)} != code length {length(spec)}")
     if args.mode == "alg":
         out, report = codec.decode(spec, word)
         if report.outcome != codec.RECOVERED:
@@ -183,10 +180,6 @@ def _cmd_anetf(args) -> int:
 
 def _cmd_mindist_brute(args) -> int:
     spec = _load_spec(args)
-    q = spec.ctx.q
-    k = dimension(spec)
-    if q ** k > 1 << 24:
-        raise ValidationError(f"refusing brute force: q^k = {q}^{k} exceeds 2^24")
     weight = codec.brute_force_min_weight(spec)
     print(f"brute-force minimum distance: {weight}")
     print(f"formula minimum distance: {min_distance(spec)}")

@@ -22,7 +22,7 @@ the code has been encoded before.
 
 The decoder works in place on numpy views of one symbol array: a node
 reshapes its word into blocks, a leaf block is filled by the cached
-`pcheck.ErasurePlan` of its row code's mask, and each peel combines the
+`matrix.ErasurePlan` of its row code's mask, and each peel combines the
 known blocks with one multiplication-table gather and an XOR-reduce.  The
 block triangulations are precomputed with the elimination kernel in
 `matrix`.  Membership is checked by the syndrome H . c against the reduced
@@ -50,8 +50,8 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import ErasurePlan, build_parity_check, pc_decode
-from .words import SymbolWord, check_symbols
+from .pcheck import build_parity_check, pc_decode
+from .words import SymbolWord, check_symbols, word_arrays
 
 
 class NoCodewordsError(ValueError):
@@ -124,12 +124,10 @@ def correctable(spec: CodeSpec, mask) -> bool:
 
 def is_codeword(spec: CodeSpec, word: SymbolWord) -> bool:
     """Membership test H . c = 0; the word must be fully known."""
-    if len(word) != length(spec):
-        raise ValueError(f"word length {len(word)} != code length {length(spec)}")
-    if any(word.erased):
+    symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
+    if erased.any():
         raise ValueError("membership test needs a fully known word")
-    check_symbols(word.symbols, spec.ctx.q)
-    return not any(mx.mat_vec(build_parity_check(spec).reduced, word.symbols))
+    return not any(mx.mat_vec(build_parity_check(spec).reduced, symbols))
 
 
 # -- systematic layout ----------------------------------------------------------
@@ -158,16 +156,13 @@ def parity_mask(spec: CodeSpec) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _leaf_plan(spec: LeafSpec, bits: bytes) -> ErasurePlan:
-    """The erasure plan of a row code for the mask whose bool bytes are `bits`."""
-    return ErasurePlan(mx.vandermonde(spec.ctx, spec.u, spec.n), np.frombuffer(bits, dtype=bool))
+def _leaf_plan(spec: LeafSpec, bits: bytes) -> mx.ErasurePlan:
+    """The erasure plan of a row code for the mask whose bool bytes are `bits`.
 
-
-def _decode_leaf(spec: LeafSpec, symbols, erased):
-    """In-place leaf repair; assumes the pattern passed `correctable`, so
-    the erased Vandermonde columns are independent."""
-    _leaf_plan(spec, erased.tobytes()).fill(symbols)
-    erased[:] = False
+    The decoder fills a leaf block with it only once the block's pattern
+    passed the capability rule, so the erased columns are independent.
+    """
+    return mx.ErasurePlan(mx.vandermonde(spec.ctx, spec.u, spec.n), np.frombuffer(bits, dtype=bool))
 
 
 @lru_cache(maxsize=4096)
@@ -227,14 +222,13 @@ def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_pee
         else:
             _decode_child(spec.children[levels[j]], mixed, era[j])
             sym[j] = mixed ^ combo
-        era[j] = False
         if report_peel is not None:
             report_peel.append(j)
 
 
 def _decode_child(spec: CodeSpec, symbols, erased):
     if isinstance(spec, LeafSpec):
-        _decode_leaf(spec, symbols, erased)
+        _leaf_plan(spec, erased.tobytes()).fill(symbols)
     else:
         _decode_node(spec, symbols, erased)
 
@@ -248,18 +242,14 @@ def decode(spec: CodeSpec, word: SymbolWord):
     InconsistentWordError is raised whenever the known symbols cannot
     belong to any codeword.
     """
-    if len(word) != length(spec):
-        raise ValueError(f"word length {len(word)} != code length {length(spec)}")
-    check_symbols(word.symbols, spec.ctx.q)
-    symbols = np.array(word.symbols, dtype=np.uint8)
-    erased = np.array(word.erased, dtype=bool)
+    symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
     peel: list = []
     levels: list = []
     try:
         if isinstance(spec, LeafSpec):
             if erased.sum() > spec.u:
                 raise _Uncorrectable
-            _decode_leaf(spec, symbols, erased)
+            _decode_child(spec, symbols, erased)
         else:
             _decode_node(spec, symbols, erased, levels, peel)
     except _Uncorrectable:
@@ -346,15 +336,14 @@ def brute_force_min_weight(spec: CodeSpec, limit: int = 1 << 24) -> int:
     q = spec.ctx.q
     if k < 1:
         raise NoCodewordsError("zero-dimensional code")
-    total = q ** k
-    if total > limit:
-        raise ValueError(f"q^k = {total} exceeds enumeration guard {limit}")
+    if q ** k > limit:
+        raise ValueError(f"refusing brute force: q^k = {q}^{k} exceeds the enumeration guard {limit}")
     n = length(spec)
     gen = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
         unit = [0] * k
         unit[i] = 1
-        gen[i] = encode(spec, unit).symbols
+        gen[i] = word_arrays(encode(spec, unit), n, q)[0]
     mt = spec.ctx.mul_table
     best = n + 1
     chunk = max(1, (1 << 18) // max(n, 1))

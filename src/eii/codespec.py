@@ -325,6 +325,7 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
         raise NotTotallyOrderedError("sibling capabilities have different block counts")
     sub_entries, flats = [], []  # distinct sub-entries that are not full
     sub_mult = []  # per entry: list of (index into sub_entries) or None for full
+    full_shapes = set()  # a full sub-entry is a zero-code block of its siblings' shape
     for e in entries:
         idxs = []
         for sub in e:
@@ -333,6 +334,7 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
                 continue
             flat = _flatten(sub)
             if flat == (n,) * len(flat):
+                full_shapes.add(_shape(sub))
                 idxs.append(None)
                 continue
             sub_entries.append(sub)
@@ -347,7 +349,7 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
                 f"and {capability_to_string(sub_entries[b])}"
             )
     sub_sorted = [sub_entries[k] for k in order]
-    if len({_shape(e) for e in sub_sorted}) > 1:
+    if len({_shape(e) for e in sub_sorted} | full_shapes) > 1:
         raise NotTotallyOrderedError("sibling capabilities have mixed shapes")
     remap = {old: new for new, old in enumerate(order)}
     children = _build_chain(ctx, sub_sorted, n)

@@ -5,6 +5,12 @@ go through the field's q x q multiplication table, so every routine here is
 exact integer arithmetic.  `_eliminate` is the package's one elimination
 kernel: row reduction, rank, erasure solving, parity-check reduction and the
 decoder's precomputed solves all run on it.
+
+Erasure solving lives here.  Eliminating the erased columns of a
+parity-check matrix H is written once, in `_solve`: `solve_erasures`
+carries the syndrome of the known symbols through it and solves one word,
+and an `ErasurePlan` carries H_K and keeps the rows that repair every word
+with the same mask.  The caches of plans sit in `pcheck` and `codec`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldContext
-from .words import SymbolWord, check_symbols
+from .words import SymbolWord, word_arrays
 
 
 class InconsistentWordError(ValueError):
@@ -161,19 +167,6 @@ def _eliminate(arr: np.ndarray, ctx: FieldContext, ncols: int | None = None) -> 
     return pivots
 
 
-def _back_substitute(arr: np.ndarray, ctx: FieldContext, pivots) -> np.ndarray:
-    """Rows [I | X] from a forward elimination whose pivots fill columns 0..e-1.
-
-    Returns a copy of the pivot rows in pivot-column order, with the entries
-    above each pivot cleared as well; X is then the carried solution.
-    """
-    mt = ctx.mul_table
-    out = arr[[r for r, _ in sorted(pivots, key=lambda rc: rc[1])]]
-    for i in range(len(out) - 1, 0, -1):
-        out[:i] ^= mt[out[:i, i, None], out[i]]
-    return out
-
-
 def row_reduce(m: MatrixGF):
     """Row-echelon form with unit pivots.
 
@@ -190,11 +183,26 @@ def rank(m: MatrixGF) -> int:
     return row_reduce(m)[1]
 
 
-def check_word(h: MatrixGF, word: SymbolWord) -> None:
-    """ValueError unless `word` has h.cols symbols, each an integer in the field."""
-    if len(word) != h.cols:
-        raise ValueError(f"word length {len(word)} != matrix columns {h.cols}")
-    check_symbols(word.symbols, h.ctx.q)
+def _solve(h: MatrixGF, erased: np.ndarray, carried: np.ndarray):
+    """Eliminate the erased columns (indices, ascending) of h, with the
+    columns `carried` alongside.
+
+    One `_eliminate` of [H_E | carried] on the erased columns.  Returns
+    (C, X): C is the carried part of the non-pivot rows, and X that of the
+    pivot rows back-substituted to [I | X] in erased-column order, or None
+    when the erased columns are dependent.
+    """
+    mt = h.ctx.mul_table
+    e = len(erased)
+    aug = np.hstack([h.data[:, erased], carried])
+    pivots = _eliminate(aug, h.ctx, e)
+    checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
+    if len(pivots) < e:
+        return checks, None
+    out = aug[[r for r, _ in sorted(pivots, key=lambda rc: rc[1])]]
+    for i in range(e - 1, 0, -1):
+        out[:i] ^= mt[out[:i, i, None], out[i]]
+    return checks, out[:, e:]
 
 
 def solve_erasures(h: MatrixGF, word: SymbolWord):
@@ -202,32 +210,53 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
 
     Returns the completed SymbolWord when the erased columns of h are
     linearly independent, or None when the system is underdetermined.
-    Raises InconsistentWordError when no completion exists at all, and
-    ValueError for a symbol outside the field.
+    Raises ValueError for a wrong length or a symbol outside the field,
+    then InconsistentWordError when no completion exists at all.
     """
-    check_word(h, word)
-    erased = [i for i, e in enumerate(word.erased) if e]
-    syms = np.array(word.symbols, dtype=np.uint8)
-    known = np.array([not e for e in word.erased], dtype=bool)
-    mt = h.ctx.mul_table
-    if known.any():
-        syndrome = np.bitwise_xor.reduce(mt[h.data[:, known], syms[known][None, :]], axis=1)
-    else:
-        syndrome = np.zeros(h.rows, dtype=np.uint8)
-    if not erased:
-        if syndrome.any():
-            raise InconsistentWordError("nonzero syndrome with no erasures")
-        return word
-
-    ncols = len(erased)
-    aug = np.hstack([h.data[:, erased], syndrome[:, None]])
-    pivots = _eliminate(aug, h.ctx, ncols)
-    if np.delete(aug[:, ncols], [r for r, _ in pivots]).any():
+    syms, mask = word_arrays(word, h.cols, h.ctx.q)
+    syndrome = np.bitwise_xor.reduce(h.ctx.mul_table[h.data[:, ~mask], syms[~mask]], axis=1)
+    checks, solution = _solve(h, np.flatnonzero(mask), syndrome[:, None])
+    if checks.any():
         raise InconsistentWordError("known symbols are inconsistent with the parity checks")
-    if len(pivots) < ncols:
+    if solution is None:
         return None
-    syms[erased] = _back_substitute(aug, h.ctx, pivots)[:, ncols]
+    syms[mask] = solution[:, 0]
     return SymbolWord.known(syms.tolist())
+
+
+class ErasurePlan:
+    """The repair of one erasure mask against one parity-check matrix.
+
+    `_solve` with H_K carried: with v the known symbols in position order,
+    C . v must vanish for v to be consistent and X . v gives the erased
+    symbols in position order.  `rows` stacks C (its first `n_checks`
+    rows) over X, so one product evaluates both; X is left out, and
+    `solvable` is false, when the erased columns are dependent.
+    """
+
+    __slots__ = ("ctx", "erased", "known", "n_checks", "solvable", "rows")
+
+    def __init__(self, h: MatrixGF, mask):
+        self.ctx = h.ctx
+        self.erased, self.known = np.flatnonzero(mask), np.flatnonzero(~mask)
+        checks, solution = _solve(h, self.erased, h.data[:, self.known])
+        self.n_checks = len(checks)
+        self.solvable = solution is not None
+        self.rows = np.vstack([checks, solution]) if self.solvable else checks
+
+    def fill(self, syms: np.ndarray) -> bool:
+        """Fill the erased entries of the uint8 array `syms` in place.
+
+        Raises InconsistentWordError when the known entries fail C; returns
+        False, leaving `syms` as it was, when the erased columns are
+        dependent.
+        """
+        out = np.bitwise_xor.reduce(self.ctx.mul_table[self.rows, syms[self.known]], axis=1)
+        if out[:self.n_checks].any():
+            raise InconsistentWordError("known symbols are inconsistent with the parity checks")
+        if self.solvable:
+            syms[self.erased] = out[self.n_checks:]
+        return self.solvable
 
 
 def to_csv(m: MatrixGF) -> str:

@@ -11,15 +11,14 @@ later dependent ones.
 
 Erasure repair against a parity-check matrix is linear in the known
 symbols: for a fixed mask the erased symbols are X . known, and the known
-symbols are consistent iff C . known = 0.  An `ErasurePlan` holds X and
-C for one (matrix, mask) pair and fills a uint8 word in place with one
-table lookup and an XOR-reduce.  `pc_decode` solves a mask directly the
-first time it sees it and replays its plan from the second time on.  Both
-the sightings and the plans sit in bounded caches, so masks that never
-repeat cost one direct solve each and no memory beyond the sightings
-table.  `codec.encode` is the plan for the systematic parity mask, and
-`codec.decode` repairs each row-code block with the plan of that leaf's
-Vandermonde matrix.
+symbols are consistent iff C . known = 0.  The solving lives in `matrix`:
+`solve_erasures` solves one word, and a `matrix.ErasurePlan` holds X and C
+for one (matrix, mask) pair.  This module keeps the caches: `pc_decode`
+solves a mask directly the first time it sees it and replays its plan from
+the second time on.  Both the sightings and the plans sit in bounded
+caches, so masks that never repeat cost one direct solve each and no
+memory beyond the sightings table.  `codec.encode` is the plan for the
+systematic parity mask.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from .codespec import (
     length,
     tail_counts,
 )
-from .matrix import InconsistentWordError, MatrixGF
-from .words import SymbolWord
+from .matrix import MatrixGF
+from .words import SymbolWord, word_arrays
 
 # (matrix, mask) pairs whose sightings are counted, and plans kept; a
 # degraded array cycles through a few failure masks per code
@@ -114,48 +113,6 @@ def density(pc: ParityCheck) -> float:
     return pc.h.nonzero_count() / total if total else 0.0
 
 
-class ErasurePlan:
-    """The repair of one erasure mask against one parity-check matrix.
-
-    One elimination of [H_E | H_K] on the erased columns: the pivot rows
-    back-substitute to [I | X], the other rows carry C.  With v the known
-    symbols in position order, C . v must vanish for v to be consistent
-    and X . v gives the erased symbols in position order.  `rows` stacks C
-    (its first `n_checks` rows) over X, so one product evaluates both; X is
-    left out, and `solvable` is false, when the erased columns are
-    dependent.
-    """
-
-    __slots__ = ("ctx", "erased", "known", "n_checks", "solvable", "rows")
-
-    def __init__(self, h: MatrixGF, mask):
-        self.ctx = h.ctx
-        self.erased, self.known = np.flatnonzero(mask), np.flatnonzero(~mask)
-        e = len(self.erased)
-        aug = np.hstack([h.data[:, self.erased], h.data[:, self.known]])
-        pivots = mx._eliminate(aug, h.ctx, e)
-        checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
-        self.n_checks = len(checks)
-        self.solvable = len(pivots) == e
-        self.rows = checks
-        if self.solvable:
-            self.rows = np.vstack([checks, mx._back_substitute(aug, h.ctx, pivots)[:, e:]])
-
-    def fill(self, syms: np.ndarray) -> bool:
-        """Fill the erased entries of the uint8 array `syms` in place.
-
-        Raises InconsistentWordError when the known entries fail C; returns
-        False, leaving `syms` as it was, when the erased columns are
-        dependent.
-        """
-        out = np.bitwise_xor.reduce(self.ctx.mul_table[self.rows, syms[self.known]], axis=1)
-        if out[:self.n_checks].any():
-            raise InconsistentWordError("known symbols are inconsistent with the parity checks")
-        if self.solvable:
-            syms[self.erased] = out[self.n_checks:]
-        return self.solvable
-
-
 @lru_cache(maxsize=PLAN_SIGHTINGS)
 def _sightings(h: MatrixGF, bits: bytes):
     """Counter of the calls for one (matrix, packed mask) pair, from 0."""
@@ -163,9 +120,9 @@ def _sightings(h: MatrixGF, bits: bytes):
 
 
 @lru_cache(maxsize=PLAN_CACHE)
-def _plan(h: MatrixGF, bits: bytes) -> ErasurePlan:
+def _plan(h: MatrixGF, bits: bytes) -> mx.ErasurePlan:
     mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=h.cols).astype(bool)
-    return ErasurePlan(h, mask)
+    return mx.ErasurePlan(h, mask)
 
 
 def pc_decode(pc: ParityCheck, word: SymbolWord):
@@ -180,11 +137,10 @@ def pc_decode(pc: ParityCheck, word: SymbolWord):
     plan; the result is the same either way.
     """
     h = pc.reduced
-    mx.check_word(h, word)
     bits = np.packbits(np.frombuffer(bytes(word.erased), dtype=bool)).tobytes()
     if next(_sightings(h, bits)) == 0:
         return mx.solve_erasures(h, word)
-    syms = np.array(word.symbols, dtype=np.uint8)
+    syms, _ = word_arrays(word, h.cols, h.ctx.q)
     return SymbolWord.known(syms.tolist()) if _plan(h, bits).fill(syms) else None
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SymbolWord:
@@ -43,18 +45,36 @@ class SymbolWord:
         return SymbolWord(self.symbols, tuple(erased))
 
 
-def check_symbols(symbols, q: int) -> None:
-    """Raise ValueError naming the first position whose symbol is not an
-    integer in 0..q-1.
+def check_symbols(symbols, q: int) -> list:
+    """The symbols as a list, each checked to be an integer in 0..q-1.
 
     Python and numpy integers pass; bools, floats and every other type are
-    rejected, because numpy would silently truncate or coerce them.
+    rejected, because numpy would silently truncate or coerce them.  The
+    ValueError names the first bad position.  The symbols are read once.
     """
-    for i, s in enumerate(symbols):
-        if type(s) is not int and (isinstance(s, bool) or not isinstance(s, numbers.Integral)):
-            raise ValueError(f"symbol {s!r} at position {i} is not an integer")
-        if not 0 <= s < q:
-            raise ValueError(f"symbol {s} at position {i} outside 0..{q - 1}")
+    return [s if type(s) is int and 0 <= s < q else _check_symbol(i, s, q)
+            for i, s in enumerate(symbols)]
+
+
+def _check_symbol(i: int, s, q: int):
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+        raise ValueError(f"symbol {s!r} at position {i} is not an integer")
+    if not 0 <= s < q:
+        raise ValueError(f"symbol {s} at position {i} outside 0..{q - 1}")
+    return s
+
+
+def word_arrays(word: SymbolWord, n: int, q: int):
+    """Fresh (uint8 symbols, bool erasure mask) arrays of `word`.
+
+    The one place a word is checked: ValueError unless it has n symbols,
+    each an integer in 0..q-1 (see `check_symbols`).
+    """
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != code length {n}")
+    # a bytearray is a fresh writable buffer, and numpy wraps it without a copy
+    symbols = np.frombuffer(bytearray(check_symbols(word.symbols, q)), dtype=np.uint8)
+    return symbols, np.frombuffer(bytearray(word.erased), dtype=bool)
 
 
 def word_to_text(word: SymbolWord) -> str:

@@ -89,6 +89,14 @@ def test_decode_erasure_list_and_modes(tmp_path, capsys):
         assert word_from_text(capsys.readouterr().out) == word
 
 
+@pytest.mark.parametrize("mode", ["alg", "pcheck"])
+def test_decode_wrong_word_length(mode, tmp_path, capsys):
+    path = tmp_path / "word.txt"
+    path.write_text(" ".join(["0"] * 83))
+    assert run(["decode", *EX4, "--word", str(path), "--mode", mode]) == 2
+    assert "word length 83 != code length 84" in capsys.readouterr().err
+
+
 def test_decode_failure_exit_code(tmp_path, capsys):
     spec = spec_from_capability(field(3), "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     word = codec.encode(spec, [0] * 62)

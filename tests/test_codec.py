@@ -497,7 +497,7 @@ def test_encode_does_not_run_the_recursive_decoder(monkeypatch):
     data = [rng.randrange(8) for _ in range(dimension(EX1))]
     expect = decode_based_encode(EX1, data)
     monkeypatch.setattr(codec, "_decode_node", boom)
-    monkeypatch.setattr(codec, "_decode_leaf", boom)
+    monkeypatch.setattr(codec, "_leaf_plan", boom)
     for _ in range(3):
         assert codec.encode(EX1, data) == expect
 

@@ -257,6 +257,10 @@ def test_spec_from_capability_not_totally_ordered():
      "incomparable sibling capabilities (0,9) and (1,0,0)"),
     ("((7,7),(6,8))", ValidationError, "leaf redundancy u=8 outside 0..7"),
     ("((1,1),(1,1,1))", NotTotallyOrderedError, "sibling capabilities have mixed shapes"),
+    # a saturated (all-n) entry is a zero-code block only in its siblings' shape
+    ("((1,1),(7,7,7))", NotTotallyOrderedError, "sibling capabilities have mixed shapes"),
+    ("((1,1),7)", NotTotallyOrderedError, "sibling capabilities have mixed shapes"),
+    ("((1,1,1),(7,7,7,7,7))", NotTotallyOrderedError, "sibling capabilities have mixed shapes"),
 ])
 def test_spec_from_capability_rejects_malformed_trees(tree, error, message):
     with pytest.raises(error) as info:
@@ -270,6 +274,7 @@ def test_spec_from_capability_round_trip():
         ("((1,1,2),(1,1,2),(1,1,2),(1,2,7))", 3),
         ("(((1,1,2),(1,2,3)),((1,2,3),(1,2,3)))", 3),
         ("(0,0,1,1,1,1,1,1,2,3,4,7)", 4),
+        ("((1,1),(7,7))", 3),  # a saturated block is a zero-code block
     ]:
         spec = spec_from_capability(field(w), text, 7)
         assert capability_to_string(capability(spec)) == text

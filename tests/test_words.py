@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
-from eii.words import SymbolWord, word_from_text, word_to_text
+from eii import codec, matrix as mx, pcheck
+from eii.codespec import dimension, spec_from_capability
+from eii.gf import field
+from eii.words import SymbolWord, word_arrays, word_from_text, word_to_text
 
 
 def test_text_round_trip():
@@ -28,3 +32,74 @@ def test_mask_length_checked():
 
 def test_erasure_count():
     assert word_from_text("? 4 ? 0").erasure_count == 2
+
+
+def test_word_arrays():
+    word = SymbolWord((3, np.uint8(0), 7, np.int64(1)), (False, True, False, False))
+    syms, erased = word_arrays(word, 4, 8)
+    assert syms.dtype == np.uint8 and syms.tolist() == [3, 0, 7, 1]
+    assert erased.dtype == bool and erased.tolist() == [False, True, False, False]
+
+
+@pytest.mark.parametrize("symbols, n, message", [
+    ((1, 2, 3), 4, "word length 3 != code length 4"),
+    ((1, True, 3), 3, "symbol True at position 1 is not an integer"),
+    ((1, 2, 1.0), 3, "symbol 1.0 at position 2 is not an integer"),
+    (("1", 2, 3), 3, "symbol '1' at position 0 is not an integer"),
+    ((1, None, 3), 3, "symbol None at position 1 is not an integer"),
+    ((1, 8, 3), 3, "symbol 8 at position 1 outside 0..7"),
+    ((1, 2, -1), 3, "symbol -1 at position 2 outside 0..7"),
+])
+def test_word_arrays_rejects(symbols, n, message):
+    with pytest.raises(ValueError) as info:
+        word_arrays(SymbolWord(symbols, (False,) * len(symbols)), n, 8)
+    assert str(info.value) == message
+
+
+def test_word_arrays_are_fresh():
+    word = SymbolWord((1, 2, 3), (True, False, False))
+    syms, erased = word_arrays(word, 3, 8)
+    syms[:] = 0
+    erased[:] = False
+    assert word == SymbolWord((1, 2, 3), (True, False, False))
+    again, _ = word_arrays(word, 3, 8)
+    assert again.tolist() == [1, 2, 3]
+
+
+class _Counted(tuple):
+    """Symbols that count how often they are scanned."""
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def _counted(word: SymbolWord) -> SymbolWord:
+    symbols = _Counted(word.symbols)
+    symbols.scans = 0
+    object.__setattr__(word, "symbols", symbols)
+    return word
+
+
+def test_entry_points_scan_a_word_once():
+    spec = spec_from_capability(field(3), "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    pc = pcheck.build_parity_check(spec)
+    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+    erased = word.with_erasures([0, 8, 30])
+    calls = [
+        lambda w: codec.decode(spec, w),
+        lambda w: codec.is_codeword(spec, w),
+        lambda w: mx.solve_erasures(pc.reduced, w),
+    ]
+    for call, w in zip(calls, (erased, word, erased)):
+        w = _counted(SymbolWord(w.symbols, w.erased))
+        call(w)
+        assert w.symbols.scans == 1
+    # pc_decode: first sighting (direct solve), plan build, plan replay
+    pcheck._sightings.cache_clear()
+    pcheck._plan.cache_clear()
+    for _ in range(3):
+        w = _counted(SymbolWord(erased.symbols, erased.erased))
+        assert pcheck.pc_decode(pc, w) == word
+        assert w.symbols.scans == 1
+    assert pcheck._plan.cache_info()[:2] == (1, 1)
