@@ -6,11 +6,12 @@ decoding oracle rejects the pattern.  Two oracles are supported: the
 guaranteed-capability predicate of `codec` and parity-check decoding
 (erased columns of the reduced matrix stay linearly independent).  Both
 oracles walk a whole batch of trials at once; a single permutation is a
-batch of one.  The capability walk is a binary search over prefix length,
-one call of the batched predicate per step; the pcheck walk is one
-batched forward elimination over each trial's first rows + 1 erased
-columns, one column per step.  Batches are capped so their working arrays
-stay within a fixed memory budget.
+batch of one.  The capability walk reads the count off the erasure times
+directly: a code's first rejected prefix is an order statistic of its
+children's, so it is one sort per tree level with `codec`'s tail profiles.
+The pcheck walk is one batched forward elimination over each trial's first
+rows + 1 erased columns, one column per step.  Batches are capped so their
+working arrays stay within a fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec, pcheck
-from .codespec import CodeSpec, dimension, length
+from .codespec import CodeSpec, LeafSpec, block_count, dimension, length
 
 CAPABILITY = "capability"
 PCHECK = "pcheck"
@@ -77,25 +78,44 @@ def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray
     return out
 
 
+def _rejection_times(chain: tuple, when: np.ndarray, never: int) -> np.ndarray:
+    """Shortest prefix each member of `chain` rejects, per block of `when`.
+
+    `when` is (..., L): for each position of the blocks of length L, the
+    first prefix length that erases it.  It is sorted in place.  The result
+    is (..., C), one time per member of the chain, capped at `never`.
+    A leaf with redundancy u rejects from its (u+1)-th erasure on; only a
+    top-level leaf can have u = n, and its clamped time is n.
+    A node rejects once more than tail_i blocks sit at child level i or
+    deeper, and a block reaches level i when child i-1 rejects it; so the
+    node's time is the least, over i with tail_i < m, of the
+    (tail_i+1)-th smallest of child i-1's times over the blocks.
+    """
+    tails = codec._chain_tails(chain)
+    head = chain[0]
+    if isinstance(head, LeafSpec):
+        when.sort(axis=-1)
+        return when[..., np.minimum(tails, head.n - 1)]
+    m = block_count(head)
+    times = _rejection_times(head.children, when.reshape(when.shape[:-1] + (m, -1)), never)
+    times.sort(axis=-2)  # (..., m, t): one sort over the blocks serves every member
+    at = times[..., np.minimum(tails, m - 1), np.arange(tails.shape[1])]
+    at[..., tails >= m] = never
+    return at.min(axis=-1)
+
+
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per permutation under `codec`'s capability predicate.
 
-    Every superset of an uncorrectable mask is uncorrectable, so the count
-    is one more than the longest accepted prefix, found by bisecting the
-    prefix length of all trials at once.  With when[b, perms[b, i]] = i,
-    the prefix masks of length k are when < k[:, None].
+    Along an erasure order a block's level only grows, so the first prefix
+    a code rejects is an order statistic of its children's first rejection
+    times: one sort per tree level of when[b, perms[b, i]] = i + 1 gives
+    every trial's count, capped at n.
     """
-    n_trials, n = perms.shape
+    n = perms.shape[1]
     when = np.empty_like(perms)
-    np.put_along_axis(when, perms, np.arange(n), axis=1)
-    lo = np.zeros(n_trials, dtype=np.int64)  # a prefix length that is accepted
-    hi = np.full(n_trials, n, dtype=np.int64)  # one that is rejected
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        ok = codec._chain_levels((spec,), when < mid[:, None]) == 0
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return hi
+    np.put_along_axis(when, perms, np.arange(1, n + 1), axis=1)
+    return _rejection_times((spec,), when, n)[:, 0]
 
 
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
@@ -149,16 +169,23 @@ _CHUNK = 1 << 16  # products per chunk of the pcheck walk's rank-one update
 def _batch_trials(spec: CodeSpec, mode: str) -> int:
     """Trials per batch that keep its largest arrays within _BATCH_BYTES.
 
-    Per trial these are the int64 permutation, plus either the int64 rank
-    array of the capability walk, or the rows x (rows + 1) matrix of the
-    pcheck walk and the copy each elimination step makes of it.  The pcheck
-    walk's gather temporaries, 12 bytes per product of one chunk, come off
-    the budget first.
+    Per trial these are the int64 permutation, plus either the capability
+    walk's arrays or the pcheck walk's.  The capability walk holds the int64
+    erasure times, which it sorts in place, and at each tree level the
+    rejection times it gathers (blocks x members x children at a node) and
+    returns (blocks x members); counting every level at once bounds what is
+    live.  The pcheck walk holds the rows x (rows + 1) matrix and the copy
+    each elimination step makes of it; its gather temporaries, 12 bytes per
+    product of one chunk, come off the budget first.
     """
     n = length(spec)
     budget = _BATCH_BYTES
     if mode == CAPABILITY:
-        extra = 8 * n
+        words, blocks, chain = n, 1, (spec,)
+        while not isinstance(chain[0], LeafSpec):
+            words += blocks * len(chain) * (len(chain[0].children) + 1)
+            blocks, chain = blocks * block_count(chain[0]), chain[0].children
+        extra = 8 * (words + blocks * len(chain))
     else:
         rows = pcheck.build_parity_check(spec).reduced.rows
         extra = 2 * rows * (rows + 1)

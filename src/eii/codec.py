@@ -8,12 +8,13 @@ over that ordering; and blocks are peeled off the bottom of the triangle,
 each time combining the target block with already-known blocks so the
 result lands in a child code that can finish the repair.
 
-Guaranteed correctability is one rule, written once as `_chain_levels`:
-vectorized over a batch of masks, it gives each mask the weakest member of
-a nested chain of sibling codes that can repair it.  `correctable` asks it
-about one mask, the decoder about the blocks of each node it visits (one
-call per node gives every block's level), and `anetf` about whole batches
-of prefix masks.
+Guaranteed correctability is one rule, written once per mask as
+`_chain_levels`: vectorized over a batch of masks, it gives each mask the
+weakest member of a nested chain of sibling codes that can repair it.
+`correctable` asks it about one mask, and the decoder about the blocks of
+each node it visits (one call per node gives every block's level).
+`anetf` applies the same rule along a whole erasure order, through the
+tail profiles of `_chain_tails`, as first-rejection times.
 
 Encoding does not use the decoder: data fills the systematic positions,
 every parity position is an erasure, and `pcheck.pc_decode` fills them

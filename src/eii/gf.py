@@ -74,9 +74,6 @@ class FieldContext:
 
     # -- scalar operations ------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -87,34 +84,8 @@ class FieldContext:
             raise ZeroDivisionError("inverse of 0 in GF(2^w)")
         return self.exp_table[(self.q - 1 - self.log_table[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by 0 in GF(2^w)")
-        if a == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] - self.log_table[b]) % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of 0 in GF(2^w)")
-            return 0
-        return self.exp_table[(self.log_table[a] * e) % (self.q - 1)]
-
     def alpha_pow(self, e: int) -> int:
         return self.exp_table[e % (self.q - 1)]
-
-    def order(self, a: int) -> int:
-        """Multiplicative order: smallest e >= 1 with a^e = 1."""
-        if a == 0:
-            raise ZeroDivisionError("order of 0 in GF(2^w)")
-        e, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            e += 1
-        return e
 
     # -- vectorized table views (lazy, cached on first use) ----------------
 

@@ -67,13 +67,6 @@ class MatrixGF:
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.data))
 
-    def row_slice(self, start: int, stop: int) -> "MatrixGF":
-        return MatrixGF(self.ctx, self.data[start:stop])
-
-
-def from_rows(ctx: FieldContext, rows) -> MatrixGF:
-    return MatrixGF(ctx, np.array(rows, dtype=np.uint8).reshape(len(rows), -1))
-
 
 def identity(ctx: FieldContext, n: int) -> MatrixGF:
     return MatrixGF(ctx, np.eye(n, dtype=np.uint8))

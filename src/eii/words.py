@@ -26,10 +26,6 @@ class SymbolWord:
     def __len__(self):
         return len(self.symbols)
 
-    @property
-    def erasure_count(self) -> int:
-        return sum(self.erased)
-
     @classmethod
     def known(cls, symbols) -> "SymbolWord":
         symbols = tuple(symbols)

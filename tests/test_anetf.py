@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eii import anetf, matrix as mx, pcheck
+from eii import anetf, codec, matrix as mx, pcheck
 from eii.codespec import LeafSpec, NodeSpec, length, min_distance, spec_from_capability
 from eii.gf import field
 from test_acceptance import TABLE_1
@@ -95,6 +95,33 @@ def test_batched_paths_match_single_shot():
         assert mx.rank(mx.MatrixGF(G16, h.data[:, perm[:k]])) == k - 1
 
 
+def bisect_capability_counts(spec, perms):
+    """Failure counts by bisecting the prefix length of all trials at once
+    (the oracle): every superset of an uncorrectable mask is uncorrectable,
+    so the count is one more than the longest prefix `codec` accepts."""
+    n_trials, n = perms.shape
+    when = np.empty_like(perms)
+    np.put_along_axis(when, perms, np.arange(n), axis=1)
+    lo = np.zeros(n_trials, dtype=np.int64)  # a prefix length that is accepted
+    hi = np.full(n_trials, n, dtype=np.int64)  # one that is rejected
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = codec._chain_levels((spec,), when < mid[:, None]) == 0
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_capability_counts_match_bisection(data):
+    n = data.draw(st.integers(1, 7))
+    spec = data.draw(st.sampled_from(data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))))
+    perms = anetf._trial_permutations(data.draw(st.integers(0, 2**64 - 1)), 0, 8, length(spec))
+    assert anetf._capability_counts(spec, perms).tolist() == \
+        bisect_capability_counts(spec, perms).tolist()
+
+
 def test_mode_dominance_per_permutation():
     spec = spec_from_capability(G8, "((1,1,2),(1,1,2),(1,2,3),(1,2,5))", 7)
     rng = np.random.default_rng(5)
@@ -141,13 +168,30 @@ def test_pcheck_counts_match_rank_oracle(data):
     check_pcheck_counts(spec, np.array(perms, dtype=np.int64))
 
 
-@pytest.mark.parametrize("spec", [
+EMPTY_BLOCK_SPECS = pytest.mark.parametrize("spec", [
     spec_from_capability(G8, "((0,0,0),(1,1,1))", 7),  # its node adds no rows
     LeafSpec(G8, 7, 0),  # no rows at all: every count is 1
     NodeSpec(G8, (LeafSpec(G8, 5, 0), LeafSpec(G8, 5, 2)), (1, 2, 0)),
 ], ids=["zero-row-tree", "u0-leaf", "u0-children"])
+
+
+@EMPTY_BLOCK_SPECS
 def test_pcheck_counts_on_codes_with_empty_blocks(spec):
     check_pcheck_counts(spec, anetf._trial_permutations(3, 0, 20, length(spec)))
+
+
+@EMPTY_BLOCK_SPECS
+def test_capability_counts_on_codes_with_empty_blocks(spec):
+    perms = anetf._trial_permutations(3, 0, 20, length(spec))
+    assert anetf._capability_counts(spec, perms).tolist() == \
+        bisect_capability_counts(spec, perms).tolist()
+
+
+def test_capability_counts_cap_a_leaf_that_rejects_nothing():
+    # u = n accepts every mask, so each count is capped at n, as the bisection's
+    perms = anetf._trial_permutations(3, 0, 20, 7)
+    assert anetf._capability_counts(LeafSpec(G8, 7, 7), perms).tolist() == [7] * 20
+    assert bisect_capability_counts(LeafSpec(G8, 7, 7), perms).tolist() == [7] * 20
 
 
 def test_table1_batches_hold_1000_trials():

@@ -604,7 +604,7 @@ def test_min_weight_blocks_are_v_coefficient_multiples():
                 nxt[d + 1] ^= coef
                 nxt[d] ^= ctx.mul(ctx.alpha_pow(i), coef)
             poly = nxt
-        child = [ctx.div(int(x), poly[0]) for x in blocks[0]]
+        child = [ctx.mul(int(x), ctx.inv(poly[0])) for x in blocks[0]]
         for d, coef in enumerate(poly):
             assert blocks[d].tolist() == [ctx.mul(coef, x) for x in child], (name, d)
         assert not blocks[deg + 1:].any(), name
@@ -624,6 +624,16 @@ def test_brute_force_matches_formula_tiny():
     assert dimension(spec) == 2
     assert min_distance(spec) == 4
     assert codec.brute_force_min_weight(spec) == 4
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_min_distance_matches_witness_and_brute_force(data):
+    n = data.draw(st.integers(1, 7))
+    for spec in data.draw(ordered_chains(data.draw(st.integers(0, 2)), n)):
+        if 8 ** dimension(spec) <= 1 << 16:
+            weight = sum(1 for x in codec.min_weight_codeword(spec).symbols if x)
+            assert min_distance(spec) == weight == codec.brute_force_min_weight(spec), spec
 
 
 def test_brute_force_guard():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eii.codespec import (
     DifferentChildrenError,
@@ -27,6 +28,7 @@ from eii.codespec import (
     validate,
 )
 from eii.gf import field
+from test_codec import ordered_chains
 
 G8 = field(3)
 G16 = field(4)
@@ -278,6 +280,31 @@ def test_spec_from_capability_round_trip():
     ]:
         spec = spec_from_capability(field(w), text, 7)
         assert capability_to_string(capability(spec)) == text
+
+
+def uses_every_child(chain):
+    """Whether each child of a sibling chain is used by some member, at every
+    layer; spec_from_capability builds only the children a tree names."""
+    head = chain[0]
+    if isinstance(head, LeafSpec):
+        return True
+    used = {i for spec in chain for i, x in enumerate(spec.s[:-1]) if x}
+    return len(used) == len(head.children) and uses_every_child(head.children)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_spec_from_capability_inverts_capability(data):
+    # the identity holds on every spec that names all its children, except a
+    # one-block node over rows, whose flat tree (u,) reads as the row code
+    n = data.draw(st.integers(1, 7))
+    for spec in data.draw(ordered_chains(data.draw(st.integers(0, 2)), n)):
+        tree = capability(spec)
+        again = spec_from_capability(G8, tree, n)
+        assert capability(again) == tree
+        assert spec_from_capability(G8, capability(again), n) == again
+        flat = isinstance(spec, NodeSpec) and len(tree) == 1 and isinstance(tree[0], int)
+        assert (again == spec) == (uses_every_child((spec,)) and not flat), spec
 
 
 def test_spec_from_capability_harmonizes_children():

@@ -4,6 +4,15 @@ import pytest
 from eii.gf import MODULI, field
 
 
+def order(f, a):
+    """Multiplicative order of a nonzero a: smallest e >= 1 with a^e = 1."""
+    e, x = 1, a
+    while x != 1:
+        x = f.mul(x, a)
+        e += 1
+    return e
+
+
 def test_gf8_paper_arithmetic():
     # alpha^3 = 1 + alpha in GF(8), so alpha * alpha^2 = 3
     f = field(3)
@@ -34,22 +43,20 @@ def test_inverse_exhaustive_gf16():
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         field(3).inv(0)
-    with pytest.raises(ZeroDivisionError):
-        field(3).order(0)
 
 
 def test_orders():
     f = field(3)
-    assert f.order(1) == 1
-    assert f.order(f.alpha) == 7
+    assert order(f, 1) == 1
+    assert order(f, f.alpha) == 7
     f16 = field(4)
-    assert f16.order(f16.alpha_pow(3)) == 5
+    assert order(f16, f16.alpha_pow(3)) == 5
 
 
 @pytest.mark.parametrize("w", sorted(MODULI))
 def test_alpha_is_primitive(w):
     f = field(w)
-    assert f.order(f.alpha) == f.q - 1
+    assert order(f, f.alpha) == f.q - 1
 
 
 @pytest.mark.parametrize("w", sorted(MODULI))
@@ -77,17 +84,14 @@ def test_division():
     f = field(4)
     for a in range(f.q):
         for b in range(1, f.q):
-            assert f.mul(f.div(a, b), b) == a
-    with pytest.raises(ZeroDivisionError):
-        f.div(3, 0)
+            assert f.mul(f.mul(a, f.inv(b)), b) == a
 
 
 def test_pow():
     f = field(3)
-    assert f.pow(f.alpha, 0) == 1
-    assert f.pow(f.alpha, 7) == 1
-    assert f.pow(0, 3) == 0
-    assert f.pow(f.alpha, -1) == f.inv(f.alpha)
+    assert f.alpha_pow(0) == 1
+    assert f.alpha_pow(7) == 1
+    assert f.alpha_pow(-1) == f.inv(f.alpha)
 
 
 def test_context_is_shared_and_comparable():

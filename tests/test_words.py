@@ -31,7 +31,7 @@ def test_mask_length_checked():
 
 
 def test_erasure_count():
-    assert word_from_text("? 4 ? 0").erasure_count == 2
+    assert word_from_text("? 4 ? 0").erased == (True, False, True, False)
 
 
 def test_word_arrays():
