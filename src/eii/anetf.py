@@ -15,18 +15,23 @@ working arrays stay within a fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
-no matter how trials are batched.  A batch builds one Philox and resets
-it before trial i to key (seed, i) and counter 0, as a new one would start.
+no matter how trials are batched.  A chunk of trials builds one Philox and
+resets it before trial i to key (seed, i) and counter 0, as a new one would
+start.  The orders depend only on (seed, trials, n), so `simulate` keeps
+those of its latest key, in the narrowest unsigned dtype, and every mode
+and code of that length reuses them; orders that would take more than
+_PERMS_BYTES are drawn afresh per batch instead.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec, pcheck
-from .codespec import CodeSpec, LeafSpec, block_count, dimension, length
+from .codespec import CodeSpec, LeafSpec, NodeSpec, block_count, dimension, length
 
 CAPABILITY = "capability"
 PCHECK = "pcheck"
@@ -45,6 +50,8 @@ class AnetfConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.spec, (LeafSpec, NodeSpec)):
+            raise ValueError("spec must be a LeafSpec or NodeSpec")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if type(self.trials) is not int or self.trials < 1:
@@ -75,6 +82,20 @@ def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray
         fresh["state"]["key"][1] = start + i
         bitgen.state = fresh
         shuffle(row)
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_permutations(seed: int, trials: int, n: int) -> np.ndarray:
+    """Read-only (trials, n) orders of `_trial_permutations`, narrowest dtype.
+
+    Filled in chunks, so the int64 temporaries stay within _BATCH_BYTES.
+    """
+    out = np.empty((trials, n), dtype=np.min_scalar_type(n - 1))
+    step = max(1, _BATCH_BYTES // (8 * n))
+    for start in range(0, trials, step):
+        out[start:start + step] = _trial_permutations(seed, start, min(step, trials - start), n)
+    out.flags.writeable = False
     return out
 
 
@@ -163,6 +184,7 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
 _COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
 
 _BATCH_BYTES = 16 << 20  # cap on the working arrays of one simulate batch
+_PERMS_BYTES = 32 << 20  # cap on the erasure orders simulate keeps between calls
 _CHUNK = 1 << 16  # products per chunk of the pcheck walk's rank-one update
 
 
@@ -176,7 +198,8 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     returns (blocks x members); counting every level at once bounds what is
     live.  The pcheck walk holds the rows x (rows + 1) matrix and the copy
     each elimination step makes of it; its gather temporaries, 12 bytes per
-    product of one chunk, come off the budget first.
+    product of one chunk, come off the budget first.  The orders `simulate`
+    keeps between calls sit outside this budget, under _PERMS_BYTES.
     """
     n = length(spec)
     budget = _BATCH_BYTES
@@ -203,7 +226,7 @@ def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     perm = list(permutation)
-    if not all(isinstance(p, (int, np.integer)) for p in perm):
+    if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in perm):
         raise InvalidPermutationError("permutation entries must be integers")
     if sorted(perm) != list(range(length(spec))):
         raise InvalidPermutationError(f"not a permutation of 0..{length(spec) - 1}")
@@ -223,9 +246,12 @@ def simulate(config: AnetfConfig, batch: int = 50_000) -> AnetfReport:
         all_counts.append(np.ones(config.trials, dtype=np.int64))
     else:
         batch = min(batch, _batch_trials(spec, config.mode))
+        fits = config.trials * n * np.min_scalar_type(n - 1).itemsize <= _PERMS_BYTES
+        kept = _kept_permutations(config.seed, config.trials, n) if fits else None
         for start in range(0, config.trials, batch):
             count = min(batch, config.trials - start)
-            perms = _trial_permutations(config.seed, start, count, n)
+            perms = (_trial_permutations(config.seed, start, count, n) if kept is None
+                     else kept[start:start + count].astype(np.int64))
             all_counts.append(_COUNTS[config.mode](spec, perms))
     counts = np.concatenate(all_counts)
     mean = float(counts.mean())

@@ -35,6 +35,8 @@ class SymbolWord:
         """Copy with the given zero-based positions marked erased (additionally)."""
         erased = list(self.erased)
         for p in positions:
+            if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+                raise ValueError(f"erasure index {p!r} is not an integer")
             if not 0 <= p < len(erased):
                 raise ValueError(f"erasure index {p} out of range")
             erased[p] = True

@@ -36,9 +36,10 @@ def test_invalid_permutation():
         anetf.erasures_to_failure(leaf, anetf.CAPABILITY, [0, 1, 2, 3, 4, 5, 5])
 
 
-@pytest.mark.parametrize("perm", [[0, 1, 2, 3, 4, 5, 6.7], np.arange(7, dtype=float)])
+@pytest.mark.parametrize("perm", [[0, 1, 2, 3, 4, 5, 6.7], np.arange(7, dtype=float),
+                                  [True, False], np.array([True, False])])
 def test_non_integer_permutation_entries(perm):
-    leaf = LeafSpec(G8, 7, 2)
+    leaf = LeafSpec(G8, len(perm), 1)
     with pytest.raises(anetf.InvalidPermutationError, match="integers"):
         anetf.erasures_to_failure(leaf, anetf.CAPABILITY, perm)
 
@@ -240,9 +241,9 @@ def test_trial_permutations_interleaved_seeds():
         assert np.array_equal(np.concatenate(interleaved[k::3]), separate[k])
 
 
-@pytest.mark.parametrize("mode", anetf.MODES)
-def test_simulate_builds_one_philox_per_batch(mode, monkeypatch):
-    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+@pytest.fixture
+def philox_built(monkeypatch):
+    """One entry per np.random.Philox constructed while the test runs."""
     built = []
     philox = np.random.Philox
 
@@ -251,8 +252,48 @@ def test_simulate_builds_one_philox_per_batch(mode, monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
+    return built
+
+
+@pytest.mark.parametrize("mode", anetf.MODES)
+def test_simulate_builds_one_philox_per_batch(mode, philox_built):
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    anetf._kept_permutations.cache_clear()  # else one mode reuses the other's orders
     anetf.simulate(anetf.AnetfConfig(spec, mode, trials=1000, seed=4), batch=300)
-    assert 0 < len(built) <= 4  # batches of 300, 300, 300 and 100 trials
+    assert 0 < len(philox_built) <= 4  # batches of 300, 300, 300 and 100 trials
+
+
+def test_simulate_keeps_one_set_of_orders(philox_built):
+    # the orders depend on (seed, trials, n) alone: every later call on a
+    # length-84 code, in either mode, reuses those the first call drew
+    specs = [spec_from_capability(field(w), cap, n) for cap, w, n, _, _ in TABLE_1[1:3]]
+    calls = [(specs[0], anetf.CAPABILITY), (specs[0], anetf.PCHECK), (specs[1], anetf.PCHECK)]
+    fresh = []
+    for spec, mode in calls:
+        anetf._kept_permutations.cache_clear()
+        fresh.append(anetf.simulate(anetf.AnetfConfig(spec, mode, trials=500, seed=6)))
+    philox_built.clear()
+    anetf._kept_permutations.cache_clear()
+    for (spec, mode), want in zip(calls, fresh):
+        assert anetf.simulate(anetf.AnetfConfig(spec, mode, trials=500, seed=6)) == want
+        assert len(philox_built) == 1, mode
+    kept = anetf._kept_permutations(6, 500, 84)
+    assert kept.dtype == np.uint8 and not kept.flags.writeable
+    assert np.array_equal(kept, anetf._trial_permutations(6, 0, 500, 84))
+
+
+@pytest.mark.parametrize("mode", anetf.MODES)
+def test_simulate_streams_orders_past_the_cap(mode, monkeypatch):
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    config = anetf.AnetfConfig(spec, mode, trials=400, seed=11)
+    kept = [anetf.simulate(config, batch=b) for b in (1, 300, 50_000)]
+    assert kept[0] == kept[1] == kept[2]
+    monkeypatch.setattr(anetf, "_PERMS_BYTES", 0)
+    anetf._kept_permutations.cache_clear()
+    for b, want in zip((1, 300, 50_000), kept):
+        report = anetf.simulate(config, batch=b)
+        assert anetf.report_to_json(report) == anetf.report_to_json(want)
+    assert anetf._kept_permutations.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("batch", [0, -1])
@@ -291,6 +332,9 @@ def test_report_invariants():
 
 def test_config_validation():
     spec = LeafSpec(G8, 7, 2)
+    for bad in ("(1,2,7)", None, (spec,)):
+        with pytest.raises(ValueError, match="LeafSpec or NodeSpec"):
+            anetf.AnetfConfig(bad, anetf.CAPABILITY, trials=10, seed=0)
     with pytest.raises(ValueError):
         anetf.AnetfConfig(spec, "bogus", trials=10, seed=0)
     for trials in (0, 2.5, True):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,20 @@ def test_spec_json_schema(code, tmp_path, capsys):
     path.write_text(json.dumps({"field": {"w": 3}, "code": code}))
     assert run(["info", "--spec", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    # `python -m eii` from a checkout runs the same CLI, exit codes included
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def eii(*argv):
+        return subprocess.run([sys.executable, "-m", "eii", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = eii("info", *EX4)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines()[0] == "[84, 62, 4]"
+    bad = eii("info", "--capability", "((1,2)", "--field", "3", "--n", "7")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")

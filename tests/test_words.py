@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,19 @@ def test_with_erasures():
     assert erased.symbols == (1, 2, 3)
     with pytest.raises(ValueError):
         word.with_erasures([5])
+
+
+@pytest.mark.parametrize("position", [1.5, True, np.bool_(False), "1", None])
+def test_with_erasures_rejects_non_integer_positions(position):
+    word = SymbolWord.known([1, 2, 3])
+    with pytest.raises(ValueError, match=re.escape(f"erasure index {position!r} is not an integer")):
+        word.with_erasures([0, position])
+
+
+def test_with_erasures_accepts_numpy_integers():
+    word = SymbolWord.known([1, 2, 3])
+    assert word.with_erasures(np.array([2, 0])).erased == (True, False, True)
+    assert word.with_erasures([np.uint8(1)]).erased == (False, True, False)
 
 
 def test_mask_length_checked():
