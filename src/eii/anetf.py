@@ -90,7 +90,9 @@ def _kept_permutations(seed: int, trials: int, n: int) -> np.ndarray:
     """Read-only (trials, n) orders of `_trial_permutations`, narrowest dtype.
 
     Filled in chunks, so the int64 temporaries stay within _BATCH_BYTES.
+    The orders of the previous key are dropped before the new ones are drawn.
     """
+    _kept_permutations.cache_clear()  # runs only on a miss
     out = np.empty((trials, n), dtype=np.min_scalar_type(n - 1))
     step = max(1, _BATCH_BYTES // (8 * n))
     for start in range(0, trials, step):

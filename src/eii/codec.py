@@ -17,13 +17,13 @@ each node it visits (one call per node gives every block's level).
 tail profiles of `_chain_tails`, as first-rejection times.
 
 Encoding does not use the decoder: data fills the systematic positions,
-every parity position is an erasure, and `pcheck.pc_decode` fills them
-from the reduced parity-check matrix, by one cached parity product once
-the code has been encoded before.
+every parity position is an erasure, and one lookup in the plan table
+`pcheck._plan` gives the plan of that mask against the reduced
+parity-check matrix, whose product fills them.
 
 The decoder works in place on numpy views of one symbol array: a node
-reshapes its word into blocks, a leaf block is filled by the cached
-`matrix.ErasurePlan` of its row code's mask, and each peel combines the
+reshapes its word into blocks, a leaf block is filled by the plan of its
+row code's mask from the same table, and each peel combines the
 known blocks with one multiplication-table gather and an XOR-reduce.  The
 block triangulations are precomputed with the elimination kernel in
 `matrix`.  Membership is checked by the syndrome H . c against the reduced
@@ -51,7 +51,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import build_parity_check, pc_decode
+from .pcheck import _plan, build_parity_check
 from .words import SymbolWord, check_symbols, word_arrays
 
 
@@ -157,16 +157,6 @@ def parity_mask(spec: CodeSpec) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _leaf_plan(spec: LeafSpec, bits: bytes) -> mx.ErasurePlan:
-    """The erasure plan of a row code for the mask whose bool bytes are `bits`.
-
-    The decoder fills a leaf block with it only once the block's pattern
-    passed the capability rule, so the erased columns are independent.
-    """
-    return mx.ErasurePlan(mx.vandermonde(spec.ctx, spec.u, spec.n), np.frombuffer(bits, dtype=bool))
-
-
-@lru_cache(maxsize=4096)
 def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarray:
     """Unit upper-triangular combination rows for the block ordering.
 
@@ -229,7 +219,8 @@ def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_pee
 
 def _decode_child(spec: CodeSpec, symbols, erased):
     if isinstance(spec, LeafSpec):
-        _leaf_plan(spec, erased.tobytes()).fill(symbols)
+        # the block's pattern passed the capability rule: the plan is solvable
+        _plan(build_parity_check(spec).reduced, erased.tobytes()).fill(symbols)
     else:
         _decode_node(spec, symbols, erased)
 
@@ -267,22 +258,20 @@ def decode(spec: CodeSpec, word: SymbolWord):
 
 def encode(spec: CodeSpec, data) -> SymbolWord:
     """Systematic encode: the data fills the systematic positions in layout
-    order, and the parities are the erasure solve of `parity_mask(spec)`
-    against the reduced parity-check matrix by `pcheck.pc_decode`: a
-    direct solve on a code's first encode, one product with a cached
-    plan from the second on."""
+    order, and the parities come from one lookup in the plan table: the
+    plan of `parity_mask(spec)` against the reduced parity-check matrix,
+    built on a code's first encode and replayed from then on."""
     data = list(data)
     k = dimension(spec)
     if len(data) != k:
         raise ValueError(f"data length {len(data)} != dimension {k}")
     check_symbols(data, spec.ctx.q)
-    mask = parity_mask(spec)
-    it = iter(data)
-    word = SymbolWord(tuple(0 if p else next(it) for p in mask), mask)
-    out = pc_decode(build_parity_check(spec), word)
-    if out is None:  # the parity columns are independent by design
-        raise AssertionError("systematic layout failed to decode")
-    return out
+    bits = bytes(parity_mask(spec))
+    syms = np.zeros(len(bits), dtype=np.uint8)
+    syms[~np.frombuffer(bits, dtype=bool)] = data
+    if not _plan(build_parity_check(spec).reduced, bits).fill(syms):
+        raise AssertionError("systematic parity columns are dependent")
+    return SymbolWord.known(syms.tolist())
 
 
 # -- minimum-weight witness ---------------------------------------------------------
@@ -304,7 +293,7 @@ def _min_weight_symbols(spec: CodeSpec) -> np.ndarray:
         out[0] = 1
         mask = np.zeros(spec.n, dtype=bool)
         mask[1:spec.u + 1] = True
-        _leaf_plan(spec, mask.tobytes()).fill(out)
+        _plan(build_parity_check(spec).reduced, mask.tobytes()).fill(out)
         return out
     m = block_count(spec)
     tails = tail_counts(spec)

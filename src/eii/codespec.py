@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import json
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +56,13 @@ def _hash_once(spec, fields: tuple) -> int:
     return h
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValidationError for bools, floats, strings and None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LeafSpec:
     """An [n, n-u, u+1] MDS row code; u parity symbols sit at the end."""
@@ -62,6 +70,10 @@ class LeafSpec:
     ctx: FieldContext
     n: int
     u: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "leaf length n"))
+        object.__setattr__(self, "u", _integer(self.u, "leaf redundancy u"))
 
     def __hash__(self):
         return _hash_once(self, (self.ctx, self.n, self.u))
@@ -81,7 +93,7 @@ class NodeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
+        object.__setattr__(self, "s", tuple(_integer(x, "multiplicity") for x in self.s))
 
     def __hash__(self):
         return _hash_once(self, (self.ctx, self.children, self.s))
@@ -279,16 +291,18 @@ def parse_capability(text: str):
         value = ast.literal_eval(text.strip())
     except (SyntaxError, ValueError) as exc:
         raise ValidationError(f"cannot parse capability string: {exc}") from None
+    return _capability_tree(value)
+
+
+def _capability_tree(value):
+    """A tree of integers, lists and tuples as nested int tuples; a bare
+    int is the one-entry tree.  Other entries, bools too, are rejected."""
     def norm(v):
-        if isinstance(v, int):
-            return v
         if isinstance(v, (tuple, list)):
             return tuple(norm(x) for x in v)
-        raise ValidationError(f"unexpected token {v!r} in capability string")
+        return _integer(v, "capability entry")
     value = norm(value)
-    if isinstance(value, int):
-        value = (value,)
-    return value
+    return (value,) if isinstance(value, int) else value
 
 
 # -- capability -> spec ---------------------------------------------------------
@@ -369,9 +383,7 @@ def spec_from_capability(ctx: FieldContext, tree, n: int) -> CodeSpec:
     capability entries themselves.  A single-entry flat tree such as (22)
     denotes the plain MDS row code [n, n-22].
     """
-    tree = parse_capability(tree) if isinstance(tree, str) else tree
-    if isinstance(tree, int):
-        tree = (tree,)
+    tree = parse_capability(tree) if isinstance(tree, str) else _capability_tree(tree)
     if len(tree) == 1 and isinstance(tree[0], int):
         spec = LeafSpec(ctx, n, tree[0])
     else:

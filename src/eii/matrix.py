@@ -10,7 +10,7 @@ Erasure solving lives here.  Eliminating the erased columns of a
 parity-check matrix H is written once, in `_solve`: `solve_erasures`
 carries the syndrome of the known symbols through it and solves one word,
 and an `ErasurePlan` carries H_K and keeps the rows that repair every word
-with the same mask.  The caches of plans sit in `pcheck` and `codec`.
+with the same mask.  The one table of plans sits in `pcheck`.
 """
 
 from __future__ import annotations

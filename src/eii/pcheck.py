@@ -13,12 +13,13 @@ Erasure repair against a parity-check matrix is linear in the known
 symbols: for a fixed mask the erased symbols are X . known, and the known
 symbols are consistent iff C . known = 0.  The solving lives in `matrix`:
 `solve_erasures` solves one word, and a `matrix.ErasurePlan` holds X and C
-for one (matrix, mask) pair.  This module keeps the caches: `pc_decode`
-solves a mask directly the first time it sees it and replays its plan from
-the second time on.  Both the sightings and the plans sit in bounded
-caches, so masks that never repeat cost one direct solve each and no
-memory beyond the sightings table.  `codec.encode` is the plan for the
-systematic parity mask.
+for one (matrix, mask) pair.  `_plan` is the package's one table of plans,
+keyed by the matrix and the mask's bool bytes: `codec.encode` is one lookup
+of the systematic parity mask, the decoder's row repairs look up the row
+code's mask, and `pc_decode` solves a mask directly the first time it sees
+it and replays its plan from the second time on.  Both the sightings and
+the plans sit in bounded caches, so masks that never repeat cost
+`pc_decode` one direct solve each and no memory beyond the sightings table.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from .matrix import MatrixGF
 from .words import SymbolWord, word_arrays
 
 # (matrix, mask) pairs whose sightings are counted, and plans kept; a
-# degraded array cycles through a few failure masks per code
+# degraded array cycles through a few failure masks per code and a few
+# more per row code
 PLAN_SIGHTINGS = 1024
-PLAN_CACHE = 128
+PLAN_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -115,14 +117,14 @@ def density(pc: ParityCheck) -> float:
 
 @lru_cache(maxsize=PLAN_SIGHTINGS)
 def _sightings(h: MatrixGF, bits: bytes):
-    """Counter of the calls for one (matrix, packed mask) pair, from 0."""
+    """Counter of the calls for one (matrix, mask bytes) pair, from 0."""
     return itertools.count()
 
 
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(h: MatrixGF, bits: bytes) -> mx.ErasurePlan:
-    mask = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=h.cols).astype(bool)
-    return mx.ErasurePlan(h, mask)
+    """The plan of h for the mask whose bool bytes are `bits`."""
+    return mx.ErasurePlan(h, np.frombuffer(bits, dtype=bool))
 
 
 def pc_decode(pc: ParityCheck, word: SymbolWord):
@@ -137,7 +139,7 @@ def pc_decode(pc: ParityCheck, word: SymbolWord):
     plan; the result is the same either way.
     """
     h = pc.reduced
-    bits = np.packbits(np.frombuffer(bytes(word.erased), dtype=bool)).tobytes()
+    bits = bytes(word.erased)
     if next(_sightings(h, bits)) == 0:
         return mx.solve_erasures(h, word)
     syms, _ = word_arrays(word, h.cols, h.ctx.q)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -281,6 +282,22 @@ def test_simulate_keeps_one_set_of_orders(philox_built):
     assert kept.dtype == np.uint8 and not kept.flags.writeable
     assert np.array_equal(kept, anetf._trial_permutations(6, 0, 500, 84))
 
+
+def test_kept_orders_are_dropped_before_the_next_key_is_drawn(monkeypatch):
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    anetf._kept_permutations.cache_clear()
+    want = [anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=t, seed=6)) for t in (300, 400)]
+    anetf._kept_permutations.cache_clear()
+    old = weakref.ref(anetf._kept_permutations(6, 300, 84))
+    draw = anetf._trial_permutations
+
+    def after_the_old_orders_went(*args):
+        assert old() is None, "the previous orders are still held"
+        return draw(*args)
+
+    monkeypatch.setattr(anetf, "_trial_permutations", after_the_old_orders_went)
+    assert anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=400, seed=6)) == want[1]
+    assert anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=300, seed=6)) == want[0]
 
 @pytest.mark.parametrize("mode", anetf.MODES)
 def test_simulate_streams_orders_past_the_cap(mode, monkeypatch):

@@ -167,6 +167,11 @@ def test_anetf_bad_seed_or_trials(option, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tree", ["(True,2)", "((1,2),(1,2.5))"])
+def test_capability_entries_must_be_integers(tree, capsys):
+    assert run(["info", "--capability", tree, "--field", "3", "--n", "7"]) == 2
+    assert "capability entry must be an integer" in capsys.readouterr().err
+
 def test_mindist_brute_tiny(capsys):
     assert run(["mindist-brute", "--capability", "(1,3)", "--field", "2", "--n", "3"]) == 0
     out = capsys.readouterr().out

@@ -325,8 +325,9 @@ def test_leaf_plan_check_rows():
     rng = random.Random(9)
     for ctx, n, u in ((G8, 7, 4), (field(8), 7, 3)):
         leaf = LeafSpec(ctx, n, u)
+        h = pcheck.build_parity_check(leaf).reduced
         for erased in ((0,), (1, 4), (2, 3, 6), (0, 1, 2, 3)[:u]):
-            plan = codec._leaf_plan(leaf, np.isin(np.arange(n), erased).tobytes())
+            plan = pcheck._plan(h, np.isin(np.arange(n), erased).tobytes())
             assert plan.solvable and plan.n_checks == u - len(erased)
             checks = mx.MatrixGF(ctx, plan.rows[:plan.n_checks])
             solve = mx.MatrixGF(ctx, plan.rows[plan.n_checks:])
@@ -490,14 +491,19 @@ def test_decode_matches_recursive_oracle_and_pc_decode(data):
 
 
 def test_encode_does_not_run_the_recursive_decoder(monkeypatch):
+    # nor pc_decode or the direct solve: encode is one plan lookup
+    from eii import matrix as mx
+
     def boom(*args):
-        raise AssertionError("encode ran the recursive decoder")
+        raise AssertionError("encode ran a decoder")
 
     rng = random.Random(15)
     data = [rng.randrange(8) for _ in range(dimension(EX1))]
     expect = decode_based_encode(EX1, data)
     monkeypatch.setattr(codec, "_decode_node", boom)
-    monkeypatch.setattr(codec, "_leaf_plan", boom)
+    monkeypatch.setattr(codec, "_decode_child", boom)
+    monkeypatch.setattr(pcheck, "pc_decode", boom)
+    monkeypatch.setattr(mx, "solve_erasures", boom)
     for _ in range(3):
         assert codec.encode(EX1, data) == expect
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -87,6 +88,27 @@ def test_validate_leaf_row_length_vs_field():
 def test_validate_vector_length():
     with pytest.raises(Exception):
         validate(NodeSpec(G8, L12, (1, 1)))
+
+
+@pytest.mark.parametrize("n, u", [(7.5, 2), (True, 0), ("7", 2), (None, 2), (7, 2.0), (7, False)])
+def test_leaf_fields_must_be_integers(n, u):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        validate(LeafSpec(G16, n, u))
+
+
+@pytest.mark.parametrize("s", [(1.7, 1, 0), (True, 1, 0), ("2", 1, 0), (None, 1, 0), (1, 1, 0.0)])
+def test_multiplicities_must_be_integers(s):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        validate(NodeSpec(G16, (LeafSpec(G16, 7, 1), LeafSpec(G16, 7, 2)), s))
+
+
+def test_numpy_integer_fields_become_ints():
+    leaf = LeafSpec(G16, np.int64(7), np.uint8(2))
+    node = NodeSpec(G16, (leaf,), np.array([2, 1]))
+    assert (type(leaf.n), type(leaf.u)) == (int, int) and leaf == LeafSpec(G16, 7, 2)
+    assert all(type(x) is int for x in node.s) and node.s == (2, 1)
+    validate(node)
+    assert spec_from_json(spec_to_json(node)) == node
 
 
 def test_tail_counts():
@@ -268,6 +290,21 @@ def test_spec_from_capability_rejects_malformed_trees(tree, error, message):
     with pytest.raises(error) as info:
         spec_from_capability(G8, tree, 7)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tree", [
+    (1.5, 2), ((1, "2"), (1, 3)), (True, 2), [[1, 2], [1, None]], "(True,2)", "((1,2),(1,False))",
+])
+def test_capability_trees_must_hold_integers(tree):
+    with pytest.raises(ValidationError, match="capability entry must be an integer"):
+        spec_from_capability(G8, tree, 7)
+
+
+def test_capability_trees_as_lists_or_numpy_integers():
+    want = spec_from_capability(G8, "((1,2),(1,3))", 7)
+    assert spec_from_capability(G8, [[1, 2], (1, 3)], 7) == want
+    assert spec_from_capability(G8, [[np.int64(1), 2], [1, np.uint8(3)]], 7) == want
+    assert spec_from_capability(G8, np.int64(3), 7) == spec_from_capability(G8, (3,), 7)
 
 
 def test_spec_from_capability_round_trip():

@@ -267,6 +267,37 @@ def test_plan_caches_stay_bounded_on_fresh_masks():
     assert (plans.currsize, plans.misses, plans.hits) == (1, 1, 1)
 
 
+
+def test_one_plan_table_for_encode_and_row_repair(monkeypatch):
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    data = [i % 8 for i in range(dimension(spec))]
+    table = pcheck._plan
+    keys = []
+
+    def recorded(h, bits):
+        keys.append((h, bits))
+        return table(h, bits)
+
+    monkeypatch.setattr(pcheck, "_plan", recorded)
+    monkeypatch.setattr(codec, "_plan", recorded)
+    table.cache_clear()
+    word = codec.encode(spec, data)
+    assert table.cache_info()[:2] == (0, 1)  # (hits, misses): the first encode builds one plan
+    for _ in range(2):
+        assert codec.encode(spec, data) == word
+    assert table.cache_info()[:2] == (2, 1)
+    # row repairs in block 0 and a peel in block 1 land in the same table
+    erased = word.with_erasures([0, 8, 21, 22, 23])
+    for _ in range(2):
+        assert codec.decode(spec, erased)[0] == word
+        assert pcheck.pc_decode(pcheck.build_parity_check(spec), erased) == word
+    rows = {pcheck.build_parity_check(leaf).reduced for leaf in spec.children[0].children}
+    matrices = rows | {pcheck.build_parity_check(spec).reduced}
+    assert table.cache_info().currsize == len(set(keys)) > 2
+    for h, bits in keys:
+        assert h in matrices
+        assert type(bits) is bytes and len(bits) == h.cols and set(bits) <= {0, 1}
+
 def test_alist_export():
     pc = pcheck.build_parity_check(LeafSpec(G8, 4, 2))
     text = pcheck.to_alist(pc)
