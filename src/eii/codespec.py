@@ -58,6 +58,8 @@ def _hash_once(spec, fields: tuple) -> int:
 
 def _integer(value, what: str) -> int:
     """`value` as an int; ValidationError for bools, floats, strings and None."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -297,23 +299,28 @@ def parse_capability(text: str):
 def _capability_tree(value):
     """A tree of integers, lists and tuples as nested int tuples; a bare
     int is the one-entry tree.  Other entries, bools too, are rejected."""
-    def norm(v):
-        if isinstance(v, (tuple, list)):
-            return tuple(norm(x) for x in v)
+    value = _tree_entry(value)
+    return (value,) if type(value) is int else value
+
+
+def _tree_entry(v):
+    if not isinstance(v, (tuple, list)):
         return _integer(v, "capability entry")
-    value = norm(value)
-    return (value,) if isinstance(value, int) else value
+    return tuple([x if type(x) is int else _tree_entry(x) for x in v])
 
 
 # -- capability -> spec ---------------------------------------------------------
 
 
 def _flatten(entry):
-    if isinstance(entry, int):
+    if type(entry) is int:
         return (entry,)
     out = []
-    for e in entry:
-        out.extend(_flatten(e))
+    for e in entry:  # ints inline: this walk is most of rejecting a tree
+        if type(e) is int:
+            out.append(e)
+        else:
+            out.extend(_flatten(e))
     return tuple(out)
 
 
