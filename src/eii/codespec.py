@@ -304,6 +304,12 @@ def _capability_tree(value):
 
 
 def _tree_entry(v):
+    if type(v) is tuple:
+        for x in v:
+            if type(x) is not int:
+                break
+        else:
+            return v  # a row of plain ints, kept as it is
     if not isinstance(v, (tuple, list)):
         return _integer(v, "capability entry")
     return tuple([x if type(x) is int else _tree_entry(x) for x in v])
