@@ -10,10 +10,13 @@ order and output word.  `tests/golden/anetf.json` holds `report_to_json`
 for the 13 Table 1 rows under both oracles at a fixed seed.
 `tests/golden/pcheck.json` holds, for the same codes and four codes in
 which a leaf or a node contributes no rows, the shape and sha256 of the
-as-constructed and reduced parity-check matrices and their density.  Any
-change to the encoder, the decoder, the ANETF simulator or the
-parity-check synthesis that moves a single symbol, row, block or count
-fails here.
+as-constructed and reduced parity-check matrices and their density.
+`tests/golden/capability.json` holds, for every tree of the Table 1 design
+space and the 13 Table 1 rows, the outcome of `spec_from_capability`: the
+spec's JSON or the exception's type and message, as a sha256 and outcome
+counts.  Any change to the encoder, the decoder, the ANETF simulator, the
+parity-check synthesis or the capability-tree builder that moves a single
+symbol, row, block, count or message fails here.
 
 Regenerate (only when a behaviour change is intended and justified):
 
@@ -21,12 +24,14 @@ Regenerate (only when a behaviour change is intended and justified):
 """
 
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from eii import anetf, codec, pcheck
-from eii.codespec import NodeSpec, dimension, length, spec_from_capability
+from eii.codespec import NodeSpec, dimension, length, spec_from_capability, spec_to_json
 from eii.gf import field
 from eii.words import word_to_text
 
@@ -123,6 +128,36 @@ def pcheck_outputs() -> dict:
     return out
 
 
+def design_space():
+    """Four 3-row blocks, rows 0..6 sorted within a block, blocks as a
+    multiset, total redundancy 22: the Table 1 design space (23,828 trees)."""
+    triples = list(itertools.combinations_with_replacement(range(7), 3))
+    by_sum = defaultdict(list)
+    for idx, t in enumerate(triples):
+        by_sum[sum(t)].append(idx)
+    out = []
+    for a, b, c in itertools.combinations_with_replacement(range(len(triples)), 3):
+        rest = 22 - sum(triples[a]) - sum(triples[b]) - sum(triples[c])
+        out.extend((triples[a], triples[b], triples[c], triples[d])
+                   for d in by_sum.get(rest, ()) if d >= c)
+    return out
+
+
+def capability_outputs() -> dict:
+    cases = [(tree, 3, 7) for tree in design_space()] + [(cap, w, n) for cap, w, n, _, _ in TABLE_1]
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for tree, w, n in cases:
+        try:
+            outcome = spec_to_json(spec_from_capability(field(w), tree, n))
+            outcomes["spec"] += 1
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+            outcomes[type(exc).__name__] += 1
+        h.update((json.dumps([str(tree), w, n, outcome]) + "\n").encode())
+    return {"trees": len(cases), "sha256": h.hexdigest(), "outcomes": dict(sorted(outcomes.items()))}
+
+
 def _load(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text())
 
@@ -163,9 +198,14 @@ def test_pcheck_golden():
         assert got[label] == entry, label
 
 
+def test_capability_golden():
+    assert capability_outputs() == _load("capability.json")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "encode.json").write_text(json.dumps(encode_outputs(), indent=1) + "\n")
     (GOLDEN / "decode.json").write_text(json.dumps(decode_outputs(), indent=1) + "\n")
     (GOLDEN / "anetf.json").write_text(json.dumps(anetf_outputs(), indent=1) + "\n")
     (GOLDEN / "pcheck.json").write_text(json.dumps(pcheck_outputs(), indent=1) + "\n")
+    (GOLDEN / "capability.json").write_text(json.dumps(capability_outputs(), indent=1) + "\n")
