@@ -1,12 +1,15 @@
 """Systematic encoder and recursive erasure decoder for EII codes.
 
-The decoder follows the constructive correctability proof: blocks that the
-weakest child code can already repair are fixed first; the remaining erased
-blocks are ordered by the strength of the child code they need (strongest
-first, ties by block index); the weighted-sum constraints are triangulated
-over that ordering; and blocks are peeled off the bottom of the triangle,
-each time combining the target block with already-known blocks so the
-result lands in a child code that can finish the repair.
+The decoder is one recursion, `_repair`, that follows the constructive
+correctability proof: blocks that the weakest child code can already
+repair are fixed first; the remaining erased blocks are ordered by the
+strength of the child code they need (strongest first, ties by block
+index); the weighted-sum constraints are triangulated over that ordering;
+and blocks are peeled off the bottom of the triangle, each time combining
+the target block with already-known blocks so the result lands in a child
+code that can finish the repair.  It fills a block in place and returns
+the node's blocks in repair order.  `decode` decides capability before any
+repair, from the top node's block levels, which it then hands down.
 
 Guaranteed correctability is one rule, written once per mask as
 `_chain_levels`: vectorized over a batch of masks, it gives each mask the
@@ -44,8 +47,8 @@ from .codespec import (
     NodeSpec,
     block_count,
     dimension,
+    _weakest_term,
     length,
-    min_distance,
     tail_counts,
     validate,
 )
@@ -171,39 +174,33 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarra
     return rows
 
 
-class _Uncorrectable(Exception):
-    pass
+def _repair(spec: CodeSpec, symbols, erased, levels=None) -> list:
+    """Fill the erased symbols of a correctable block in place.
 
-
-def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_peel=None):
+    Returns the node's block indices in repair order (empty for a leaf).
+    `levels` gives each block's child level when the caller has them.
+    """
+    if isinstance(spec, LeafSpec):
+        # the block's pattern passed the capability rule: the plan is solvable
+        _plan(build_parity_check(spec).reduced, erased.tobytes()).fill(symbols)
+        return []
     m = block_count(spec)
     sym, era = symbols.reshape(m, -1), erased.reshape(m, -1)
-    level_arr = _chain_levels(spec.children, era)
-    levels = level_arr.tolist()
-    pending = []
-    for j, hit in enumerate(era.any(axis=1).tolist()):
-        if levels[j]:
-            pending.append(j)
-        elif hit:
-            _decode_child(spec.children[0], sym[j], era[j])
-            if report_peel is not None:
-                report_peel.append(j)
-
-    if report_levels is not None:
-        report_levels.extend(levels)
-    if _over_tails(level_arr, _chain_tails((spec,)))[0]:
-        raise _Uncorrectable
-
+    if levels is None:
+        levels = _chain_levels(spec.children, era).tolist()
+    order = [j for j, hit in enumerate(era.any(axis=1).tolist()) if hit and not levels[j]]
+    for j in order:
+        _repair(spec.children[0], sym[j], era[j])
+    pending = sorted((j for j in range(m) if levels[j]), key=lambda j: (-levels[j], j))
     if not pending:
-        return
-    pending.sort(key=lambda j: (-levels[j], j))
-    order = pending + [j for j in range(m) if j not in pending]
-    tri = _triangulate(spec.ctx, tuple(order), len(pending))
-    order = np.array(order)
+        return order
+    cols = pending + [j for j in range(m) if not levels[j]]
+    tri = _triangulate(spec.ctx, tuple(cols), len(pending))
+    cols = np.array(cols)
     mt = spec.ctx.mul_table
     for k in range(len(pending) - 1, -1, -1):
         j = pending[k]
-        combo = np.bitwise_xor.reduce(mt[tri[k, k + 1:, None], sym[order[k + 1:]]], axis=0)
+        combo = np.bitwise_xor.reduce(mt[tri[k, k + 1:, None], sym[cols[k + 1:]]], axis=0)
         mixed = sym[j] ^ combo
         if levels[j] == len(spec.children):
             # the combination lies in the zero code: known part must vanish
@@ -211,46 +208,33 @@ def _decode_node(spec: NodeSpec, symbols, erased, report_levels=None, report_pee
                 raise InconsistentWordError("zero-code block combination is nonzero")
             sym[j] = combo
         else:
-            _decode_child(spec.children[levels[j]], mixed, era[j])
+            _repair(spec.children[levels[j]], mixed, era[j])
             sym[j] = mixed ^ combo
-        if report_peel is not None:
-            report_peel.append(j)
-
-
-def _decode_child(spec: CodeSpec, symbols, erased):
-    if isinstance(spec, LeafSpec):
-        # the block's pattern passed the capability rule: the plan is solvable
-        _plan(build_parity_check(spec).reduced, erased.tobytes()).fill(symbols)
-    else:
-        _decode_node(spec, symbols, erased)
+        order.append(j)
+    return order
 
 
 def decode(spec: CodeSpec, word: SymbolWord):
     """Erasure decode; returns (word, DecodeReport).
 
     Every mask accepted by `correctable` is recovered.  On an uncorrectable
-    mask the input word is returned unchanged with outcome "uncorrectable".
-    A recovered word always passes a final membership check, so
-    InconsistentWordError is raised whenever the known symbols cannot
-    belong to any codeword.
+    mask the input word is returned unchanged with outcome "uncorrectable",
+    and nothing is repaired.  A recovered word always passes a final
+    membership check, so InconsistentWordError is raised whenever the known
+    symbols cannot belong to any codeword.
     """
     symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
-    peel: list = []
-    levels: list = []
-    try:
-        if isinstance(spec, LeafSpec):
-            if erased.sum() > spec.u:
-                raise _Uncorrectable
-            _decode_child(spec, symbols, erased)
-        else:
-            _decode_node(spec, symbols, erased, levels, peel)
-    except _Uncorrectable:
-        report = DecodeReport(UNCORRECTABLE, tuple(levels), ())
-        return word, report
+    if isinstance(spec, LeafSpec):
+        levels, ok = (), erased.sum() <= spec.u
+    else:
+        blocks = _chain_levels(spec.children, erased.reshape(block_count(spec), -1))
+        levels, ok = tuple(blocks.tolist()), not _over_tails(blocks, _chain_tails((spec,)))[0]
+    if not ok:
+        return word, DecodeReport(UNCORRECTABLE, levels, ())
+    order = _repair(spec, symbols, erased, levels)
     if any(mx.mat_vec(build_parity_check(spec).reduced, symbols)):
         raise InconsistentWordError("known symbols contradict every codeword")
-    out = SymbolWord.known(symbols.tolist())
-    return out, DecodeReport(RECOVERED, tuple(levels), tuple(peel))
+    return SymbolWord.known(symbols.tolist()), DecodeReport(RECOVERED, levels, tuple(order))
 
 
 # -- encoding --------------------------------------------------------------------
@@ -295,22 +279,15 @@ def _min_weight_symbols(spec: CodeSpec) -> np.ndarray:
         mask[1:spec.u + 1] = True
         _plan(build_parity_check(spec).reduced, mask.tobytes()).fill(out)
         return out
-    m = block_count(spec)
-    tails = tail_counts(spec)
-    candidates = [
-        (min_distance(ch) * (tails[j + 1] + 1), j)
-        for j, ch in enumerate(spec.children)
-        if tails[j + 1] < m
-    ]
-    _, j = min(candidates)
-    deg = tails[j + 1]
+    _, j = _weakest_term(spec)
+    deg = tail_counts(spec)[j + 1]
     witness = _min_weight_symbols(spec.children[j])
     # v(x) = (x + 1)(x + alpha) ... (x + alpha^(deg-1)), lowest degree first;
     # all of its coefficients are nonzero because deg <= m - 1 < order(alpha) + 1
     poly = np.ones(1, dtype=np.uint8)
     for root in ctx.exp_table[:deg]:
         poly = np.append(0, poly) ^ np.append(ctx.mul_table[root, poly], 0)
-    out = np.zeros((m, len(witness)), dtype=np.uint8)
+    out = np.zeros((block_count(spec), len(witness)), dtype=np.uint8)
     out[:deg + 1] = ctx.mul_table[poly[:, None], witness]
     return out.ravel()
 

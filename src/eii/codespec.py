@@ -15,6 +15,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .gf import FieldContext, field
 
@@ -144,10 +145,16 @@ def min_distance(spec: CodeSpec) -> int:
     """
     if isinstance(spec, LeafSpec):
         return spec.u + 1
+    return _weakest_term(spec)[0]
+
+
+def _weakest_term(spec: NodeSpec) -> tuple:
+    """(d, j): the least term of `min_distance` and its child, first j on
+    ties; the minimum-weight witness is built on child j."""
     m = block_count(spec)
     tails = tail_counts(spec)
     terms = [
-        min_distance(ch) * (tails[j + 1] + 1)
+        (min_distance(ch) * (tails[j + 1] + 1), j)
         for j, ch in enumerate(spec.children)
         if tails[j + 1] < m
     ]
@@ -206,7 +213,7 @@ def validate(spec: CodeSpec) -> None:
             raise ValidationError(f"leaf length {spec.n} < 1")
         if not 0 <= spec.u <= spec.n:
             raise ValidationError(f"leaf redundancy u={spec.u} outside 0..{spec.n}")
-        if 0 < spec.u < spec.n and spec.n > spec.ctx.q - 1:
+        if spec.u > 0 and spec.n > spec.ctx.q - 1:
             # the Vandermonde parity check needs n distinct evaluation points
             raise FieldTooSmallError(
                 f"row length {spec.n} exceeds order(alpha)={spec.ctx.q - 1} in GF({spec.ctx.q})"
@@ -339,9 +346,9 @@ def _shape(entry):
 def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     """Build nested specs for the given sorted, distinct capability entries.
 
-    Node entries are built over the union of the children appearing in any
-    of them, padding with zero multiplicities, so the resulting specs share
-    an identical child chain as nesting requires.
+    Each distinct sub-entry is flattened once.  Full ones (every leaf value
+    n) are zero-code blocks; the rest, in chain order, are built into the
+    children that every entry shares, as nesting requires.
     """
     if all(isinstance(e, int) for e in entries):
         return [LeafSpec(ctx, n, u) for u in entries]
@@ -350,42 +357,30 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     widths = {len(e) for e in entries}
     if len(widths) != 1:
         raise NotTotallyOrderedError("sibling capabilities have different block counts")
-    sub_entries, flats = [], []  # distinct sub-entries that are not full
-    sub_mult = []  # per entry: list of (index into sub_entries) or None for full
-    full_shapes = set()  # a full sub-entry is a zero-code block of its siblings' shape
+    flats = {}  # distinct sub-entry -> its flattened row
     for e in entries:
-        idxs = []
         for sub in e:
-            if sub in sub_entries:
-                idxs.append(sub_entries.index(sub))
-                continue
-            flat = _flatten(sub)
-            if flat == (n,) * len(flat):
-                full_shapes.add(_shape(sub))
-                idxs.append(None)
-                continue
-            sub_entries.append(sub)
-            flats.append(flat)
-            idxs.append(len(sub_entries) - 1)
-        sub_mult.append(idxs)
-    order = sorted(range(len(flats)), key=flats.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if not all(x <= y for x, y in zip(flats[a], flats[b])):
+            if sub not in flats:
+                flats[sub] = _flatten(sub)
+    full = {sub for sub, flat in flats.items() if flat == (n,) * len(flat)}
+    rows = sorted((item for item in flats.items() if item[0] not in full), key=itemgetter(1))
+    for (a, row_a), (b, row_b) in zip(rows, rows[1:]):
+        if not all(x <= y for x, y in zip(row_a, row_b)):
             raise NotTotallyOrderedError(
-                f"incomparable sibling capabilities {capability_to_string(sub_entries[a])} "
-                f"and {capability_to_string(sub_entries[b])}"
+                f"incomparable sibling capabilities {capability_to_string(a)} "
+                f"and {capability_to_string(b)}"
             )
-    sub_sorted = [sub_entries[k] for k in order]
-    if len({_shape(e) for e in sub_sorted} | full_shapes) > 1:
+    if len({_shape(sub) for sub in flats}) > 1:
         raise NotTotallyOrderedError("sibling capabilities have mixed shapes")
-    remap = {old: new for new, old in enumerate(order)}
-    children = _build_chain(ctx, sub_sorted, n)
+    subs = [sub for sub, _ in rows]
+    children = tuple(_build_chain(ctx, subs, n))
+    index = dict.fromkeys(full, len(children)) | {sub: k for k, sub in enumerate(subs)}
     specs = []
-    for idxs in sub_mult:
+    for e in entries:
         s = [0] * (len(children) + 1)
-        for k in idxs:
-            s[remap[k] if k is not None else len(children)] += 1
-        specs.append(NodeSpec(ctx, tuple(children), tuple(s)))
+        for sub in e:
+            s[index[sub]] += 1
+        specs.append(NodeSpec(ctx, children, tuple(s)))
     return specs
 
 

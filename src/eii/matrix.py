@@ -16,6 +16,7 @@ with the same mask.  The one table of plans sits in `pcheck`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,13 @@ class MatrixGF:
         return self.ctx == other.ctx and self.data.shape == other.data.shape \
             and bool(np.array_equal(self.data, other.data))
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
+        # kept on the matrix: every plan-table lookup hashes its matrix
         return hash((self.ctx, self.data.shape, self.data.tobytes()))
+
+    def __hash__(self):
+        return self._hash
 
     def tolist(self):
         return [[int(v) for v in row] for row in self.data]

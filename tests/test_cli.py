@@ -55,6 +55,11 @@ def test_validation_error_exit_code(capsys):
                 "--field", "3", "--n", "7"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+    # an all-parity row of 10 symbols needs 10 evaluation points; GF(8) has 7
+    assert run(["info", "--capability", "(10)", "--field", "3", "--n", "10"]) == 2
+    assert "exceeds order(alpha)=7" in capsys.readouterr().err
+    assert run(["info", "--capability", "(7)", "--field", "3", "--n", "7"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "[7, 0, 8]"
 
 
 def test_encode_decode_round_trip(tmp_path, capsys):

@@ -500,12 +500,31 @@ def test_encode_does_not_run_the_recursive_decoder(monkeypatch):
     rng = random.Random(15)
     data = [rng.randrange(8) for _ in range(dimension(EX1))]
     expect = decode_based_encode(EX1, data)
-    monkeypatch.setattr(codec, "_decode_node", boom)
-    monkeypatch.setattr(codec, "_decode_child", boom)
+    monkeypatch.setattr(codec, "_repair", boom)
     monkeypatch.setattr(pcheck, "pc_decode", boom)
     monkeypatch.setattr(mx, "solve_erasures", boom)
     for _ in range(3):
         assert codec.encode(EX1, data) == expect
+
+
+def test_uncorrectable_mask_repairs_nothing(monkeypatch):
+    # block 0 has one erasure and sits at level 0; blocks 1..3 each lose four
+    # symbols of a row and need the zero code, which no block may use
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+    erased = word.with_erasures([0] + [21 * b + r for b in (1, 2, 3) for r in range(4)])
+    table = codec._plan
+    lookups = []
+
+    def counted(h, bits):
+        lookups.append(bits)
+        return table(h, bits)
+
+    monkeypatch.setattr(codec, "_plan", counted)
+    out, report = codec.decode(spec, erased)
+    assert lookups == []
+    assert report == codec.DecodeReport(codec.UNCORRECTABLE, (0, 2, 2, 2), ())
+    assert out == erased
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

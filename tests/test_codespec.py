@@ -83,6 +83,10 @@ def test_validate_leaf_row_length_vs_field():
         validate(LeafSpec(G4, 4, 2))
     validate(LeafSpec(G4, 3, 2))
     validate(LeafSpec(G4, 5, 0))  # whole space carries no Vandermonde rows
+    # an all-parity row [n, 0] is encoded through n evaluation points too
+    with pytest.raises(FieldTooSmallError):
+        validate(LeafSpec(G8, 10, 10))
+    validate(LeafSpec(G8, 7, 7))
 
 
 def test_validate_vector_length():
