@@ -357,20 +357,23 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     widths = {len(e) for e in entries}
     if len(widths) != 1:
         raise NotTotallyOrderedError("sibling capabilities have different block counts")
-    flats = {}  # distinct sub-entry -> its flattened row
+    flats, full = {}, set()  # distinct sub-entries: chain members' flattened rows; full ones
     for e in entries:
         for sub in e:
-            if sub not in flats:
-                flats[sub] = _flatten(sub)
-    full = {sub for sub, flat in flats.items() if flat == (n,) * len(flat)}
-    rows = sorted((item for item in flats.items() if item[0] not in full), key=itemgetter(1))
+            if sub not in flats and sub not in full:
+                flat = _flatten(sub)
+                if flat == (n,) * len(flat):
+                    full.add(sub)
+                else:
+                    flats[sub] = flat
+    rows = sorted(flats.items(), key=itemgetter(1))
     for (a, row_a), (b, row_b) in zip(rows, rows[1:]):
         if not all(x <= y for x, y in zip(row_a, row_b)):
             raise NotTotallyOrderedError(
                 f"incomparable sibling capabilities {capability_to_string(a)} "
                 f"and {capability_to_string(b)}"
             )
-    if len({_shape(sub) for sub in flats}) > 1:
+    if len({_shape(sub) for sub in [*flats, *full]}) > 1:
         raise NotTotallyOrderedError("sibling capabilities have mixed shapes")
     subs = [sub for sub, _ in rows]
     children = tuple(_build_chain(ctx, subs, n))

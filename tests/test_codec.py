@@ -507,12 +507,22 @@ def test_encode_does_not_run_the_recursive_decoder(monkeypatch):
         assert codec.encode(EX1, data) == expect
 
 
-def test_uncorrectable_mask_repairs_nothing(monkeypatch):
+@pytest.mark.parametrize("cap, erased, flipped, assignment", [
     # block 0 has one erasure and sits at level 0; blocks 1..3 each lose four
     # symbols of a row and need the zero code, which no block may use
-    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
-    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
-    erased = word.with_erasures([0] + [21 * b + r for b in (1, 2, 3) for r in range(4)])
+    ("((1,1,2),(1,2,3),(1,2,3),(1,2,3))",
+     [0] + [21 * b + r for b in (1, 2, 3) for r in range(4)], None, (0, 2, 2, 2)),
+    # block 0 sits at level 0, but the known symbols of its zero-code
+    # sub-block contradict the code: repairing it would raise
+    ("(((1,1,2),(7,7,7)),((1,2,3),(7,7,7)),((1,2,3),(7,7,7)))",
+     [21 * b + r for b in (1, 2, 3, 4, 5) for r in range(4)], 27, (0, 2, 2)),
+])
+def test_uncorrectable_mask_repairs_nothing(monkeypatch, cap, erased, flipped, assignment):
+    spec = spec_from_capability(G8, cap, 7)
+    symbols = list(codec.encode(spec, [i % 8 for i in range(dimension(spec))]).symbols)
+    if flipped is not None:
+        symbols[flipped] ^= 1
+    word = SymbolWord(symbols, [i in erased for i in range(len(symbols))])
     table = codec._plan
     lookups = []
 
@@ -521,10 +531,10 @@ def test_uncorrectable_mask_repairs_nothing(monkeypatch):
         return table(h, bits)
 
     monkeypatch.setattr(codec, "_plan", counted)
-    out, report = codec.decode(spec, erased)
+    out, report = codec.decode(spec, word)
     assert lookups == []
-    assert report == codec.DecodeReport(codec.UNCORRECTABLE, (0, 2, 2, 2), ())
-    assert out == erased
+    assert report == codec.DecodeReport(codec.UNCORRECTABLE, assignment, ())
+    assert out == word
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
