@@ -7,17 +7,18 @@ strength of the child code they need (strongest first, ties by block
 index); the weighted-sum constraints are triangulated over that ordering;
 and blocks are peeled off the bottom of the triangle, each time combining
 the target block with already-known blocks so the result lands in a child
-code that can finish the repair.  It fills a block in place and returns
-the node's blocks in repair order.  `decode` decides capability before any
-repair, from the top node's block levels, which it then hands down.
+code that can finish the repair.  It writes only erased symbols, and
+returns the node's blocks in repair order.  A block in the implicit zero
+code is peeled like any other, with the erased entries of its combination
+set to zero.
 
-Guaranteed correctability is one rule, written once per mask as
-`_chain_levels`: vectorized over a batch of masks, it gives each mask the
-weakest member of a nested chain of sibling codes that can repair it.
-`correctable` asks it about one mask, and the decoder about the blocks of
-each node it visits (one call per node gives every block's level).
-`anetf` applies the same rule along a whole erasure order, through the
-tail profiles of `_chain_tails`, as first-rejection times.
+Guaranteed correctability is one rule, `_chain_levels`: vectorized over a
+batch of masks, it gives each mask the weakest member of a nested chain of
+sibling codes that can repair it, and every block below it the weakest
+child that can.  `correctable` reads its first entry; `decode` calls it
+once, for its verdict and for every node's block levels.  `anetf` applies
+the same rule along a whole erasure order, through the tail profiles of
+`_chain_tails`, as first-rejection times.
 
 Encoding does not use the decoder: data fills the systematic positions,
 every parity position is an erasure, and one lookup in the plan table
@@ -35,6 +36,7 @@ parity-check matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,31 +90,24 @@ def _chain_tails(chain: tuple) -> np.ndarray:
     return np.array([tail_counts(ch)[1:] for ch in chain])
 
 
-def _over_tails(levels: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Whether more than tail_i blocks sit at level i or deeper, for some i >= 1.
-
-    levels has shape (..., m); tails is (C, t), one profile per chain
-    member; the result is (..., C).
-    """
-    deep = (levels[..., None] >= np.arange(1, tails.shape[-1] + 1)).sum(axis=-2)
-    return (deep[..., None, :] > tails).any(axis=-1)
-
-
-def _chain_levels(chain: tuple, masks: np.ndarray) -> np.ndarray:
-    """Index of the weakest spec in `chain` guaranteed to correct each mask.
+def _chain_levels(chain: tuple, masks: np.ndarray) -> list:
+    """Levels of each mask against `chain`, then of every block below it.
 
     `chain` is a strictly nested tuple of siblings sharing their children;
-    `masks` is boolean, (..., N).  A mask no member corrects gets
-    len(chain).  Nesting makes the tail profiles grow along the chain, so
-    the members that reject a mask form a prefix and counting them gives
-    the level.
+    `masks` is boolean, (..., N).  Entry 0, shape (...), is the index of
+    the weakest member guaranteed to correct each mask (len(chain) if
+    none); entry d, shape (..., m_1, ..., m_d), is every depth-d block's
+    level against the chain of children the members share at that depth.
+    Nesting makes the tail profiles grow along the chain, so the members
+    that reject a mask form a prefix and counting them gives the level.
     """
     tails = _chain_tails(chain)
     head = chain[0]
     if isinstance(head, LeafSpec):
-        return np.searchsorted(tails, masks.sum(axis=-1))
-    blocks = masks.reshape(masks.shape[:-1] + (block_count(head), -1))
-    return _over_tails(_chain_levels(head.children, blocks), tails).sum(axis=-1)
+        return [np.searchsorted(tails, masks.sum(axis=-1))]
+    below = _chain_levels(head.children, masks.reshape(masks.shape[:-1] + (block_count(head), -1)))
+    deep = (below[0][..., None] >= np.arange(1, tails.shape[-1] + 1)).sum(axis=-2)
+    return [(deep[..., None, :] > tails).any(axis=-1).sum(axis=-1), *below]
 
 
 def correctable(spec: CodeSpec, mask) -> bool:
@@ -120,7 +115,7 @@ def correctable(spec: CodeSpec, mask) -> bool:
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 1 or len(mask) != length(spec):
         raise ValueError(f"mask length {len(mask)} != code length {length(spec)}")
-    return bool(_chain_levels((spec,), mask) == 0)
+    return bool(_chain_levels((spec,), mask)[0] == 0)
 
 
 # -- membership ----------------------------------------------------------------
@@ -174,11 +169,12 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarra
     return rows
 
 
-def _repair(spec: CodeSpec, symbols, erased, levels=None) -> list:
+def _repair(spec: CodeSpec, symbols, erased, levels: list) -> list:
     """Fill the erased symbols of a correctable block in place.
 
-    Returns the node's block indices in repair order (empty for a leaf).
-    `levels` gives each block's child level when the caller has them.
+    `levels` is the block's share of `_chain_levels`: entry d holds the
+    levels of its blocks d + 1 layers down.  Returns the node's block
+    indices in repair order (empty for a leaf).
     """
     if isinstance(spec, LeafSpec):
         # the block's pattern passed the capability rule: the plan is solvable
@@ -186,15 +182,14 @@ def _repair(spec: CodeSpec, symbols, erased, levels=None) -> list:
         return []
     m = block_count(spec)
     sym, era = symbols.reshape(m, -1), erased.reshape(m, -1)
-    if levels is None:
-        levels = _chain_levels(spec.children, era).tolist()
-    order = [j for j, hit in enumerate(era.any(axis=1).tolist()) if hit and not levels[j]]
+    top = levels[0].tolist()
+    order = [j for j, hit in enumerate(era.any(axis=1).tolist()) if hit and not top[j]]
     for j in order:
-        _repair(spec.children[0], sym[j], era[j])
-    pending = sorted((j for j in range(m) if levels[j]), key=lambda j: (-levels[j], j))
+        _repair(spec.children[0], sym[j], era[j], [lv[j] for lv in levels[1:]])
+    pending = sorted((j for j in range(m) if top[j]), key=lambda j: (-top[j], j))
     if not pending:
         return order
-    cols = pending + [j for j in range(m) if not levels[j]]
+    cols = pending + [j for j in range(m) if not top[j]]
     tri = _triangulate(spec.ctx, tuple(cols), len(pending))
     cols = np.array(cols)
     mt = spec.ctx.mul_table
@@ -202,14 +197,11 @@ def _repair(spec: CodeSpec, symbols, erased, levels=None) -> list:
         j = pending[k]
         combo = np.bitwise_xor.reduce(mt[tri[k, k + 1:, None], sym[cols[k + 1:]]], axis=0)
         mixed = sym[j] ^ combo
-        if levels[j] == len(spec.children):
-            # the combination lies in the zero code: known part must vanish
-            if mixed[~era[j]].any():
-                raise InconsistentWordError("zero-code block combination is nonzero")
-            sym[j] = combo
+        if top[j] == len(spec.children):
+            mixed[era[j]] = 0  # the combination lies in the zero code
         else:
-            _repair(spec.children[levels[j]], mixed, era[j])
-            sym[j] = mixed ^ combo
+            _repair(spec.children[top[j]], mixed, era[j], [lv[j] for lv in levels[1:]])
+        sym[j] = mixed ^ combo
         order.append(j)
     return order
 
@@ -217,24 +209,22 @@ def _repair(spec: CodeSpec, symbols, erased, levels=None) -> list:
 def decode(spec: CodeSpec, word: SymbolWord):
     """Erasure decode; returns (word, DecodeReport).
 
-    Every mask accepted by `correctable` is recovered.  On an uncorrectable
-    mask the input word is returned unchanged with outcome "uncorrectable",
-    and nothing is repaired.  A recovered word always passes a final
-    membership check, so InconsistentWordError is raised whenever the known
+    One `_chain_levels` pass gives the verdict, the assignment and every
+    node's block levels.  A mask accepted by `correctable` is recovered; on
+    any other the input word comes back unchanged as "uncorrectable", and
+    nothing is repaired.  Decoding writes only erased positions, and a final
+    membership check raises InconsistentWordError whenever the known
     symbols cannot belong to any codeword.
     """
     symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
-    if isinstance(spec, LeafSpec):
-        levels, ok = (), erased.sum() <= spec.u
-    else:
-        blocks = _chain_levels(spec.children, erased.reshape(block_count(spec), -1))
-        levels, ok = tuple(blocks.tolist()), not _over_tails(blocks, _chain_tails((spec,)))[0]
-    if not ok:
-        return word, DecodeReport(UNCORRECTABLE, levels, ())
+    verdict, *levels = _chain_levels((spec,), erased)
+    assignment = tuple(levels[0].tolist()) if levels else ()
+    if verdict:
+        return word, DecodeReport(UNCORRECTABLE, assignment, ())
     order = _repair(spec, symbols, erased, levels)
     if any(mx.mat_vec(build_parity_check(spec).reduced, symbols)):
         raise InconsistentWordError("known symbols contradict every codeword")
-    return SymbolWord.known(symbols.tolist()), DecodeReport(RECOVERED, levels, tuple(order))
+    return SymbolWord.known(symbols.tolist()), DecodeReport(RECOVERED, assignment, tuple(order))
 
 
 # -- encoding --------------------------------------------------------------------
@@ -295,16 +285,16 @@ def _min_weight_symbols(spec: CodeSpec) -> np.ndarray:
 # -- brute force (guard rail for tests and the CLI) -----------------------------------
 
 
-def brute_force_min_weight(spec: CodeSpec, limit: int = 1 << 24) -> int:
-    """Minimum nonzero codeword weight by enumerating all q^k data vectors."""
-    import itertools
+BRUTE_FORCE_GUARD = 1 << 24  # the most data vectors brute_force_min_weight enumerates
 
-    k = dimension(spec)
-    q = spec.ctx.q
+
+def brute_force_min_weight(spec: CodeSpec) -> int:
+    """Minimum nonzero codeword weight by enumerating all q^k data vectors."""
+    k, q = dimension(spec), spec.ctx.q
     if k < 1:
         raise NoCodewordsError("zero-dimensional code")
-    if q ** k > limit:
-        raise ValueError(f"refusing brute force: q^k = {q}^{k} exceeds the enumeration guard {limit}")
+    if q ** k > BRUTE_FORCE_GUARD:
+        raise ValueError(f"refusing brute force: q^k = {q}^{k} exceeds the enumeration guard")
     n = length(spec)
     gen = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):

@@ -14,7 +14,7 @@ import ast
 import json
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .gf import FieldContext, field
@@ -44,19 +44,6 @@ class NotTotallyOrderedError(ValidationError):
     """Sibling capabilities cannot be arranged into a nested chain."""
 
 
-def _hash_once(spec, fields: tuple) -> int:
-    """hash(fields), computed on first use and kept on the spec.
-
-    Specs key the package's lru_caches, and the hash of a deep NodeSpec
-    walks its whole tree; equal specs still hash equal.
-    """
-    h = spec.__dict__.get("_hash")
-    if h is None:
-        h = hash(fields)
-        object.__setattr__(spec, "_hash", h)
-    return h
-
-
 def _integer(value, what: str) -> int:
     """`value` as an int; ValidationError for bools, floats, strings and None."""
     if type(value) is int:
@@ -78,8 +65,13 @@ class LeafSpec:
         object.__setattr__(self, "n", _integer(self.n, "leaf length n"))
         object.__setattr__(self, "u", _integer(self.u, "leaf redundancy u"))
 
+    @cached_property
+    def _hash(self) -> int:
+        # kept on the spec: specs key the package's lru_caches
+        return hash((self.ctx, self.n, self.u))
+
     def __hash__(self):
-        return _hash_once(self, (self.ctx, self.n, self.u))
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,13 @@ class NodeSpec:
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "s", tuple(_integer(x, "multiplicity") for x in self.s))
 
+    @cached_property
+    def _hash(self) -> int:
+        # kept on the spec: the hash of a deep node walks its whole tree
+        return hash((self.ctx, self.children, self.s))
+
     def __hash__(self):
-        return _hash_once(self, (self.ctx, self.children, self.s))
+        return self._hash
 
 
 CodeSpec = LeafSpec | NodeSpec
@@ -164,9 +161,10 @@ def _weakest_term(spec: NodeSpec) -> tuple:
 
 
 def layer_count(spec: CodeSpec) -> int:
-    if isinstance(spec, LeafSpec):
-        return 1
-    return 1 + layer_count(spec.children[0])
+    layers = 1
+    while isinstance(spec, NodeSpec):  # a loop: validate counts before it recurses
+        spec, layers = spec.children[0], layers + 1
+    return layers
 
 
 def level_count(spec: CodeSpec) -> int:
@@ -205,6 +203,10 @@ def _strictly_nested(a: CodeSpec, b: CodeSpec) -> bool:
 
 # -- validation ---------------------------------------------------------------
 
+# Table 1 codes have at most 4 layers; the capability rule's arrays take one
+# dimension per layer, and numpy allows at most 64.
+MAX_LAYERS = 32
+
 
 def validate(spec: CodeSpec) -> None:
     """Raise a ValidationError subclass when any structural invariant fails."""
@@ -221,6 +223,8 @@ def validate(spec: CodeSpec) -> None:
         return
     if len(spec.children) < 1:
         raise ValidationError("node needs at least one child")
+    if layer_count(spec) > MAX_LAYERS:
+        raise ValidationError(f"{layer_count(spec)} layers exceed the limit of {MAX_LAYERS}")
     if len(spec.s) != len(spec.children) + 1:
         raise ValidationError(
             f"multiplicity vector has {len(spec.s)} entries for {len(spec.children)} children"
@@ -394,12 +398,15 @@ def spec_from_capability(ctx: FieldContext, tree, n: int) -> CodeSpec:
     capability entries themselves.  A single-entry flat tree such as (22)
     denotes the plain MDS row code [n, n-22].
     """
-    tree = parse_capability(tree) if isinstance(tree, str) else _capability_tree(tree)
-    if len(tree) == 1 and isinstance(tree[0], int):
-        spec = LeafSpec(ctx, n, tree[0])
-    else:
-        spec = _build_chain(ctx, [tuple(tree)], n)[0]
-    validate(spec)
+    try:
+        tree = parse_capability(tree) if isinstance(tree, str) else _capability_tree(tree)
+        if len(tree) == 1 and isinstance(tree[0], int):
+            spec = LeafSpec(ctx, n, tree[0])
+        else:
+            spec = _build_chain(ctx, [tuple(tree)], n)[0]
+        validate(spec)
+    except RecursionError:
+        raise ValidationError("capability tree nests too deeply") from None
     return spec
 
 
@@ -439,8 +446,11 @@ def _code_from_dict(ctx: FieldContext, d) -> CodeSpec:
 
 
 def spec_from_json(text: str) -> CodeSpec:
-    doc = json.loads(text)
-    ctx = field(_entry(_entry(doc, "field", dict), "w", int))
-    spec = _code_from_dict(ctx, _entry(doc, "code", dict))
-    validate(spec)
+    try:
+        doc = json.loads(text)
+        ctx = field(_entry(_entry(doc, "field", dict), "w", int))
+        spec = _code_from_dict(ctx, _entry(doc, "code", dict))
+        validate(spec)
+    except RecursionError:
+        raise ValidationError("spec JSON nests too deeply") from None
     return spec

@@ -11,7 +11,7 @@ supported field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,20 +89,17 @@ class FieldContext:
 
     # -- vectorized table views (lazy, cached on first use) ----------------
 
-    @property
+    @cached_property
     def mul_table(self) -> np.ndarray:
         """Full q x q multiplication table as uint8, for numpy fancy indexing."""
-        table = getattr(self, "_mul_table", None)
-        if table is None:
-            q = self.q
-            log = np.array(self.log_table, dtype=np.int32)
-            exp = np.array(self.exp_table[: q - 1], dtype=np.uint8)
-            a = np.arange(q, dtype=np.int32)
-            table = exp[(log[a][:, None] + log[a][None, :]) % (q - 1)]
-            table[0, :] = 0
-            table[:, 0] = 0
-            table.setflags(write=False)
-            object.__setattr__(self, "_mul_table", table)
+        q = self.q
+        log = np.array(self.log_table, dtype=np.int32)
+        exp = np.array(self.exp_table[: q - 1], dtype=np.uint8)
+        a = np.arange(q, dtype=np.int32)
+        table = exp[(log[a][:, None] + log[a][None, :]) % (q - 1)]
+        table[0, :] = 0
+        table[:, 0] = 0
+        table.setflags(write=False)
         return table
 
     def mul_arrays(self, a, b) -> np.ndarray:
@@ -115,15 +112,12 @@ class FieldContext:
         """
         return self.mul_table.ravel().take((np.asarray(a, dtype=np.uint16) << self.w) | b)
 
-    @property
+    @cached_property
     def inv_table(self) -> np.ndarray:
-        table = getattr(self, "_inv_table", None)
-        if table is None:
-            table = np.zeros(self.q, dtype=np.uint8)
-            for a in range(1, self.q):
-                table[a] = self.inv(a)
-            table.setflags(write=False)
-            object.__setattr__(self, "_inv_table", table)
+        table = np.zeros(self.q, dtype=np.uint8)
+        for a in range(1, self.q):
+            table[a] = self.inv(a)
+        table.setflags(write=False)
         return table
 
     def __repr__(self):

@@ -108,7 +108,7 @@ def bisect_capability_counts(spec, perms):
     hi = np.full(n_trials, n, dtype=np.int64)  # one that is rejected
     while (hi - lo > 1).any():
         mid = (lo + hi) // 2
-        ok = codec._chain_levels((spec,), when < mid[:, None]) == 0
+        ok = codec._chain_levels((spec,), when < mid[:, None])[0] == 0
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     return hi

@@ -62,6 +62,19 @@ def test_validation_error_exit_code(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "[7, 0, 8]"
 
 
+def test_deep_specs_exit_2(tmp_path, capsys):
+    # one-block nodes, 400 and 200 layers deep: the first nests past the
+    # JSON parser's recursion limit, the second past the layer cap
+    for layers, command in ((400, ["info"]), (200, ["anetf", "--trials", "10"])):
+        doc = '{"leaf": {"n": 3, "u": 1}}'
+        for _ in range(layers - 1):
+            doc = '{"node": {"s": [1, 0], "children": [' + doc + ']}}'
+        path = tmp_path / f"deep{layers}.json"
+        path.write_text('{"field": {"w": 3}, "code": ' + doc + '}')
+        assert run([*command, "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_encode_decode_round_trip(tmp_path, capsys):
     spec = spec_from_capability(field(3), "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     data = tmp_path / "data.txt"

@@ -11,6 +11,7 @@ from eii.codespec import (
     block_count,
     capability,
     dimension,
+    layer_count,
     length,
     min_distance,
     row_length,
@@ -21,6 +22,8 @@ from eii.codespec import (
 from eii.gf import FieldContext, field
 from eii.matrix import InconsistentWordError
 from eii.words import SymbolWord
+from test_acceptance import TABLE_1
+from test_golden import STRIPE_SHAPES
 
 G4 = field(2)
 G8 = field(3)
@@ -367,15 +370,19 @@ def test_decode_and_encode_make_no_scalar_field_calls(monkeypatch):
 def test_zero_code_check_rejects_a_changed_known_symbol():
     # blocks 0 and 1 are intact; block 2 (positions 14..20) sits in the zero
     # code with only position 15 known.  Flipping it makes the peeled
-    # combination nonzero on a known position: without the zero-code check
-    # the decoder overwrites position 15 and returns a different codeword,
-    # which the final membership check accepts.
+    # combination nonzero on a known position: a decoder that overwrote
+    # position 15 would return a different codeword, which the final
+    # membership check accepts.  Decode writes only erased positions, so
+    # the membership check sees the flipped symbol and rejects the word.
     spec = NodeSpec(G8, (LeafSpec(G8, 7, 1), LeafSpec(G8, 7, 2)), (1, 1, 1))
     word = random_codeword(spec, random.Random(3))
+    erased = [i for i in range(14, 21) if i != 15]
+    out, report = codec.decode(spec, word.with_erasures(erased))
+    assert out == word and report.outcome == codec.RECOVERED
     symbols = list(word.symbols)
     symbols[15] ^= 1
-    bad = SymbolWord.known(symbols).with_erasures([i for i in range(14, 21) if i != 15])
-    with pytest.raises(InconsistentWordError, match="zero-code block combination is nonzero"):
+    bad = SymbolWord.known(symbols).with_erasures(erased)
+    with pytest.raises(InconsistentWordError, match="known symbols contradict every codeword"):
         codec.decode(spec, bad)
 
 
@@ -454,10 +461,10 @@ def test_chain_levels_match_recursive_oracle(data):
         mask = np.zeros(size, dtype=bool)
         mask[list(order[:weight])] = True
         masks.append(mask)
-    batch = codec._chain_levels(chain, np.array(masks))
+    batch = codec._chain_levels(chain, np.array(masks))[0]
     assert batch.shape == (len(masks),)
     for mask, level in zip(masks, batch.tolist()):
-        assert codec._chain_levels(chain, mask) == level
+        assert codec._chain_levels(chain, mask)[0] == level
         expect = next(
             (i for i, spec in enumerate(chain) if recursive_correctable(spec, mask)), len(chain)
         )
@@ -535,6 +542,86 @@ def test_uncorrectable_mask_repairs_nothing(monkeypatch, cap, erased, flipped, a
     assert lookups == []
     assert report == codec.DecodeReport(codec.UNCORRECTABLE, assignment, ())
     assert out == word
+
+
+@pytest.mark.parametrize("cap, w, n", [(cap, 8, 7) for cap in STRIPE_SHAPES]
+                         + [(cap, w, n) for cap, w, n, _, _ in TABLE_1])
+def test_decode_runs_the_capability_rule_once_per_layer(monkeypatch, cap, w, n):
+    # one top call, recursion included, gives the verdict and every level
+    spec = spec_from_capability(field(w), cap, n)
+    rng = random.Random(cap)
+    word = random_codeword(spec, rng)
+    order = list(range(length(spec)))
+    rng.shuffle(order)
+    mask = [False] * length(spec)
+    for cut, pos in enumerate(order):
+        mask[pos] = True
+        if not codec.correctable(spec, mask):
+            break
+    real = codec._chain_levels
+    calls = []
+
+    def counted(chain, masks):
+        calls.append(chain)
+        return real(chain, masks)
+
+    monkeypatch.setattr(codec, "_chain_levels", counted)
+    for erased, outcome in ((order[:cut], codec.RECOVERED), (order[:cut + 1], codec.UNCORRECTABLE),
+                            (order, codec.UNCORRECTABLE)):
+        calls.clear()
+        out, report = codec.decode(spec, word.with_erasures(erased))
+        assert report.outcome == outcome
+        assert len(calls) == layer_count(spec), (cap, len(erased))
+        assert out == (word if outcome == codec.RECOVERED else word.with_erasures(erased))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_chain_levels_give_every_block_its_level(data):
+    # entry d holds the level of every depth-d block, which the recursive
+    # rule gives against the children of the layer above
+    n = data.draw(st.integers(1, 7))
+    chain = data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))
+    size = length(chain[0])
+    order = data.draw(st.permutations(range(size)))
+    mask = np.zeros(size, dtype=bool)
+    mask[list(order[:data.draw(st.integers(0, size))])] = True
+    levels = codec._chain_levels(chain, mask)
+    assert len(levels) == layer_count(chain[0])
+    spec, blocks, shape = chain[0], mask, ()
+    for entry in levels[1:]:
+        blocks = blocks.reshape(-1, length(spec.children[0]))
+        shape += (block_count(spec),)
+        assert entry.shape == shape
+        assert entry.ravel().tolist() == [_recursive_block_level(spec, b) for b in blocks]
+        spec = spec.children[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_decode_never_writes_a_known_symbol(data):
+    # random known symbols under a correctable mask: decode either finds
+    # them inconsistent or returns a codeword that keeps every one of them
+    n = data.draw(st.integers(1, 7))
+    for spec in data.draw(ordered_chains(data.draw(st.integers(0, 2)), n)):
+        size = length(spec)
+        symbols = data.draw(st.lists(st.integers(0, 7), min_size=size, max_size=size))
+        mask = [False] * size
+        good = []
+        for pos in data.draw(st.permutations(range(size))):
+            mask[pos] = True
+            if not codec.correctable(spec, mask):
+                break
+            good.append(pos)
+        erased = good[:data.draw(st.integers(0, len(good)))]
+        word = SymbolWord.known(symbols).with_erasures(erased)
+        try:
+            out, report = codec.decode(spec, word)
+        except InconsistentWordError:
+            continue
+        assert report.outcome == codec.RECOVERED and codec.is_codeword(spec, out)
+        assert [x for i, x in enumerate(out.symbols) if i not in erased] == \
+            [x for i, x in enumerate(symbols) if i not in erased]
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -672,5 +759,5 @@ def test_min_distance_matches_witness_and_brute_force(data):
 
 
 def test_brute_force_guard():
-    with pytest.raises(ValueError):
-        codec.brute_force_min_weight(LeafSpec(field(8), 100, 50), limit=1 << 10)
+    with pytest.raises(ValueError, match="exceeds the enumeration guard"):
+        codec.brute_force_min_weight(LeafSpec(field(8), 100, 50))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eii import codec
 from eii.codespec import (
+    MAX_LAYERS,
     DifferentChildrenError,
     FieldTooSmallError,
     LeafSpec,
@@ -302,6 +304,42 @@ def test_spec_from_capability_rejects_malformed_trees(tree, error, message):
 def test_capability_trees_must_hold_integers(tree):
     with pytest.raises(ValidationError, match="capability entry must be an integer"):
         spec_from_capability(G8, tree, 7)
+
+
+def one_block_layers(layers: int):
+    """A spec of `layers` layers, each node one block over the layer below."""
+    spec = LeafSpec(G8, 3, 1)
+    for _ in range(layers - 1):
+        spec = NodeSpec(G8, (spec,), (1, 0))
+    return spec
+
+
+def test_validate_caps_the_layer_count():
+    # the capability rule takes one array dimension per layer; numpy has 64
+    spec = one_block_layers(MAX_LAYERS)
+    validate(spec)
+    assert codec.correctable(spec, [True, False, False])
+    assert not codec.correctable(spec, [True, True, False])
+    with pytest.raises(ValidationError, match=f"{MAX_LAYERS + 1} layers exceed the limit"):
+        validate(one_block_layers(MAX_LAYERS + 1))
+    for layers in (72, 2000):
+        with pytest.raises(ValidationError, match=f"{layers} layers exceed the limit"):
+            validate(one_block_layers(layers))
+
+
+def test_deep_trees_and_json_raise_validation_errors():
+    tree = 0
+    for _ in range(3000):
+        tree = (tree,)
+    with pytest.raises(ValidationError, match="capability tree nests too deeply"):
+        spec_from_capability(G8, tree, 7)
+    with pytest.raises(ValidationError, match="layers exceed the limit"):
+        spec_from_capability(G8, "(" * 100 + "1" + ",)" * 100, 7)
+    doc = '{"leaf": {"n": 3, "u": 1}}'
+    for _ in range(399):
+        doc = '{"node": {"s": [1, 0], "children": [' + doc + ']}}'
+    with pytest.raises(ValidationError, match="spec JSON nests too deeply"):
+        spec_from_json('{"field": {"w": 3}, "code": ' + doc + '}')
 
 
 def test_capability_trees_as_lists_or_numpy_integers():
