@@ -203,9 +203,10 @@ def _strictly_nested(a: CodeSpec, b: CodeSpec) -> bool:
 
 # -- validation ---------------------------------------------------------------
 
-# Table 1 codes have at most 4 layers; the capability rule's arrays take one
-# dimension per layer, and numpy allows at most 64.
-MAX_LAYERS = 32
+# Table 1 codes have at most 4 layers.  The capability rule's arrays take
+# one dimension per layer, plus one for anetf's batch of trials, and numpy
+# sorts arrays of at most 32 dimensions.
+MAX_LAYERS = 16
 
 
 def validate(spec: CodeSpec) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eii import codec
+from eii import anetf, codec
 from eii.codespec import (
     MAX_LAYERS,
     DifferentChildrenError,
@@ -315,14 +315,17 @@ def one_block_layers(layers: int):
 
 
 def test_validate_caps_the_layer_count():
-    # the capability rule takes one array dimension per layer; numpy has 64
+    # the capability rule takes one array dimension per layer, and anetf
+    # one more for its trials: every entry point runs at the cap
     spec = one_block_layers(MAX_LAYERS)
     validate(spec)
     assert codec.correctable(spec, [True, False, False])
     assert not codec.correctable(spec, [True, True, False])
-    with pytest.raises(ValidationError, match=f"{MAX_LAYERS + 1} layers exceed the limit"):
-        validate(one_block_layers(MAX_LAYERS + 1))
-    for layers in (72, 2000):
+    word = codec.encode(spec, [3, 5])
+    assert codec.decode(spec, word.with_erasures([1]))[0] == word
+    for mode in anetf.MODES:
+        assert anetf.simulate(anetf.AnetfConfig(spec, mode, 20, 0)).mean == 2
+    for layers in (MAX_LAYERS + 1, 32, 72, 2000):
         with pytest.raises(ValidationError, match=f"{layers} layers exceed the limit"):
             validate(one_block_layers(layers))
 
