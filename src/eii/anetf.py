@@ -9,9 +9,14 @@ oracles walk a whole batch of trials at once; a single permutation is a
 batch of one.  The capability walk reads the count off the erasure times
 directly: a code's first rejected prefix is an order statistic of its
 children's, so it is one sort per tree level with `codec`'s tail profiles.
-The pcheck walk is one batched forward elimination over each trial's first
-rows + 1 erased columns, one column per step.  Batches are capped so their
-working arrays stay within a fixed memory budget.
+The pcheck walk is leaf-local: the local checks V(u0, n) of the weakest
+leaf code, one copy per block, lie in every reduced H, so a block's first
+u0 erasures are always independent, and each later one adds one residual
+column, looked up in a table kept per spec, in the r' = rows - M u0
+dimensions that are left (M blocks).  One batched forward elimination over
+each trial's first r' + 1 residuals, one column per step, finds the first
+dependent one.  Batches are capped so their working arrays stay within a
+fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -141,31 +146,80 @@ def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     return _rejection_times((spec,), when, n)[:, 0]
 
 
+def _places(groups: np.ndarray) -> np.ndarray:
+    """Index of each entry within its run of equal values, along the last axis."""
+    at = np.arange(groups.shape[-1])
+    edge = np.ones(groups.shape, dtype=bool)
+    edge[..., 1:] = groups[..., 1:] != groups[..., :-1]
+    return at - np.maximum.accumulate(np.where(edge, at, 0), axis=-1)
+
+
+def _late_erasures(perms: np.ndarray, u0: int, n: int, binom: np.ndarray, first: int, count: int):
+    """Erasure times and residual-table rows of each trial's first `count`
+    erasures that are not among the first u0 of their block.
+
+    Only the first `first` erasures are read, and they must hold `count`
+    late ones.  Sorted by (block, time), an erasure is early when the one
+    u0 places before it lies in another block; sorted by (block, position),
+    the early ones give each block's set P its colex rank.  A late erasure
+    at position e of a block whose set has rank k reads row k * N + e.
+    """
+    trials, size = perms.shape
+    blocks = size // n
+    block_of, pos_of = np.divmod(np.arange(size + 1), n)  # position N pads
+    tb, pb = (first - 1).bit_length(), (n - 1).bit_length()
+    erased = perms[:, :first]
+    key = np.sort((block_of.take(erased) << tb | np.arange(first)) << pb | pos_of.take(erased))
+    block, when = key >> tb + pb, key >> pb & (1 << tb) - 1
+    early = np.ones(key.shape, dtype=bool)
+    early[:, u0:] = block[:, u0:] != block[:, :first - u0]
+    times = np.sort(np.where(early, first, when))[:, :count]
+    key = np.sort(np.where(early, block * n + (key & (1 << pb) - 1), size))[:, :blocks * u0]
+    block, real = block_of.take(key), key < size
+    cell = np.arange(trials)[:, None] * blocks
+    rank = np.bincount((cell + block)[real], binom[pos_of.take(key[real]), _places(block)[real] + 1],
+                       trials * blocks).astype(np.int64)
+    erased = np.take_along_axis(perms, times, axis=1)
+    return times + 1, rank[cell + block_of.take(erased)] * size + erased
+
+
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per permutation under parity-check decoding.
 
     The count is the first k at which the erased columns h[:, perm[:k]] of
-    the reduced matrix are linearly dependent.  Any rows + 1 columns are,
-    so one forward elimination over the first rows + 1 erased columns of
-    every trial decides it.  Step s keeps only the rows and columns not yet
-    eliminated, so column s is dependent on the earlier ones exactly when
-    its remaining entries are all zero; that trial fails at s + 1 and leaves
-    the batch.  Otherwise its first nonzero entry is the pivot, and one
-    rank-one update, in trial chunks of about _CHUNK products, clears the
-    column.  Trials that never fail get rows + 1.
+    the reduced matrix are linearly dependent; any rows + 1 columns are, so
+    only each trial's first rows + 1 erasures are read.  In the basis
+    [L; Q] of `pcheck._local_split` a block's first u0 erasures are always
+    independent, and each later erasure at position p of block b, whose
+    first u0 erased positions are P, adds the residual column of (b, P, p)
+    in r' dimensions; the erasures are dependent exactly when the residuals
+    are.  Any r' + 1 residuals are, and the first rows + 1 erasures hold at
+    least that many, so one forward elimination over each trial's first
+    r' + 1 residuals, one column per step, decides it.  Step s keeps only
+    the rows and columns not yet eliminated, so column s is dependent on the
+    earlier ones exactly when its remaining entries are all zero; that trial
+    fails at the erasure time of residual s and leaves the batch.  Otherwise
+    its first nonzero entry is the pivot, and one rank-one update, in trial
+    chunks of about _CHUNK products, clears the column.  Trials that never
+    fail get the time of residual r'.
     """
-    h = pcheck.build_parity_check(spec).reduced.data
+    u0, n, table, binom = pcheck._local_split(spec)
     ctx = spec.ctx
     inv = ctx.inv_table
-    rows = h.shape[0]
-    counts = np.full(perms.shape[0], rows + 1, dtype=np.int64)
-    ids = np.arange(perms.shape[0])
-    m = h.T[perms[:, : rows + 1]].transpose(0, 2, 1)  # (trials, rows, rows + 1)
-    for s in range(rows):
+    trials, rest = perms.shape[0], table.shape[1]
+    first = rest + perms.shape[1] // n * u0 + 1  # rows + 1
+    if u0:
+        times, rows = _late_erasures(perms, u0, n, binom, first, rest + 1)
+    else:  # every erasure is late, and its residual is its column of H
+        times, rows = np.broadcast_to(np.arange(1, first + 1), (trials, first)), perms[:, :first]
+    m = table.take(rows, axis=0).transpose(0, 2, 1)  # (trials, r', r' + 1)
+    counts = times[:, rest].astype(np.int64)
+    ids = np.arange(trials)
+    for s in range(rest):
         nonzero = m[:, :, 0] != 0
         dead = ~nonzero.any(axis=1)
         if dead.any():
-            counts[ids[dead]] = s + 1
+            counts[ids[dead]] = times[ids[dead], s]
             ids, m, nonzero = ids[~dead], m[~dead], nonzero[~dead]
         if not ids.size:
             break
@@ -174,11 +228,12 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
         pivot_row = ctx.mul_arrays(m[at, p, 1:], inv[m[at, p, 0]][:, None])
         m[at, p] = m[:, 0]  # row 0 takes the pivot's place, then drops out
         m = m[:, 1:]
-        out = np.empty((ids.size, rows - 1 - s, rows - s), dtype=np.uint8)
+        out = np.empty((ids.size, rest - 1 - s, rest - s), dtype=np.uint8)
         step = max(1, _CHUNK // max(1, out[0].size))
         for i in range(0, ids.size, step):
             j = i + step
-            out[i:j] = m[i:j, :, 1:] ^ ctx.mul_arrays(m[i:j, :, :1], pivot_row[i:j, None, :])
+            np.bitwise_xor(m[i:j, :, 1:], ctx.mul_arrays(m[i:j, :, :1], pivot_row[i:j, None, :]),
+                           out=out[i:j])
         m = out  # frees the previous step's matrix
     return counts
 
@@ -198,10 +253,13 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     erasure times, which it sorts in place, and at each tree level the
     rejection times it gathers (blocks x members x children at a node) and
     returns (blocks x members); counting every level at once bounds what is
-    live.  The pcheck walk holds the rows x (rows + 1) matrix and the copy
-    each elimination step makes of it; its gather temporaries, 12 bytes per
-    product of one chunk, come off the budget first.  The orders `simulate`
-    keeps between calls sit outside this budget, under _PERMS_BYTES.
+    live.  The pcheck walk's sorts of its first rows + 1 erasures hold at
+    most ten int64 keys and temporaries per erasure, and its elimination
+    the r' x (r' + 1) residual columns and the copy each step makes of them;
+    its gather temporaries, 12 bytes per product of one chunk, come off the
+    budget first.  The orders `simulate` keeps between calls sit outside
+    this budget, under _PERMS_BYTES, and the residual table, cached per
+    spec, under pcheck._TABLE_BYTES.
     """
     n = length(spec)
     budget = _BATCH_BYTES
@@ -213,7 +271,8 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
         extra = 8 * (words + blocks * len(chain))
     else:
         rows = pcheck.build_parity_check(spec).reduced.rows
-        extra = 2 * rows * (rows + 1)
+        rest = pcheck._local_split(spec)[2].shape[1]
+        extra = 80 * (rows + 1) + 2 * rest * (rest + 1)
         budget -= 12 * _CHUNK
     return max(1, budget // (8 * n + extra))
 

@@ -132,7 +132,7 @@ def dimension(spec: CodeSpec) -> int:
 
 @lru_cache(maxsize=None)
 def min_distance(spec: CodeSpec) -> int:
-    """Minimum Hamming distance.
+    """Minimum Hamming distance; a zero-dimensional code has none.
 
     For a node this is the minimum of d_j * (tail_{j+1} + 1) over the
     children, skipping terms with tail_{j+1} == m: those arise only from a
@@ -141,6 +141,8 @@ def min_distance(spec: CodeSpec) -> int:
     codeword realizes the skipped weight.
     """
     if isinstance(spec, LeafSpec):
+        if spec.u == spec.n:
+            raise ValidationError("zero-dimensional code has no minimum distance")
         return spec.u + 1
     return _weakest_term(spec)[0]
 

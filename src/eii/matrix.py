@@ -3,8 +3,8 @@
 Matrices are stored row-major as read-only numpy uint8 arrays; all products
 go through the field's q x q multiplication table, so every routine here is
 exact integer arithmetic.  `_eliminate` is the package's one elimination
-kernel: row reduction, rank, erasure solving, parity-check reduction and the
-decoder's precomputed solves all run on it.
+kernel: erasure solving, parity-check reduction, the decoder's precomputed
+solves and the pcheck walk's local split all run on it.
 
 Erasure solving lives here.  Eliminating the erased columns of a
 parity-check matrix H is written once, in `_solve`: `solve_erasures`
@@ -116,17 +116,6 @@ def stack(blocks) -> MatrixGF:
     return MatrixGF(ctx, np.vstack([blk.data for blk in blocks]))
 
 
-def matmul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    if a.ctx != b.ctx:
-        raise ValueError("product needs matrices over the same field")
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    mt = a.ctx.mul_table
-    # xor-accumulate a[i,k] * b[k,j] over k
-    prod = mt[a.data[:, :, None], b.data[None, :, :]]
-    return MatrixGF(a.ctx, np.bitwise_xor.reduce(prod, axis=1))
-
-
 def mat_vec(m: MatrixGF, vec) -> list:
     v = np.asarray(vec, dtype=np.uint8)
     if v.shape != (m.cols,):
@@ -164,22 +153,6 @@ def _eliminate(arr: np.ndarray, ctx: FieldContext, ncols: int | None = None) -> 
         arr[r + 1:] ^= mt[arr[r + 1:, col, None], arr[r]]
         pivots.append((r, col))
     return pivots
-
-
-def row_reduce(m: MatrixGF):
-    """Row-echelon form with unit pivots.
-
-    Returns (echelon, rank, pivot_cols); the row space is preserved.
-    """
-    arr = m.data.copy()
-    pivots = sorted(_eliminate(arr, m.ctx), key=lambda rc: rc[1])
-    order = [r for r, _ in pivots]
-    order += sorted(set(range(m.rows)) - set(order))
-    return MatrixGF(m.ctx, arr[order]), len(pivots), [c for _, c in pivots]
-
-
-def rank(m: MatrixGF) -> int:
-    return row_reduce(m)[1]
 
 
 def _solve(h: MatrixGF, erased: np.ndarray, carried: np.ndarray):

@@ -10,6 +10,7 @@ from eii.codespec import LeafSpec, NodeSpec, length, min_distance, spec_from_cap
 from eii.gf import field
 from test_acceptance import TABLE_1
 from test_codec import ordered_chains, recursive_correctable
+from test_matrix import rank
 
 G8 = field(3)
 G16 = field(4)
@@ -93,8 +94,8 @@ def test_batched_paths_match_single_shot():
         mask[perm[cap[i] - 1]] = True
         assert not recursive_correctable(spec, mask)
         k = int(chk[i])
-        assert mx.rank(mx.MatrixGF(G16, h.data[:, perm[:k - 1]])) == k - 1
-        assert mx.rank(mx.MatrixGF(G16, h.data[:, perm[:k]])) == k - 1
+        assert rank(mx.MatrixGF(G16, h.data[:, perm[:k - 1]])) == k - 1
+        assert rank(mx.MatrixGF(G16, h.data[:, perm[:k]])) == k - 1
 
 
 def bisect_capability_counts(spec, perms):
@@ -149,15 +150,41 @@ def rank_failure_count(spec, perm):
     """First k whose erased columns of the reduced H have rank below k (the oracle)."""
     h = pcheck.build_parity_check(spec).reduced
     for k in range(1, length(spec) + 1):
-        if mx.rank(mx.MatrixGF(spec.ctx, h.data[:, perm[:k]])) < k:
+        if rank(mx.MatrixGF(spec.ctx, h.data[:, perm[:k]])) < k:
             return k
     raise AssertionError("no erasure prefix is dependent")
+
+
+def elimination_pcheck_counts(spec, perms):
+    """Failure counts by one batched forward elimination over each trial's
+    first rows + 1 erased columns of the reduced H, with no local split (the
+    oracle).  Column s of a trial is dependent exactly when its entries in
+    the rows not yet used as pivots are all zero; that trial fails at s + 1.
+    Trials that never fail get rows + 1."""
+    h = pcheck.build_parity_check(spec).reduced.data
+    ctx = spec.ctx
+    rows = h.shape[0]
+    counts = np.full(perms.shape[0], rows + 1, dtype=np.int64)
+    ids = np.arange(perms.shape[0])
+    m = h.T[perms[:, :rows + 1]].transpose(0, 2, 1)  # (trials, rows, rows + 1)
+    for s in range(rows):
+        nonzero = m[:, :, 0] != 0
+        dead = ~nonzero.any(axis=1)
+        counts[ids[dead]] = s + 1
+        ids, m, nonzero = ids[~dead], m[~dead], nonzero[~dead]
+        at = np.arange(ids.size)
+        p = nonzero.argmax(axis=1)
+        pivot_row = ctx.mul_arrays(m[at, p, 1:], ctx.inv_table[m[at, p, 0]][:, None])
+        m[at, p] = m[:, 0]  # row 0 takes the pivot's place, then drops out
+        m = m[:, 1:, 1:] ^ ctx.mul_arrays(m[:, 1:, :1], pivot_row[:, None, :])
+    return counts
 
 
 def check_pcheck_counts(spec, perms):
     batch = anetf._pcheck_counts(spec, perms).tolist()
     assert batch == [int(anetf._pcheck_counts(spec, perm[None])[0]) for perm in perms]
     assert batch == [rank_failure_count(spec, perm) for perm in perms]
+    assert batch == elimination_pcheck_counts(spec, perms).tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -168,6 +195,57 @@ def test_pcheck_counts_match_rank_oracle(data):
     size = length(spec)
     perms = [data.draw(st.permutations(range(size))) for _ in range(data.draw(st.integers(1, 4)))]
     check_pcheck_counts(spec, np.array(perms, dtype=np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_pcheck_counts_match_elimination_oracle(data):
+    # covers weakest leaves with u0 = 0, 1 and up to n - 1, and tables of
+    # up to C(7, 3) sets per block
+    n = data.draw(st.integers(1, 7))
+    spec = data.draw(st.sampled_from(data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))))
+    perms = anetf._trial_permutations(data.draw(st.integers(0, 2**64 - 1)), 0, 32, length(spec))
+    assert anetf._pcheck_counts(spec, perms).tolist() == \
+        elimination_pcheck_counts(spec, perms).tolist()
+
+
+def test_pcheck_counts_match_elimination_oracle_on_table1():
+    # row 1 keeps no rows beyond its local ones (C(84, 22) sets, r' = 0),
+    # rows 2-10 split off one local row per block, rows 11-13 none
+    perms = anetf._trial_permutations(16, 0, 20_000, 84)
+    for cap, w, n, _, _ in TABLE_1:
+        spec = spec_from_capability(field(w), cap, n)
+        for i in range(0, len(perms), 5000):
+            assert anetf._pcheck_counts(spec, perms[i:i + 5000]).tolist() == \
+                elimination_pcheck_counts(spec, perms[i:i + 5000]).tolist(), cap
+
+
+@pytest.fixture
+def fresh_local_split():
+    pcheck._local_split.cache_clear()
+    yield pcheck._local_split
+    pcheck._local_split.cache_clear()
+
+
+def test_pcheck_walk_past_the_table_cap(monkeypatch, fresh_local_split):
+    # over the cap the walk runs in the u0 = 0 form, where Q = H
+    specs = [spec_from_capability(G16, "(1,1,1,1,1,2,2,2,2,3,3,3)", 7),
+             NodeSpec(G8, (LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 4)), (1, 1, 1))]
+    perms = [anetf._trial_permutations(12, 0, 500, length(spec)) for spec in specs]
+    want = [elimination_pcheck_counts(spec, p).tolist() for spec, p in zip(specs, perms)]
+    assert [fresh_local_split(spec)[0] for spec in specs] == [1, 2]
+    fresh_local_split.cache_clear()
+    monkeypatch.setattr(pcheck, "_TABLE_BYTES", 0)
+    for spec, p, counts in zip(specs, perms, want):
+        u0, _, table, _ = fresh_local_split(spec)
+        assert u0 == 0 and table.shape[1] == pcheck.build_parity_check(spec).rank
+        assert anetf._pcheck_counts(spec, p).tolist() == counts
+
+
+def test_pcheck_tables_stay_under_the_cap():
+    for cap, w, n, _, _ in TABLE_1:
+        spec = spec_from_capability(field(w), cap, n)
+        assert pcheck._local_split(spec)[2].nbytes <= pcheck._TABLE_BYTES
 
 
 EMPTY_BLOCK_SPECS = pytest.mark.parametrize("spec", [

@@ -58,8 +58,10 @@ def test_validation_error_exit_code(capsys):
     # an all-parity row of 10 symbols needs 10 evaluation points; GF(8) has 7
     assert run(["info", "--capability", "(10)", "--field", "3", "--n", "10"]) == 2
     assert "exceeds order(alpha)=7" in capsys.readouterr().err
-    assert run(["info", "--capability", "(7)", "--field", "3", "--n", "7"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "[7, 0, 8]"
+    # an all-parity row stores nothing, so it has no minimum distance to print
+    assert run(["info", "--capability", "(7)", "--field", "3", "--n", "7"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "zero-dimensional code has no minimum distance" in out.err
 
 
 def test_deep_specs_exit_2(tmp_path, capsys):

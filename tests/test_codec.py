@@ -24,6 +24,7 @@ from eii.matrix import InconsistentWordError
 from eii.words import SymbolWord
 from test_acceptance import TABLE_1
 from test_golden import STRIPE_SHAPES
+from test_matrix import rank
 
 G4 = field(2)
 G8 = field(3)
@@ -334,7 +335,7 @@ def test_leaf_plan_check_rows():
             assert plan.solvable and plan.n_checks == u - len(erased)
             checks = mx.MatrixGF(ctx, plan.rows[:plan.n_checks])
             solve = mx.MatrixGF(ctx, plan.rows[plan.n_checks:])
-            assert mx.rank(checks) == u - len(erased)
+            assert rank(checks) == u - len(erased)
             for _ in range(5):
                 word = random_codeword(leaf, rng).symbols
                 known = [word[i] for i in plan.known]

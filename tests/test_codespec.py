@@ -147,6 +147,16 @@ def test_min_distance_leaf():
     assert min_distance(LeafSpec(G8, 7, 0)) == 1
 
 
+def test_min_distance_of_a_zero_dimensional_code_raises():
+    # validate keeps zero-dimensional children out of nodes, so only a
+    # top-level leaf or node can reach these
+    zero_node = NodeSpec(G8, (LeafSpec(G8, 7, 1),), (0, 2))
+    for spec in (LeafSpec(G8, 7, 7), LeafSpec(G8, 1, 1), zero_node):
+        validate(spec)
+        with pytest.raises(ValidationError, match="zero-dimensional code has no minimum distance"):
+            min_distance(spec)
+
+
 def test_min_distance_example5():
     c20 = NodeSpec(G8, L12, (2, 1, 0))
     c21 = NodeSpec(G8, L12, (1, 1, 1))

@@ -10,6 +10,7 @@ from eii.codespec import (
 )
 from eii.gf import field
 from eii.words import SymbolWord
+from test_matrix import rank
 
 G8 = field(3)
 G16 = field(4)
@@ -139,7 +140,7 @@ def test_nested_row_space_containment():
     ha = pcheck.build_parity_check(c20).h
     hb = pcheck.build_parity_check(c21).h
     stacked = mx.stack([hb, ha])
-    assert mx.rank(stacked) == mx.rank(hb)
+    assert rank(stacked) == rank(hb)
 
 
 def test_pc_decode_guaranteed_masks():
@@ -233,7 +234,7 @@ def test_plan_paths_agree_on_every_example_code():
         h = pc.reduced.data
         row = h[(h != 0).sum(axis=1).argmin()]
         dependent = [i for i in range(n) if not row[i]]
-        assert mx.rank(mx.MatrixGF(spec.ctx, h[:, dependent])) < len(dependent), name
+        assert rank(mx.MatrixGF(spec.ctx, h[:, dependent])) < len(dependent), name
         assert _three_ways(pc, word.with_erasures(dependent)) == [None] * 3, name
         symbols = list(word.symbols)
         symbols[int(row.nonzero()[0][0])] ^= 1
