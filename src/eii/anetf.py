@@ -176,9 +176,9 @@ def _late_erasures(perms: np.ndarray, u0: int, n: int, binom: np.ndarray, first:
     times = np.sort(np.where(early, first, when))[:, :count]
     key = np.sort(np.where(early, block * n + (key & (1 << pb) - 1), size))[:, :blocks * u0]
     block, real = block_of.take(key), key < size
+    terms = binom[pos_of.take(key[real]), _places(block)[real] + 1]
     cell = np.arange(trials)[:, None] * blocks
-    rank = np.bincount((cell + block)[real], binom[pos_of.take(key[real]), _places(block)[real] + 1],
-                       trials * blocks).astype(np.int64)
+    rank = np.bincount((cell + block)[real], terms, trials * blocks).astype(np.int64)
     erased = np.take_along_axis(perms, times, axis=1)
     return times + 1, rank[cell + block_of.take(erased)] * size + erased
 
@@ -209,10 +209,10 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     trials, rest = perms.shape[0], table.shape[1]
     first = rest + perms.shape[1] // n * u0 + 1  # rows + 1
     if u0:
-        times, rows = _late_erasures(perms, u0, n, binom, first, rest + 1)
+        times, index = _late_erasures(perms, u0, n, binom, first, rest + 1)
     else:  # every erasure is late, and its residual is its column of H
-        times, rows = np.broadcast_to(np.arange(1, first + 1), (trials, first)), perms[:, :first]
-    m = table.take(rows, axis=0).transpose(0, 2, 1)  # (trials, r', r' + 1)
+        times, index = np.broadcast_to(np.arange(1, first + 1), (trials, first)), perms[:, :first]
+    m = table.take(index, axis=0).transpose(0, 2, 1)  # (trials, r', r' + 1)
     counts = times[:, rest].astype(np.int64)
     ids = np.arange(trials)
     for s in range(rest):

@@ -129,27 +129,28 @@ def _local_split(spec: CodeSpec):
     for the erased position e = b * n + p and the colex rank k of a set P of
     u0 positions, is the residual Q[:, e] - Q[:, bn + P] V_P^-1 V[:, p].
     A table of more than _TABLE_BYTES falls back to u0 = 0, where Q = H and
-    row e is column e of H.  `binom[a, i]` is C(a, i), the colex terms.
-    The ANETF pcheck walk reads its erasures' residuals from the table.
+    row e is column e of H, whatever the size of H.  `binom[a, i]` is
+    C(a, i), a colex term.  The ANETF pcheck walk reads its erasures'
+    residuals from the table.
     """
     ctx = spec.ctx
     h = build_parity_check(spec).reduced
     leaf = spec
     while not isinstance(leaf, LeafSpec):
         leaf = leaf.children[0]
-    n, u0 = leaf.n, leaf.u
-    blocks = h.cols // n
-    rest = h.rows - blocks * u0
-    # with no rows left every residual is empty, so one key serves every set
-    keys, sets = (math.comb(n, u0), itertools.combinations(range(n), u0)) if rest else (1, ())
-    if blocks * keys * n * rest > _TABLE_BYTES:
-        u0, rest, keys, sets = 0, h.rows, 1, [()]
+    n, blocks = leaf.n, h.cols // leaf.n
+    for u0 in (leaf.u, 0):  # the u0 = 0 table is H itself, kept whatever its size
+        rest = h.rows - blocks * u0
+        # with no rows left every residual is empty, so one key serves every set
+        keys = math.comb(n, u0) if rest else 1
+        if blocks * keys * n * rest <= _TABLE_BYTES:
+            break
     v = mx.vandermonde(ctx, u0, n)
     both = np.vstack([mx.kronecker(mx.identity(ctx, blocks), v).data, h.data])
     kept = [r for r, _ in mx._eliminate(both.copy(), ctx) if r >= blocks * u0]
     q = both[kept].reshape(rest, blocks, n)
     table = np.empty((keys, h.cols, rest), dtype=np.uint8)
-    for p in sets:
+    for p in itertools.combinations(range(n), u0) if rest else ():
         at = np.array(p, dtype=np.intp)
         x = mx._solve(v, at, v.data)[1]  # V_P^-1 V
         res = q ^ np.bitwise_xor.reduce(ctx.mul_table[q[:, :, at, None], x], axis=2)

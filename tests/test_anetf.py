@@ -242,10 +242,11 @@ def test_pcheck_walk_past_the_table_cap(monkeypatch, fresh_local_split):
         assert anetf._pcheck_counts(spec, p).tolist() == counts
 
 
-def test_pcheck_tables_stay_under_the_cap():
-    for cap, w, n, _, _ in TABLE_1:
-        spec = spec_from_capability(field(w), cap, n)
-        assert pcheck._local_split(spec)[2].nbytes <= pcheck._TABLE_BYTES
+def test_table1_splits_fit_under_the_cap():
+    # every row splits off its weakest leaf's u0 local rows per block
+    for (cap, w, n, _, _), want in zip(TABLE_1, [22] + [1] * 9 + [0] * 3):
+        u0, _, table, _ = pcheck._local_split(spec_from_capability(field(w), cap, n))
+        assert u0 == want and table.nbytes <= pcheck._TABLE_BYTES, cap
 
 
 EMPTY_BLOCK_SPECS = pytest.mark.parametrize("spec", [
