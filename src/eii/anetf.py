@@ -166,7 +166,7 @@ def _late_erasures(perms: np.ndarray, u0: int, n: int, binom: np.ndarray, first:
     """
     trials, size = perms.shape
     blocks = size // n
-    block_of, pos_of = np.divmod(np.arange(size + 1), n)  # position N pads
+    block_of, pos_of = np.divmod(np.arange(size + 1), n)  # N pads the early positions
     tb, pb = (first - 1).bit_length(), (n - 1).bit_length()
     erased = perms[:, :first]
     key = np.sort((block_of.take(erased) << tb | np.arange(first)) << pb | pos_of.take(erased))
