@@ -12,11 +12,13 @@ children's, so it is one sort per tree level with `codec`'s tail profiles.
 The pcheck walk is leaf-local: the local checks V(u0, n) of the weakest
 leaf code, one copy per block, lie in every reduced H, so a block's first
 u0 erasures are always independent, and each later one adds one residual
-column, looked up in a table kept per spec, in the r' = rows - M u0
-dimensions that are left (M blocks).  One batched forward elimination over
-each trial's first r' + 1 residuals, one column per step, finds the first
-dependent one.  Batches are capped so their working arrays stay within a
-fixed memory budget.
+column in the r' = rows - M u0 dimensions that are left (M blocks).  The
+split is taken when u0 = 1, where a residual is the difference of two
+columns, or r' = 0, where it is empty; otherwise the walk runs with u0 = 0
+on the columns of H.  One batched forward elimination over each trial's
+first r' + 1 residuals, one column per step, finds the first dependent
+one.  Batches are capped so their working arrays stay within a fixed
+memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -146,41 +148,24 @@ def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     return _rejection_times((spec,), when, n)[:, 0]
 
 
-def _places(groups: np.ndarray) -> np.ndarray:
-    """Index of each entry within its run of equal values, along the last axis."""
-    at = np.arange(groups.shape[-1])
-    edge = np.ones(groups.shape, dtype=bool)
-    edge[..., 1:] = groups[..., 1:] != groups[..., :-1]
-    return at - np.maximum.accumulate(np.where(edge, at, 0), axis=-1)
-
-
-def _late_erasures(perms: np.ndarray, u0: int, n: int, binom: np.ndarray, first: int, count: int):
-    """Erasure times and residual-table rows of each trial's first `count`
-    erasures that are not among the first u0 of their block.
+def _late_erasures(perms: np.ndarray, u0: int, n: int, first: int, count: int):
+    """Erasure times (from 0) of each trial's first `count` erasures that
+    are not among the first u0 of their block, and of the erasure of the
+    same block just before each.
 
     Only the first `first` erasures are read, and they must hold `count`
-    late ones.  Sorted by (block, time), an erasure is early when the one
-    u0 places before it lies in another block; sorted by (block, position),
-    the early ones give each block's set P its colex rank.  A late erasure
-    at position e of a block whose set has rank k reads row k * N + e.
+    late ones.  Sorted by (block, time), an erasure is late when the one u0
+    places before it lies in the same block; the one just before it then
+    does too.
     """
-    trials, size = perms.shape
-    blocks = size // n
-    block_of, pos_of = np.divmod(np.arange(size + 1), n)  # N pads the early positions
-    tb, pb = (first - 1).bit_length(), (n - 1).bit_length()
-    erased = perms[:, :first]
-    key = np.sort((block_of.take(erased) << tb | np.arange(first)) << pb | pos_of.take(erased))
-    block, when = key >> tb + pb, key >> pb & (1 << tb) - 1
-    early = np.ones(key.shape, dtype=bool)
-    early[:, u0:] = block[:, u0:] != block[:, :first - u0]
-    times = np.sort(np.where(early, first, when))[:, :count]
-    key = np.sort(np.where(early, block * n + (key & (1 << pb) - 1), size))[:, :blocks * u0]
-    block, real = block_of.take(key), key < size
-    terms = binom[pos_of.take(key[real]), _places(block)[real] + 1]
-    cell = np.arange(trials)[:, None] * blocks
-    rank = np.bincount((cell + block)[real], terms, trials * blocks).astype(np.int64)
-    erased = np.take_along_axis(perms, times, axis=1)
-    return times + 1, rank[cell + block_of.take(erased)] * size + erased
+    bits = first.bit_length()
+    key = np.sort(perms[:, :first] // n << bits | np.arange(first))
+    block, when = key >> bits, key & (1 << bits) - 1
+    late = np.full(key.shape, first << bits)
+    late[:, u0:] = np.where(block[:, u0:] == block[:, :first - u0],
+                            when[:, u0:] << bits | when[:, u0 - 1:first - 1], late[:, u0:])
+    late = np.sort(late)[:, :count]
+    return late >> bits, late & (1 << bits) - 1
 
 
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
@@ -190,29 +175,38 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     the reduced matrix are linearly dependent; any rows + 1 columns are, so
     only each trial's first rows + 1 erasures are read.  In the basis
     [L; Q] of `pcheck._local_split` a block's first u0 erasures are always
-    independent, and each later erasure at position p of block b, whose
-    first u0 erased positions are P, adds the residual column of (b, P, p)
-    in r' dimensions; the erasures are dependent exactly when the residuals
-    are.  Any r' + 1 residuals are, and the first rows + 1 erasures hold at
-    least that many, so one forward elimination over each trial's first
-    r' + 1 residuals, one column per step, decides it.  Step s keeps only
-    the rows and columns not yet eliminated, so column s is dependent on the
-    earlier ones exactly when its remaining entries are all zero; that trial
-    fails at the erasure time of residual s and leaves the batch.  Otherwise
-    its first nonzero entry is the pivot, and one rank-one update, in trial
-    chunks of about _CHUNK products, clears the column.  Trials that never
-    fail get the time of residual r'.
+    independent, and each later erasure e adds one residual column in r'
+    dimensions: Q[:, e] for u0 = 0, none for r' = 0, and for u0 = 1
+    Q[:, e] - Q[:, f] with f the block's first erasure.  The walk takes
+    Q[:, e] - Q[:, e'] with e' the block's previous erasure instead; that is
+    the difference of two residuals, the earlier one zero or already
+    present, so every prefix spans the same space.  The erasures are
+    dependent exactly when the residuals are.  Any r' + 1 residuals are,
+    and the first rows + 1 erasures hold at least that many, so one forward
+    elimination over each trial's first r' + 1 residuals, one column per
+    step, decides it.  Step s keeps only the rows and columns not yet
+    eliminated, so column s is dependent on the earlier ones exactly when
+    its remaining entries are all zero; that trial fails at the erasure time
+    of residual s and leaves the batch.  Otherwise its first nonzero entry
+    is the pivot, and one rank-one update, in trial chunks of about _CHUNK
+    products, clears the column.  Trials that never fail get the time of
+    residual r'.
     """
-    u0, n, table, binom = pcheck._local_split(spec)
+    u0, n, qt = pcheck._local_split(spec)
     ctx = spec.ctx
     inv = ctx.inv_table
-    trials, rest = perms.shape[0], table.shape[1]
+    trials, rest = perms.shape[0], qt.shape[1]
     first = rest + perms.shape[1] // n * u0 + 1  # rows + 1
     if u0:
-        times, index = _late_erasures(perms, u0, n, binom, first, rest + 1)
+        times, before = _late_erasures(perms, u0, n, first, rest + 1)
+        m = qt.take(np.take_along_axis(perms, times, axis=1), axis=0)
+        if rest:  # then u0 = 1
+            m ^= qt.take(np.take_along_axis(perms, before, axis=1), axis=0)
+        times += 1
     else:  # every erasure is late, and its residual is its column of H
-        times, index = np.broadcast_to(np.arange(1, first + 1), (trials, first)), perms[:, :first]
-    m = table.take(index, axis=0).transpose(0, 2, 1)  # (trials, r', r' + 1)
+        times = np.broadcast_to(np.arange(1, first + 1), (trials, first))
+        m = qt.take(perms[:, :first], axis=0)
+    m = m.transpose(0, 2, 1)  # (trials, r', r' + 1)
     counts = times[:, rest].astype(np.int64)
     ids = np.arange(trials)
     for s in range(rest):
@@ -255,11 +249,12 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     returns (blocks x members); counting every level at once bounds what is
     live.  The pcheck walk's sorts of its first rows + 1 erasures hold at
     most ten int64 keys and temporaries per erasure, and its elimination
-    the r' x (r' + 1) residual columns and the copy each step makes of them;
-    its gather temporaries, 12 bytes per product of one chunk, come off the
+    the r' x (r' + 1) residual columns and either the second gather they
+    are summed with or the copy each elimination step makes of them; its
+    gather temporaries, 12 bytes per product of one chunk, come off the
     budget first.  The orders `simulate` keeps between calls sit outside
-    this budget, under _PERMS_BYTES, and the residual table, cached per
-    spec, under pcheck._TABLE_BYTES.
+    this budget, under _PERMS_BYTES, and Q^T, N x r' bytes cached per spec
+    by `pcheck._local_split`, is no larger than the reduced H.
     """
     n = length(spec)
     budget = _BATCH_BYTES

@@ -23,16 +23,15 @@ the plans sit in bounded caches, so masks that never repeat cost
 
 Every leaf block lies in the weakest leaf code C0 = [n, n - u0], so the
 local rows I_M (x) V(u0, n) of the M blocks lie in the reduced row space.
-`_local_split` extends them to a basis and tabulates, per set P of a
-block's first u0 erased positions, the residual of each further column
-after eliminating P: a Schur complement on the block-diagonal local rows.
-The ANETF pcheck walk decides dependence on these residuals alone.
+`_local_split` extends them to a basis [L; Q]; eliminating a block's first
+u0 erased positions leaves each further column a residual in Q's rows, a
+Schur complement on the block-diagonal local rows.  The ANETF pcheck walk
+decides dependence on these residuals alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,7 +55,6 @@ from .words import SymbolWord, word_arrays
 # more per row code
 PLAN_SIGHTINGS = 1024
 PLAN_CACHE = 4096
-_TABLE_BYTES = 1 << 20  # cap on one spec's local-split residual table
 
 
 @dataclass(frozen=True)
@@ -120,44 +118,31 @@ def reduce(pc: ParityCheck) -> ParityCheck:
 
 @lru_cache(maxsize=None)
 def _local_split(spec: CodeSpec):
-    """The local split of the reduced matrix: (u0, n, residual table, binomials).
+    """The local split of the reduced matrix: (u0, n, Q^T).
 
     Every leaf block lies in the weakest leaf code C0 = [n, n - u0], so the
     local rows L = I_M (x) V(u0, n) of the M blocks lie in the row space of
     the reduced H.  Extending L to a basis [L; Q] of that space leaves Q
-    with r' = rows - M u0 rows.  Row k * N + e of the (keys * N, r') table,
-    for the erased position e = b * n + p and the colex rank k of a set P of
-    u0 positions, is the residual Q[:, e] - Q[:, bn + P] V_P^-1 V[:, p].
-    A table of more than _TABLE_BYTES falls back to u0 = 0, where Q = H and
-    row e is column e of H, whatever the size of H.  `binom[a, i]` is
-    C(a, i), a colex term.  The ANETF pcheck walk reads its erasures'
-    residuals from the table.
+    with r' = rows - M u0 rows; Q^T is returned as an (N, r') array.  After
+    a block's first u0 erased positions P are eliminated, a later erasure
+    e = bn + p of block b leaves the residual Q[:, e] - Q[:, bn + P]
+    V_P^-1 V[:, p] in r' dimensions.  For u0 = 1, V is a row of ones, so
+    this is Q[:, e] - Q[:, f] for the block's first erasure f; for r' = 0
+    it is empty.  Any other u0 would need V_P^-1 V for each of C(n, u0)
+    sets P, so it is split as u0 = 0 instead, where Q = H and the residual
+    is column e of H.
     """
     ctx = spec.ctx
     h = build_parity_check(spec).reduced
     leaf = spec
     while not isinstance(leaf, LeafSpec):
         leaf = leaf.children[0]
-    n, blocks = leaf.n, h.cols // leaf.n
-    for u0 in (leaf.u, 0):  # the u0 = 0 table is H itself, kept whatever its size
-        rest = h.rows - blocks * u0
-        # with no rows left every residual is empty, so one key serves every set
-        keys = math.comb(n, u0) if rest else 1
-        if blocks * keys * n * rest <= _TABLE_BYTES:
-            break
-    v = mx.vandermonde(ctx, u0, n)
-    both = np.vstack([mx.kronecker(mx.identity(ctx, blocks), v).data, h.data])
+    blocks = h.cols // leaf.n
+    u0 = leaf.u if leaf.u == 1 or h.rows == blocks * leaf.u else 0
+    both = np.vstack([mx.kronecker(mx.identity(ctx, blocks), mx.vandermonde(ctx, u0, leaf.n)).data,
+                      h.data])
     kept = [r for r, _ in mx._eliminate(both.copy(), ctx) if r >= blocks * u0]
-    q = both[kept].reshape(rest, blocks, n)
-    table = np.empty((keys, h.cols, rest), dtype=np.uint8)
-    for p in itertools.combinations(range(n), u0) if rest else ():
-        at = np.array(p, dtype=np.intp)
-        x = mx._solve(v, at, v.data)[1]  # V_P^-1 V
-        res = q ^ np.bitwise_xor.reduce(ctx.mul_table[q[:, :, at, None], x], axis=2)
-        table[sum(math.comb(a, i + 1) for i, a in enumerate(p))] = res.reshape(rest, -1).T
-    # a term of a rank below `keys` is below it too, so clipping changes no rank
-    binom = np.array([[min(math.comb(a, i), keys - 1) for i in range(u0 + 1)] for a in range(n)])
-    return u0, n, table.reshape(keys * h.cols, rest), binom
+    return u0, leaf.n, np.ascontiguousarray(both[kept].T)
 
 
 def density(pc: ParityCheck) -> float:

@@ -200,8 +200,8 @@ def test_pcheck_counts_match_rank_oracle(data):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(data=st.data())
 def test_pcheck_counts_match_elimination_oracle(data):
-    # covers weakest leaves with u0 = 0, 1 and up to n - 1, and tables of
-    # up to C(7, 3) sets per block
+    # covers weakest leaves with u0 = 0, 1 and up to n, split (u0 = 1 or no
+    # rows left) or walked with u0 = 0
     n = data.draw(st.integers(1, 7))
     spec = data.draw(st.sampled_from(data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))))
     perms = anetf._trial_permutations(data.draw(st.integers(0, 2**64 - 1)), 0, 32, length(spec))
@@ -220,33 +220,30 @@ def test_pcheck_counts_match_elimination_oracle_on_table1():
                 elimination_pcheck_counts(spec, perms[i:i + 5000]).tolist(), cap
 
 
-@pytest.fixture
-def fresh_local_split():
-    pcheck._local_split.cache_clear()
-    yield pcheck._local_split
-    pcheck._local_split.cache_clear()
-
-
-def test_pcheck_walk_past_the_table_cap(monkeypatch, fresh_local_split):
-    # over the cap the walk runs in the u0 = 0 form, where Q = H
-    specs = [spec_from_capability(G16, "(1,1,1,1,1,2,2,2,2,3,3,3)", 7),
+def test_pcheck_walk_without_a_split():
+    # a weakest leaf with u0 >= 2 and rows left over is walked with u0 = 0,
+    # on the columns of H, with no per-set solve to set up
+    g32 = field(5)
+    specs = [NodeSpec(g32, (LeafSpec(g32, 31, 3), LeafSpec(g32, 31, 4)), (1, 1, 0)),
              NodeSpec(G8, (LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 4)), (1, 1, 1))]
-    perms = [anetf._trial_permutations(12, 0, 500, length(spec)) for spec in specs]
-    want = [elimination_pcheck_counts(spec, p).tolist() for spec, p in zip(specs, perms)]
-    assert [fresh_local_split(spec)[0] for spec in specs] == [1, 2]
-    fresh_local_split.cache_clear()
-    monkeypatch.setattr(pcheck, "_TABLE_BYTES", 0)
-    for spec, p, counts in zip(specs, perms, want):
-        u0, _, table, _ = fresh_local_split(spec)
-        assert u0 == 0 and table.shape[1] == pcheck.build_parity_check(spec).rank
-        assert anetf._pcheck_counts(spec, p).tolist() == counts
+    for spec in specs:
+        u0, n, qt = pcheck._local_split(spec)
+        assert (u0, n) == (0, spec.children[0].n)
+        assert np.array_equal(qt, pcheck.build_parity_check(spec).reduced.data.T)
+        perms = anetf._trial_permutations(12, 0, 500, length(spec))
+        assert anetf._pcheck_counts(spec, perms).tolist() == \
+            elimination_pcheck_counts(spec, perms).tolist()
 
 
-def test_table1_splits_fit_under_the_cap():
-    # every row splits off its weakest leaf's u0 local rows per block
+def test_table1_splits():
+    # row 1 splits off all its rows, rows 2-10 one local row per block and
+    # rows 11-13 none
     for (cap, w, n, _, _), want in zip(TABLE_1, [22] + [1] * 9 + [0] * 3):
-        u0, _, table, _ = pcheck._local_split(spec_from_capability(field(w), cap, n))
-        assert u0 == want and table.nbytes <= pcheck._TABLE_BYTES, cap
+        spec = spec_from_capability(field(w), cap, n)
+        u0, leaf_n, qt = pcheck._local_split(spec)
+        rows = pcheck.build_parity_check(spec).rank
+        assert (u0, qt.shape) == (want, (84, rows - 84 // leaf_n * want)), cap
+    assert qt.shape[1] == rows
 
 
 EMPTY_BLOCK_SPECS = pytest.mark.parametrize("spec", [
