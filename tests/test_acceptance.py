@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Heavy Monte-Carlo checks live in criterion 8, about 30 s on a shared 2-core
-x86-64 VM; criteria 6 and 4 take 7-17 s there, and the rest complete in
+Heavy Monte-Carlo checks live in criterion 8, about 25 s on a shared 2-core
+x86-64 VM; criteria 6 and 4 take 4-16 s there, and the rest complete in
 seconds.
 """
 
