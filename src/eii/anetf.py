@@ -192,7 +192,7 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     products, clears the column.  Trials that never fail get the time of
     residual r'.
     """
-    u0, n, qt = pcheck._local_split(spec)
+    u0, n, qt = pcheck._local_split(pcheck.build_parity_check(spec))
     ctx = spec.ctx
     inv = ctx.inv_table
     trials, rest = perms.shape[0], qt.shape[1]
@@ -253,8 +253,8 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     are summed with or the copy each elimination step makes of them; its
     gather temporaries, 12 bytes per product of one chunk, come off the
     budget first.  The orders `simulate` keeps between calls sit outside
-    this budget, under _PERMS_BYTES, and Q^T, N x r' bytes cached per spec
-    by `pcheck._local_split`, is no larger than the reduced H.
+    this budget, under _PERMS_BYTES, and Q^T, N x r' bytes cached per
+    parity check by `pcheck._local_split`, is no larger than the reduced H.
     """
     n = length(spec)
     budget = _BATCH_BYTES
@@ -265,8 +265,8 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
             blocks, chain = blocks * block_count(chain[0]), chain[0].children
         extra = 8 * (words + blocks * len(chain))
     else:
-        rows = pcheck.build_parity_check(spec).reduced.rows
-        rest = pcheck._local_split(spec)[2].shape[1]
+        pc = pcheck.build_parity_check(spec)
+        rows, rest = pc.rank, pcheck._local_split(pc)[2].shape[1]
         extra = 80 * (rows + 1) + 2 * rest * (rest + 1)
         budget -= 12 * _CHUNK
     return max(1, budget // (8 * n + extra))

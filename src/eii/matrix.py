@@ -3,14 +3,15 @@
 Matrices are stored row-major as read-only numpy uint8 arrays; all products
 go through the field's q x q multiplication table, so every routine here is
 exact integer arithmetic.  `_eliminate` is the package's one elimination
-kernel: erasure solving, parity-check reduction, the decoder's precomputed
-solves and the pcheck walk's local split all run on it.
+kernel: erasure solving, parity-check reduction, the local split of
+`pcheck` and the decoder's precomputed solves all run on it.
 
-Erasure solving lives here.  Eliminating the erased columns of a
-parity-check matrix H is written once, in `_solve`: `solve_erasures`
-carries the syndrome of the known symbols through it and solves one word,
-and an `ErasurePlan` carries H_K and keeps the rows that repair every word
-with the same mask.  The one table of plans sits in `pcheck`.
+Eliminating the erased columns of a parity-check matrix H is written once,
+in `_solve`, which is handed the columns: `solve_erasures` carries the
+syndrome of the known symbols through it and solves one word, an
+`ErasurePlan` carries H_K and keeps the rows that repair every word with
+the same mask, and `pcheck.pc_decode` solves a fresh mask on the residual
+columns of the local split.  The one table of plans sits in `pcheck`.
 """
 
 from __future__ import annotations
@@ -155,19 +156,19 @@ def _eliminate(arr: np.ndarray, ctx: FieldContext, ncols: int | None = None) -> 
     return pivots
 
 
-def _solve(h: MatrixGF, erased: np.ndarray, carried: np.ndarray):
-    """Eliminate the erased columns (indices, ascending) of h, with the
+def _solve(ctx: FieldContext, cols: np.ndarray, carried: np.ndarray):
+    """Eliminate the columns `cols` (the erased columns, in order), with the
     columns `carried` alongside.
 
-    One `_eliminate` of [H_E | carried] on the erased columns.  Returns
+    One `_eliminate` of [cols | carried] on the erased columns.  Returns
     (C, X): C is the carried part of the non-pivot rows, and X that of the
     pivot rows back-substituted to [I | X] in erased-column order, or None
     when the erased columns are dependent.
     """
-    mt = h.ctx.mul_table
-    e = len(erased)
-    aug = np.hstack([h.data[:, erased], carried])
-    pivots = _eliminate(aug, h.ctx, e)
+    mt = ctx.mul_table
+    e = cols.shape[1]
+    aug = np.hstack([cols, carried])
+    pivots = _eliminate(aug, ctx, e)
     checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
     if len(pivots) < e:
         return checks, None
@@ -187,7 +188,7 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
     """
     syms, mask = word_arrays(word, h.cols, h.ctx.q)
     syndrome = np.bitwise_xor.reduce(h.ctx.mul_table[h.data[:, ~mask], syms[~mask]], axis=1)
-    checks, solution = _solve(h, np.flatnonzero(mask), syndrome[:, None])
+    checks, solution = _solve(h.ctx, h.data[:, mask], syndrome[:, None])
     if checks.any():
         raise InconsistentWordError("known symbols are inconsistent with the parity checks")
     if solution is None:
@@ -211,7 +212,7 @@ class ErasurePlan:
     def __init__(self, h: MatrixGF, mask):
         self.ctx = h.ctx
         self.erased, self.known = np.flatnonzero(mask), np.flatnonzero(~mask)
-        checks, solution = _solve(h, self.erased, h.data[:, self.known])
+        checks, solution = _solve(h.ctx, h.data[:, self.erased], h.data[:, self.known])
         self.n_checks = len(checks)
         self.solvable = solution is not None
         self.rows = np.vstack([checks, solution]) if self.solvable else checks

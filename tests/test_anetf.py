@@ -227,7 +227,7 @@ def test_pcheck_walk_without_a_split():
     specs = [NodeSpec(g32, (LeafSpec(g32, 31, 3), LeafSpec(g32, 31, 4)), (1, 1, 0)),
              NodeSpec(G8, (LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 4)), (1, 1, 1))]
     for spec in specs:
-        u0, n, qt = pcheck._local_split(spec)
+        u0, n, qt = pcheck._local_split(pcheck.build_parity_check(spec))
         assert (u0, n) == (0, spec.children[0].n)
         assert np.array_equal(qt, pcheck.build_parity_check(spec).reduced.data.T)
         perms = anetf._trial_permutations(12, 0, 500, length(spec))
@@ -240,7 +240,7 @@ def test_table1_splits():
     # rows 11-13 none
     for (cap, w, n, _, _), want in zip(TABLE_1, [22] + [1] * 9 + [0] * 3):
         spec = spec_from_capability(field(w), cap, n)
-        u0, leaf_n, qt = pcheck._local_split(spec)
+        u0, leaf_n, qt = pcheck._local_split(pcheck.build_parity_check(spec))
         rows = pcheck.build_parity_check(spec).rank
         assert (u0, qt.shape) == (want, (84, rows - 84 // leaf_n * want)), cap
     assert qt.shape[1] == rows

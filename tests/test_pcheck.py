@@ -1,5 +1,9 @@
 import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from eii import codec, matrix as mx, pcheck
 from eii.codespec import (
     LeafSpec,
@@ -10,6 +14,9 @@ from eii.codespec import (
 )
 from eii.gf import field
 from eii.words import SymbolWord
+from test_acceptance import TABLE_1
+from test_codec import ordered_chains
+from test_golden import STRIPE_SHAPES
 from test_matrix import rank
 
 G8 = field(3)
@@ -195,6 +202,14 @@ def test_pc_decode_beyond_capability_witness():
     assert found
 
 
+def _outcome(call, *args):
+    """The returned word or None, or the InconsistentWordError type."""
+    try:
+        return call(*args)
+    except mx.InconsistentWordError as exc:
+        return type(exc)
+
+
 def _three_ways(pc, word) -> list:
     """pc_decode on fresh plan caches three times: direct solve, plan build,
     plan replay.  Each outcome is the returned word or the exception type."""
@@ -202,10 +217,7 @@ def _three_ways(pc, word) -> list:
     pcheck._plan.cache_clear()
     outcomes = []
     for built, replayed in ((0, 0), (1, 0), (1, 1)):
-        try:
-            outcomes.append(pcheck.pc_decode(pc, word))
-        except mx.InconsistentWordError as exc:
-            outcomes.append(type(exc))
+        outcomes.append(_outcome(pcheck.pc_decode, pc, word))
         info = pcheck._plan.cache_info()
         assert (info.misses, info.hits) == (built, replayed)
     return outcomes
@@ -267,6 +279,118 @@ def test_plan_caches_stay_bounded_on_fresh_masks():
     plans = pcheck._plan.cache_info()
     assert (plans.currsize, plans.misses, plans.hits) == (1, 1, 1)
 
+
+def test_rejected_words_count_no_sighting():
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    pc = pcheck.build_parity_check(spec)
+    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+    erased = word.with_erasures([0, 8, 30])
+    pcheck._sightings.cache_clear()
+    pcheck._plan.cache_clear()
+    before = pcheck._sightings.cache_info(), pcheck._plan.cache_info()
+    short = SymbolWord(erased.symbols[1:], erased.erased[1:])
+    outside = SymbolWord((8,) + erased.symbols[1:], erased.erased)  # same mask
+    for bad in (short, outside, outside):
+        with pytest.raises(ValueError):
+            pcheck.pc_decode(pc, bad)
+    assert (pcheck._sightings.cache_info(), pcheck._plan.cache_info()) == before
+    # the next valid word is the mask's first sighting: a direct solve, no plan
+    assert pcheck.pc_decode(pc, erased) == word
+    assert pcheck._plan.cache_info() == before[1]
+
+
+def _with_a_corrupted_symbol(word, block: int, flip) -> list:
+    """`word`, then copies with one known symbol changed (xored with the
+    nonzero `flip()`) in a block without erasures and in a block with some,
+    where such blocks have known symbols; blocks are `block` long."""
+    n = len(word)
+    struck = {i // block for i in range(n) if word.erased[i]}
+    out = [word]
+    for hit in (False, True):
+        known = [i for i in range(n) if not word.erased[i] and (i // block in struck) == hit]
+        if known:
+            symbols = list(word.symbols)
+            symbols[known[len(known) // 2]] ^= flip()
+            out.append(SymbolWord(tuple(symbols), word.erased))
+    return out
+
+
+def _first_sighting_matches_direct_solve(pc, word) -> object:
+    pcheck._sightings.cache_clear()
+    got = _outcome(pcheck.pc_decode, pc, word)
+    assert got == _outcome(mx.solve_erasures, pc.reduced, word)
+    return got
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_first_sighting_matches_direct_solve_on_chains(data):
+    # weakest leaves with u0 = 0, 1 and >= 2, masks of every weight, clean
+    # and with one corrupted known symbol
+    n = data.draw(st.integers(1, 7))
+    chain = data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))
+    for spec in chain:
+        pc = pcheck.build_parity_check(spec)
+        k = dimension(spec)
+        word = codec.encode(spec, data.draw(st.lists(st.integers(0, 7), min_size=k, max_size=k)))
+        order = data.draw(st.permutations(range(length(spec))))
+        for weight in range(length(spec) + 1):
+            erased = word.with_erasures(order[:weight])
+            for w in _with_a_corrupted_symbol(erased, pc.leaf[0], lambda: 1 + weight % 7):
+                _first_sighting_matches_direct_solve(pc, w)
+
+
+@pytest.mark.parametrize("cap", STRIPE_SHAPES)
+def test_first_sighting_matches_direct_solve_on_stripe_shapes(cap):
+    # 2,000 fresh masks of weight 0-26 (the shapes have 22 checks), so many
+    # lie beyond capability and beyond the dimension bound
+    rng = random.Random(cap)
+    spec = spec_from_capability(field(8), cap, 7)
+    pc = pcheck.build_parity_check(spec)
+    seen = set()
+    for i in range(2000):
+        if i % 20 == 0:
+            word = codec.encode(spec, [rng.randrange(256) for _ in range(dimension(spec))])
+        erased = word.with_erasures(rng.sample(range(84), rng.randint(0, 26)))
+        variants = _with_a_corrupted_symbol(erased, 7, lambda: rng.randrange(1, 256))
+        got = _first_sighting_matches_direct_solve(pc, variants[i % len(variants)])
+        seen.add(got if got is None or got is mx.InconsistentWordError else SymbolWord)
+    assert seen == {SymbolWord, None, mx.InconsistentWordError}
+
+
+def test_first_sightings_take_the_local_split(monkeypatch):
+    # the stripe shapes (u0 = 1) solve in r' = 10 rows, never through
+    # solve_erasures; the [84,62] leaf (no rows left to Q) and Table 1 row
+    # 11 (u0 = 0) solve on all of H's rows
+    solve = mx._solve
+    heights = []
+
+    def recorded(ctx, cols, carried):
+        heights.append(cols.shape[0])
+        return solve(ctx, cols, carried)
+
+    def boom(*args):
+        raise AssertionError("pc_decode called solve_erasures")
+
+    monkeypatch.setattr(mx, "_solve", recorded)
+    monkeypatch.setattr(mx, "solve_erasures", boom)
+    codes = [(cap, 8, 7, 10) for cap in STRIPE_SHAPES]
+    codes += [(TABLE_1[0][0], 7, 84, 22), (TABLE_1[10][0], 4, 7, 22)]
+    rng = random.Random(41)
+    for cap, w, n, rows in codes:
+        spec = spec_from_capability(field(w), cap, n)
+        pc = pcheck.build_parity_check(spec)
+        word = codec.encode(spec, [rng.randrange(2 ** w) for _ in range(dimension(spec))])
+        mask = [False] * 84
+        for pos in rng.sample(range(84), 84):  # a maximal correctable prefix
+            mask[pos] = True
+            if not codec.correctable(spec, mask):
+                mask[pos] = False
+                break
+        pcheck._sightings.cache_clear()
+        heights.clear()
+        assert pcheck.pc_decode(pc, word.with_erasures(np.flatnonzero(mask).tolist())) == word, cap
+        assert heights == [rows], cap
 
 
 def test_one_plan_table_for_encode_and_row_repair(monkeypatch):
