@@ -179,7 +179,8 @@ def test_non_integer_symbols_rejected_at_every_entry_point(bad):
     calls = [lambda: codec.is_codeword(EX1, word),
              lambda: codec.decode(EX1, word.with_erasures([0])),
              lambda: codec.encode(EX1, [0] * 10 + [bad] + [0] * 13)]
-    # pc_decode three times: direct solve, plan build, plan replay
+    # pc_decode three times: a rejected word counts no sighting, so each
+    # call would be the mask's first
     calls += [lambda: pc_decode(pc, word.with_erasures([0]))] * 3
     for call in calls:
         with pytest.raises(ValueError, match="position 10"):
