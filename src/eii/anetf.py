@@ -9,16 +9,17 @@ oracles walk a whole batch of trials at once; a single permutation is a
 batch of one.  The capability walk reads the count off the erasure times
 directly: a code's first rejected prefix is an order statistic of its
 children's, so it is one sort per tree level with `codec`'s tail profiles.
-The pcheck walk is leaf-local: the local checks V(u0, n) of the weakest
-leaf code, one copy per block, lie in every reduced H, so a block's first
-u0 erasures are always independent, and each later one adds one residual
-column in the r' = rows - M u0 dimensions that are left (M blocks).  The
-split is taken when u0 = 1, where a residual is the difference of two
-columns, or r' = 0, where it is empty; otherwise the walk runs with u0 = 0
-on the columns of H.  One batched forward elimination over each trial's
-first r' + 1 residuals, one column per step, finds the first dependent
-one.  Batches are capped so their working arrays stay within a fixed
-memory budget.
+The pcheck walk is local to the layer whose block sums give the most
+checks (`pcheck._local_split`): with t of them, the first erasures of t
+distinct blocks are always independent, and each further erasure adds one
+residual column in the r' = rows - t dimensions that are left.  A later
+erasure of a block gives the difference of two columns, and the first
+erasure of a block beyond the t free ones the combination of t + 1 columns
+by the dual weights of the Vandermonde checks; an MDS leaf, whose rows are
+all leaf-local, leaves r' = 0.  One batched forward elimination over each
+trial's first r' + 1 residuals, one column per step, finds the first
+dependent one.  Batches are capped so their working arrays stay within a
+fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -148,24 +149,56 @@ def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     return _rejection_times((spec,), when, n)[:, 0]
 
 
-def _late_erasures(perms: np.ndarray, u0: int, n: int, first: int, count: int):
-    """Erasure times (from 0) of each trial's first `count` erasures that
-    are not among the first u0 of their block, and of the erasure of the
-    same block just before each.
+def _dual_weights(ctx, blocks: np.ndarray, m: int) -> np.ndarray:
+    """w_i = prod_{j != i} (alpha^b_i - alpha^b_j)^-1 along the first axis
+    of `blocks`, (t + 1, R): R sets of t + 1 distinct blocks below m < q.
+
+    These are the dual weights of the Vandermonde columns at the points
+    alpha^b: sum_i w_i alpha^(r b_i) = 0 for every r < t, so they combine
+    the columns of V(t, M) at the t + 1 blocks to zero, and none is zero.
+    The log of w_i is minus the sum over the set of log(alpha^b_i -
+    alpha^b_j), one product of the m x m table of those logs with the sets'
+    0/1 membership columns.
+    """
+    log, exp = np.asarray(ctx.log_table), np.asarray(ctx.exp_table, dtype=np.uint8)
+    logs = log[exp[:m, None] ^ exp[:m]]
+    np.fill_diagonal(logs, 0)
+    member = np.zeros((m, blocks.shape[1]), dtype=logs.dtype)  # integers: no BLAS call
+    np.put_along_axis(member, blocks, 1, axis=0)
+    return exp[-np.take_along_axis(logs @ member, blocks, axis=0) % (ctx.q - 1)]
+
+
+def _residuals(perms: np.ndarray, split, first: int, count: int):
+    """Erasure times (from 0) of each trial's first `count` residuals in
+    the split `split` of `pcheck._local_split`, the time of the erasure
+    each is taken against, and the first-erasure times of each trial's
+    free blocks.
 
     Only the first `first` erasures are read, and they must hold `count`
-    late ones.  Sorted by (block, time), an erasure is late when the one u0
+    residuals.  Sorted by (block, time), an erasure is late when the one u0
     places before it lies in the same block; the one just before it then
-    does too.
+    does too, and is what it is taken against.  Every other erasure is
+    among the first u0 of its block, and with u0 = 1 it is the block's
+    first.  When t is below the block count, the first erasures of the t
+    earliest blocks are free, the t smallest of these times per trial, and
+    a later block's first erasure is a residual too, taken against `first`
+    to mark it.  The free times are None when every block is free.
     """
+    n, u0, t = split.n, split.u0, split.t
     bits = first.bit_length()
     key = np.sort(perms[:, :first] // n << bits | np.arange(first))
     block, when = key >> bits, key & (1 << bits) - 1
     late = np.full(key.shape, first << bits)
     late[:, u0:] = np.where(block[:, u0:] == block[:, :first - u0],
                             when[:, u0:] << bits | when[:, u0 - 1:first - 1], late[:, u0:])
+    free = None
+    if t * n < perms.shape[1]:  # then u0 = 1
+        heads = np.where(late == first << bits, when, first)
+        free = np.partition(heads, t - 1, axis=1)[:, :t] if t else heads[:, :0]
+        later = heads > (free[:, t - 1:] if t else -1)
+        late = np.where(later & (heads < first), when << bits | first, late)
     late = np.sort(late)[:, :count]
-    return late >> bits, late & (1 << bits) - 1
+    return late >> bits, late & (1 << bits) - 1, free
 
 
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
@@ -174,15 +207,22 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     The count is the first k at which the erased columns h[:, perm[:k]] of
     the reduced matrix are linearly dependent; any rows + 1 columns are, so
     only each trial's first rows + 1 erasures are read.  In the basis
-    [L; Q] of `pcheck._local_split` a block's first u0 erasures are always
-    independent, and each later erasure e adds one residual column in r'
-    dimensions: Q[:, e] for u0 = 0, none for r' = 0, and for u0 = 1
-    Q[:, e] - Q[:, f] with f the block's first erasure.  The walk takes
-    Q[:, e] - Q[:, e'] with e' the block's previous erasure instead; that is
-    the difference of two residuals, the earlier one zero or already
-    present, so every prefix spans the same space.  The erasures are
-    dependent exactly when the residuals are.  Any r' + 1 residuals are,
-    and the first rows + 1 erasures hold at least that many, so one forward
+    [L; Q] of `pcheck._local_split` the first erasures of t distinct blocks
+    (the first u0 of each, for leaf-local rows) are always independent, and
+    each later erasure e adds one residual column in the r' dimensions of
+    Q, which is zero in L.  There is one rule for it:
+      - a later erasure of a block gives Q[:, e] - Q[:, e'], with e' the
+        block's previous erasure: e's column less e''s;
+      - the first erasure f of a block beyond the t free ones gives
+        sum_S w_i Q[:, f_i] over S, the free blocks' first erasures f_i and
+        f itself, with the dual weights w of V(t, M) at their blocks
+        (`_dual_weights`): the combination of their columns that is zero
+        in L.
+    Each residual is the erasure's column less earlier columns, so every
+    prefix spans the same space, and the erasures are dependent exactly
+    when the residuals are.  With r' = 0 no residual is read, and with
+    t = 0 every erasure is one.  Any r' + 1 residuals are dependent, and
+    the first rows + 1 erasures hold at least that many, so one forward
     elimination over each trial's first r' + 1 residuals, one column per
     step, decides it.  Step s keeps only the rows and columns not yet
     eliminated, so column s is dependent on the earlier ones exactly when
@@ -192,20 +232,23 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     products, clears the column.  Trials that never fail get the time of
     residual r'.
     """
-    u0, n, qt = pcheck._local_split(pcheck.build_parity_check(spec))
-    ctx = spec.ctx
+    pc = pcheck.build_parity_check(spec)
+    split = pcheck._local_split(pc)
+    ctx, qt = spec.ctx, split.qt
     inv = ctx.inv_table
-    trials, rest = perms.shape[0], qt.shape[1]
-    first = rest + perms.shape[1] // n * u0 + 1  # rows + 1
-    if u0:
-        times, before = _late_erasures(perms, u0, n, first, rest + 1)
-        m = qt.take(np.take_along_axis(perms, times, axis=1), axis=0)
-        if rest:  # then u0 = 1
-            m ^= qt.take(np.take_along_axis(perms, before, axis=1), axis=0)
-        times += 1
-    else:  # every erasure is late, and its residual is its column of H
-        times = np.broadcast_to(np.arange(1, first + 1), (trials, first))
-        m = qt.take(perms[:, :first], axis=0)
+    trials, rest, first = perms.shape[0], qt.shape[1], pc.rank + 1
+    times, before, free = _residuals(perms, split, first, rest + 1)
+    m = qt.take(np.take_along_axis(perms, times, axis=1), axis=0)
+    if rest:
+        m ^= qt.take(np.take_along_axis(perms, np.minimum(before, first - 1), axis=1), axis=0)
+        if free is not None:
+            trial, slot = np.nonzero(before == first)
+            group = np.vstack([np.take_along_axis(perms, free, axis=1)[trial].T,
+                               perms[trial, times[trial, slot]]])  # (t + 1, residuals)
+            weights = _dual_weights(ctx, group // split.n, perms.shape[1] // split.n)
+            m[trial, slot] = np.bitwise_xor.reduce(
+                ctx.mul_arrays(qt.take(group, axis=0), weights[:, :, None]), axis=0)
+    times += 1
     m = m.transpose(0, 2, 1)  # (trials, r', r' + 1)
     counts = times[:, rest].astype(np.int64)
     ids = np.arange(trials)
@@ -250,9 +293,12 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     live.  The pcheck walk's sorts of its first rows + 1 erasures hold at
     most ten int64 keys and temporaries per erasure, and its elimination
     the r' x (r' + 1) residual columns and either the second gather they
-    are summed with or the copy each elimination step makes of them; its
-    gather temporaries, 12 bytes per product of one chunk, come off the
-    budget first.  The orders `simulate` keeps between calls sit outside
+    are summed with or the copy each elimination step makes of them.  Each
+    first erasure of a block beyond the t free ones, at most one per such
+    block and r' + 1 in all, gathers (t + 1) x r' entries of Q for its dual
+    weights, with 6 bytes of gather and product temporaries per entry.  The
+    rank-one update's gather temporaries, 12 bytes per product of one
+    chunk, come off the budget first.  The orders `simulate` keeps between calls sit outside
     this budget, under _PERMS_BYTES, and Q^T, N x r' bytes cached per
     parity check by `pcheck._local_split`, is no larger than the reduced H.
     """
@@ -266,8 +312,10 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
         extra = 8 * (words + blocks * len(chain))
     else:
         pc = pcheck.build_parity_check(spec)
-        rows, rest = pc.rank, pcheck._local_split(pc)[2].shape[1]
-        extra = 80 * (rows + 1) + 2 * rest * (rest + 1)
+        split = pcheck._local_split(pc)
+        rest, beyond = split.qt.shape[1], n // split.n - split.t
+        extra = 80 * (pc.rank + 1) + 2 * rest * (rest + 1)
+        extra += 6 * min(beyond, rest + 1) * (split.t + 1) * rest
         budget -= 12 * _CHUNK
     return max(1, budget // (8 * n + extra))
 

@@ -164,7 +164,7 @@ def _weakest_term(spec: NodeSpec) -> tuple:
 
 def layer_count(spec: CodeSpec) -> int:
     layers = 1
-    while isinstance(spec, NodeSpec):  # a loop: validate counts before it recurses
+    while isinstance(spec, NodeSpec) and spec.children:  # a loop: validate counts before it hashes
         spec, layers = spec.children[0], layers + 1
     return layers
 
@@ -212,7 +212,22 @@ MAX_LAYERS = 16
 
 
 def validate(spec: CodeSpec) -> None:
-    """Raise a ValidationError subclass when any structural invariant fails."""
+    """Raise a ValidationError subclass when any structural invariant fails.
+
+    Specs share their chains of children, and a design is validated more
+    than once, so the checks are memoized per spec.  The layer count comes
+    first, from a loop, so that a spec too deep to hash raises it.
+    """
+    if layer_count(spec) > MAX_LAYERS:
+        raise ValidationError(f"{layer_count(spec)} layers exceed the limit of {MAX_LAYERS}")
+    try:
+        _validate(spec)
+    except RecursionError:  # a later child nested past the cap
+        raise ValidationError("spec nests too deeply") from None
+
+
+@lru_cache(maxsize=None)
+def _validate(spec: CodeSpec) -> None:
     if isinstance(spec, LeafSpec):
         if spec.n < 1:
             raise ValidationError(f"leaf length {spec.n} < 1")
@@ -226,8 +241,6 @@ def validate(spec: CodeSpec) -> None:
         return
     if len(spec.children) < 1:
         raise ValidationError("node needs at least one child")
-    if layer_count(spec) > MAX_LAYERS:
-        raise ValidationError(f"{layer_count(spec)} layers exceed the limit of {MAX_LAYERS}")
     if len(spec.s) != len(spec.children) + 1:
         raise ValidationError(
             f"multiplicity vector has {len(spec.s)} entries for {len(spec.children)} children"
@@ -239,12 +252,11 @@ def validate(spec: CodeSpec) -> None:
         raise ValidationError("node has zero blocks")
     if m >= spec.ctx.q:
         raise FieldTooSmallError(f"m={m} blocks needs a field larger than GF({spec.ctx.q})")
-    sub_len = length(spec.children[0])
     for ch in spec.children:
         validate(ch)
         if ch.ctx != spec.ctx:
             raise ValidationError("child uses a different field context")
-        if length(ch) != sub_len:
+        if length(ch) != length(spec.children[0]):  # validated first
             raise ValidationError("children have different lengths")
         if dimension(ch) == 0:
             raise ValidationError("zero-dimensional child; use the final multiplicity instead")

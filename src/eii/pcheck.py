@@ -21,15 +21,19 @@ its plan from the second time on.  Both the sightings and the plans sit in
 bounded caches, so masks that never repeat cost `pc_decode` one direct
 solve each and no memory beyond the sightings table.
 
-Every leaf block lies in the weakest leaf code C0 = [n, n - u0], so the
-local rows I_M (x) V(u0, n) of the M blocks lie in the reduced row space.
-`build_parity_check` records that leaf, and `_local_split` extends the
-local rows to a basis [L; Q], once per parity check; eliminating a block's
-first u0 erased positions leaves each further column a residual in the
-r' = rows - M u0 rows of Q, a Schur complement on the block-diagonal local
-rows.  The ANETF pcheck walk decides dependence on these residuals alone,
-and `pc_decode` solves a fresh mask's later erasures on them in r'
-dimensions, then fills each block's first erasure from its local row.
+Each layer of an EII code adds checks on its own blocks, and the sums of
+a layer's M blocks of length n are often among them: all M sums, as when
+the weakest leaf code has u0 >= 1, or only t < M Vandermonde combinations
+L = V(t, M) (x) 1_n of them.  `build_parity_check` records each layer's
+block length and u0, and `_local_split` finds, once per parity check and
+with one elimination per layer, the layer with the most such checks and
+extends its rows L to a basis [L; Q].  The first erasures of t distinct
+blocks are then independent, and each further erasure adds one residual
+column in the r' = rows - t rows of Q; an MDS leaf, whose rows are all
+leaf-local, leaves r' = 0.  The ANETF pcheck walk decides dependence on
+these residuals alone, and when every block sum is a check (t = M),
+`pc_decode` solves a fresh mask's later erasures on them in r'
+dimensions, then fills each block's first erasure from its sum.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,18 +69,21 @@ PLAN_CACHE = 4096
 class ParityCheck:
     h: MatrixGF              # as-constructed stack, possibly rank-deficient
     reduced: MatrixGF        # full-rank variant spanning the same row space
-    leaf: tuple              # (n, u) of the weakest leaf code, which holds every block
+    layers: tuple            # block length per layer: the code's length first, the row length last
+    u0: int                  # redundancy of the weakest leaf code, which holds every row
 
     @property
     def rank(self) -> int:
         return self.reduced.rows
 
 
+@lru_cache(maxsize=None)
 def _increment(prev: CodeSpec, nxt: CodeSpec) -> MatrixGF:
     """Rows extending prev's parity-check matrix to one for nxt (nxt inside prev).
 
     For nodes, strip j raises tail_j from prev's count to nxt's with
-    Vandermonde rows over B_j (see the module docstring).
+    Vandermonde rows over B_j (see the module docstring).  Memoized:
+    sibling codes share their chains of children, and so their B_j.
     """
     ctx = prev.ctx
     if isinstance(prev, LeafSpec):
@@ -109,10 +117,11 @@ def build_parity_check(spec: CodeSpec) -> ParityCheck:
     h = _construct(spec)
     # rows that enlarge the span of the rows above them; the rest are dropped
     kept = [r for r, _ in mx._eliminate(h.data.copy(), spec.ctx)]
-    leaf = spec
-    while not isinstance(leaf, LeafSpec):
+    layers, leaf = [], spec
+    while isinstance(leaf, NodeSpec):
+        layers.append(length(leaf))
         leaf = leaf.children[0]
-    pc = ParityCheck(h, MatrixGF(spec.ctx, h.data[kept]), (leaf.n, leaf.u))
+    pc = ParityCheck(h, MatrixGF(spec.ctx, h.data[kept]), (*layers, leaf.n), leaf.u)
     if pc.rank != length(spec) - dimension(spec):
         raise AssertionError("parity-check rank disagrees with the code dimension")
     return pc
@@ -120,33 +129,74 @@ def build_parity_check(spec: CodeSpec) -> ParityCheck:
 
 def reduce(pc: ParityCheck) -> ParityCheck:
     """Full-rank variant; keeps earliest rows, drops later dependent ones."""
-    return ParityCheck(pc.reduced, pc.reduced, pc.leaf)
+    return ParityCheck(pc.reduced, pc.reduced, pc.layers, pc.u0)
+
+
+class Split(NamedTuple):
+    """A basis [L; Q] of the reduced rows; see `_local_split`."""
+
+    n: int           # block length of the layer whose checks L are
+    u0: int          # erasures of each free block that are free
+    t: int           # free blocks: L has t u0 rows
+    qt: np.ndarray   # Q^T, (N, r') with r' = rows - t u0
+
+
+def _block_sum_checks(h: MatrixGF, n: int) -> int:
+    """How many checks the sums of h's blocks of length n give (see `_local_split`).
+
+    One elimination of [H; G (x) 1_n] with G = V(M, M), or I_M when the M
+    blocks outnumber the points alpha^0 ... alpha^(q-2): a row of G (x) 1_n
+    lies in the row space of H exactly when it leaves no pivot.  Returns M
+    when every row does (then every block sum is a check, V(M, M) being
+    invertible), else the longest prefix of Vandermonde rows that does, or
+    0 for I_M.
+    """
+    ctx = h.ctx
+    m = h.cols // n
+    g = mx.vandermonde(ctx, m, m) if m < ctx.q else mx.identity(ctx, m)
+    both = np.vstack([h.data, np.repeat(g.data, n, axis=1)])
+    pivots = {r for r, _ in mx._eliminate(both, ctx)}
+    inside = [h.rows + i not in pivots for i in range(m)]
+    if all(inside):
+        return m
+    return inside.index(False) if m < ctx.q else 0
 
 
 @lru_cache(maxsize=None)
-def _local_split(pc: ParityCheck):
-    """The local split of the reduced matrix: (u0, n, Q^T).
+def _local_split(pc: ParityCheck) -> Split:
+    """The local split of the reduced matrix at the block-sum layer with the
+    most checks.
 
-    Every leaf block lies in the weakest leaf code C0 = [n, n - u0], so the
-    local rows L = I_M (x) V(u0, n) of the M blocks lie in the row space of
-    the reduced H.  Extending L to a basis [L; Q] of that space leaves Q
-    with r' = rows - M u0 rows; Q^T is returned as an (N, r') array.  After
-    a block's first u0 erased positions P are eliminated, a later erasure
-    e = bn + p of block b leaves the residual Q[:, e] - Q[:, bn + P]
-    V_P^-1 V[:, p] in r' dimensions.  For u0 = 1, V is a row of ones, so
-    this is Q[:, e] - Q[:, f] for the block's first erasure f; for r' = 0
-    it is empty.  Any other u0 would need V_P^-1 V for each of C(n, u0)
-    sets P, so it is split as u0 = 0 instead, where Q = H and the residual
-    is column e of H.
+    When every row is leaf-local, I_M (x) V(u0, n) for the M rows of the
+    weakest leaf code [n, n - u0], the first u0 erasures of a row are free
+    and the next is dependent: t = M and r' = 0.  Otherwise each layer of
+    `pc.layers` offers L = I_M (x) 1_n, when each of its M block sums is a
+    check (t = M), or the longest prefix L = V(t, M) (x) 1_n of Vandermonde
+    combinations of them at the points alpha^b that lies in the row space
+    (`_block_sum_checks`).  The layer with the largest t is taken, the
+    deepest one on ties unless a higher one has t = M.  Extending L to a
+    basis [L; Q] leaves Q with r' = rows - t rows; Q^T is returned as an
+    (N, r') array.  Any t blocks have independent columns in L, so the
+    first erasures of t distinct blocks are free.  A later erasure e of a
+    block leaves the residual Q[:, e] - Q[:, e'] against an earlier one e'
+    of the same block, and the first erasure of a further block is
+    combined with the t free ones by the dual weights of V(t, M) (see
+    `anetf._dual_weights`).
     """
-    h, (n, u) = pc.reduced, pc.leaf
+    h = pc.reduced
     ctx = h.ctx
-    blocks = h.cols // n
-    u0 = u if u == 1 or h.rows == blocks * u else 0
-    both = np.vstack([mx.kronecker(mx.identity(ctx, blocks), mx.vandermonde(ctx, u0, n)).data,
-                      h.data])
-    kept = [r for r, _ in mx._eliminate(both.copy(), ctx) if r >= blocks * u0]
-    return u0, n, np.ascontiguousarray(both[kept].T)
+    rows = h.cols // pc.layers[-1]
+    if h.rows == rows * pc.u0 > 0:
+        return Split(pc.layers[-1], pc.u0, rows, np.zeros((h.cols, 0), dtype=np.uint8))
+    t, full, n = 0, False, h.cols  # no block sum is a check
+    for width in reversed(pc.layers):
+        checks = _block_sum_checks(h, width)
+        if (checks, checks * width == h.cols) > (t, full):
+            t, full, n = checks, checks * width == h.cols, width
+    g = mx.identity(ctx, t) if full else mx.vandermonde(ctx, t, h.cols // n)
+    both = np.vstack([np.repeat(g.data, n, axis=1), h.data])
+    kept = [r for r, _ in mx._eliminate(both.copy(), ctx) if r >= t]
+    return Split(n, 1, t, np.ascontiguousarray(both[kept].T))
 
 
 def density(pc: ParityCheck) -> float:
@@ -191,22 +241,23 @@ def _split_solve(pc: ParityCheck, syms: np.ndarray, mask: np.ndarray):
     """`pc_decode`'s direct solve of one word in the local split [L; Q].
 
     [L; Q] spans the rows of H, so the word's completions are those that
-    meet L and Q.  With u0 = 1 the local rows say that every block sums to
-    0: a block without erasures must already, and a block's first erased
-    symbol f is its known sum s plus its later erased symbols.  Put into Q,
-    the later erasures e solve (Q[:, e] - Q[:, f]) x = Q_K c_K - Q_F s, a
-    system of r' rows instead of H's; each first erasure then follows from
-    its block.  With u0 = 0 every erasure is late and Q is H.  A weakest
-    leaf with u0 >= 2 leaves no rows to Q, and is solved as u0 = 0 on the
-    columns of H.
+    meet L and Q.  When every block sum of the split's layer is a check
+    (u0 = 1, t = M), a block without erasures must already sum to 0, and a
+    block's first erased symbol f is its known sum s plus its later erased
+    symbols.  Put into Q, the later erasures e solve (Q[:, e] - Q[:, f]) x
+    = Q_K c_K - Q_F s, a system of r' rows instead of H's; each first
+    erasure then follows from its block.  Any other split, with t < M
+    Vandermonde checks or leaf-local rows of u0 >= 2, is solved on the
+    columns of H, where every erasure is late.
     """
-    u0, n, qt = _local_split(pc)
-    if u0 > 1:
-        u0, qt = 0, pc.reduced.data.T
+    n, u0, t, qt = _local_split(pc)
+    split = u0 == 1 and t * n == len(mask)
+    if not split:
+        qt = pc.reduced.data.T
     ctx = pc.reduced.ctx
     syms[mask] = 0
     local_fails = False
-    if u0:
+    if split:
         hit = mask.reshape(-1, n)
         struck = hit.any(axis=1)
         sums = np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)
@@ -228,7 +279,7 @@ def _split_solve(pc: ParityCheck, syms: np.ndarray, mask: np.ndarray):
     if solution is None:
         return None
     syms[erased] = solution[:, 0]
-    if u0:
+    if split:
         syms[heads] ^= np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)[struck]
     return SymbolWord.known(syms.tolist())
 

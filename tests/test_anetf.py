@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eii import anetf, codec, matrix as mx, pcheck
 from eii.codespec import LeafSpec, NodeSpec, length, min_distance, spec_from_capability
@@ -210,8 +210,9 @@ def test_pcheck_counts_match_elimination_oracle(data):
 
 
 def test_pcheck_counts_match_elimination_oracle_on_table1():
-    # row 1 keeps no rows beyond its local ones (C(84, 22) sets, r' = 0),
-    # rows 2-10 split off one local row per block, rows 11-13 none
+    # row 1 keeps no rows beyond its local ones (r' = 0), rows 2-10 split
+    # off every leaf block sum, rows 11 and 13 ten Vandermonde combinations
+    # of them and row 12 the sums of its 21-symbol blocks
     perms = anetf._trial_permutations(16, 0, 20_000, 84)
     for cap, w, n, _, _ in TABLE_1:
         spec = spec_from_capability(field(w), cap, n)
@@ -221,29 +222,66 @@ def test_pcheck_counts_match_elimination_oracle_on_table1():
 
 
 def test_pcheck_walk_without_a_split():
-    # a weakest leaf with u0 >= 2 and rows left over is walked with u0 = 0,
-    # on the columns of H, with no per-set solve to set up
+    # a weakest leaf with u0 >= 2 and rows left over takes the block-sum
+    # split of its rows, r' = rows - M, with no per-set solve to set up
     g32 = field(5)
     specs = [NodeSpec(g32, (LeafSpec(g32, 31, 3), LeafSpec(g32, 31, 4)), (1, 1, 0)),
              NodeSpec(G8, (LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 4)), (1, 1, 1))]
     for spec in specs:
-        u0, n, qt = pcheck._local_split(pcheck.build_parity_check(spec))
-        assert (u0, n) == (0, spec.children[0].n)
-        assert np.array_equal(qt, pcheck.build_parity_check(spec).reduced.data.T)
+        pc = pcheck.build_parity_check(spec)
+        n, u0, t, qt = pcheck._local_split(pc)
+        blocks = length(spec) // spec.children[0].n
+        assert (n, u0, t) == (spec.children[0].n, 1, blocks)
+        assert qt.shape == (length(spec), pc.rank - blocks)
         perms = anetf._trial_permutations(12, 0, 500, length(spec))
         assert anetf._pcheck_counts(spec, perms).tolist() == \
             elimination_pcheck_counts(spec, perms).tolist()
 
 
 def test_table1_splits():
-    # row 1 splits off all its rows, rows 2-10 one local row per block and
-    # rows 11-13 none
-    for (cap, w, n, _, _), want in zip(TABLE_1, [22] + [1] * 9 + [0] * 3):
-        spec = spec_from_capability(field(w), cap, n)
-        u0, leaf_n, qt = pcheck._local_split(pcheck.build_parity_check(spec))
-        rows = pcheck.build_parity_check(spec).rank
-        assert (u0, qt.shape) == (want, (84, rows - 84 // leaf_n * want)), cap
-    assert qt.shape[1] == rows
+    # (block length, free blocks t, r') per row: row 1 splits off all its
+    # rows as leaf-local ones, rows 2-10 every leaf block sum, rows 11 and
+    # 13 ten Vandermonde combinations of the 12 leaf block sums, and row 12,
+    # whose 12 leaf blocks outnumber GF(8)'s points, its 4 sums of 21
+    want = [(84, 1, 0)] + [(7, 12, 10)] * 9 + [(7, 10, 12), (21, 4, 18), (7, 10, 12)]
+    for (cap, w, row_n, _, _), split in zip(TABLE_1, want):
+        spec = spec_from_capability(field(w), cap, row_n)
+        n, u0, t, qt = pcheck._local_split(pcheck.build_parity_check(spec))
+        assert (n, t, qt.shape[1]) == split, cap
+        assert u0 == (22 if cap == "(22)" else 1) and qt.shape[0] == 84
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_dual_weights_annihilate_vandermonde(w):
+    ctx = field(w)
+    rng = np.random.default_rng(w)
+    for _ in range(40):
+        m = int(rng.integers(1, ctx.q))
+        t = int(rng.integers(0, m))
+        blocks = np.array([rng.choice(m, t + 1, replace=False) for _ in range(5)]).T
+        weights = anetf._dual_weights(ctx, blocks, m)
+        assert weights.shape == blocks.shape and weights.all()
+        v = mx.vandermonde(ctx, t, m).data
+        for r in range(5):
+            terms = ctx.mul_table[v[:, blocks[:, r]], weights[None, :, r]]
+            assert not np.bitwise_xor.reduce(terms, axis=1).any(), (m, t, blocks[:, r])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_pcheck_counts_match_elimination_oracle_with_a_zero_leaf(data):
+    # a weakest leaf with u0 = 0 has no leaf-local rows: the split takes
+    # t < M Vandermonde combinations of the leaf block sums, or the sums of
+    # a layer above the leaves, often the whole code's one sum
+    n = data.draw(st.integers(1, 7))
+    chain = data.draw(ordered_chains(data.draw(st.integers(1, 2)), n))
+    specs = [spec for spec in chain
+             if pcheck.build_parity_check(spec).u0 == 0 and pcheck.build_parity_check(spec).rank]
+    assume(specs)
+    spec = data.draw(st.sampled_from(specs))
+    perms = anetf._trial_permutations(data.draw(st.integers(0, 2**64 - 1)), 0, 32, length(spec))
+    assert anetf._pcheck_counts(spec, perms).tolist() == \
+        elimination_pcheck_counts(spec, perms).tolist()
 
 
 EMPTY_BLOCK_SPECS = pytest.mark.parametrize("spec", [

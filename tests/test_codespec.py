@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eii import anetf, codec
+from eii import anetf, codec, codespec
 from eii.codespec import (
     MAX_LAYERS,
     DifferentChildrenError,
@@ -338,6 +338,28 @@ def test_validate_caps_the_layer_count():
     for layers in (MAX_LAYERS + 1, 32, 72, 2000):
         with pytest.raises(ValidationError, match=f"{layers} layers exceed the limit"):
             validate(one_block_layers(layers))
+
+
+def test_validate_rejects_childless_and_overdeep_children():
+    childless = NodeSpec(G8, (), (1,))
+    for spec in (childless, NodeSpec(G8, (childless,), (1, 0))):
+        with pytest.raises(ValidationError, match="node needs at least one child"):
+            validate(spec)
+    # a later child past the cap cannot be hashed, so it is caught before
+    # the memo is asked
+    spec = NodeSpec(G8, (LeafSpec(G8, 3, 1), one_block_layers(2000)), (1, 1, 0))
+    with pytest.raises(ValidationError, match="spec nests too deeply"):
+        validate(spec)
+
+
+def test_validate_checks_each_spec_once():
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    validate(spec)
+    before = codespec._validate.cache_info()
+    validate(spec)
+    validate(spec_from_capability(G8, capability(spec), 7))
+    after = codespec._validate.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_deep_trees_and_json_raise_validation_errors():

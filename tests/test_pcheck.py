@@ -335,7 +335,8 @@ def test_first_sighting_matches_direct_solve_on_chains(data):
         order = data.draw(st.permutations(range(length(spec))))
         for weight in range(length(spec) + 1):
             erased = word.with_erasures(order[:weight])
-            for w in _with_a_corrupted_symbol(erased, pc.leaf[0], lambda: 1 + weight % 7):
+            for w in _with_a_corrupted_symbol(erased, pcheck._local_split(pc).n,
+                                              lambda: 1 + weight % 7):
                 _first_sighting_matches_direct_solve(pc, w)
 
 
@@ -358,9 +359,10 @@ def test_first_sighting_matches_direct_solve_on_stripe_shapes(cap):
 
 
 def test_first_sightings_take_the_local_split(monkeypatch):
-    # the stripe shapes (u0 = 1) solve in r' = 10 rows, never through
-    # solve_erasures; the [84,62] leaf (no rows left to Q) and Table 1 row
-    # 11 (u0 = 0) solve on all of H's rows
+    # the stripe shapes (every leaf block sum known) solve in r' = 10 rows,
+    # never through solve_erasures, and Table 1 row 12 (every sum of 21
+    # known) in 18; the [84,62] leaf (no rows left to Q) and row 11 (10
+    # Vandermonde combinations of 12 block sums) solve on all of H's rows
     solve = mx._solve
     heights = []
 
@@ -374,7 +376,7 @@ def test_first_sightings_take_the_local_split(monkeypatch):
     monkeypatch.setattr(mx, "_solve", recorded)
     monkeypatch.setattr(mx, "solve_erasures", boom)
     codes = [(cap, 8, 7, 10) for cap in STRIPE_SHAPES]
-    codes += [(TABLE_1[0][0], 7, 84, 22), (TABLE_1[10][0], 4, 7, 22)]
+    codes += [(TABLE_1[0][0], 7, 84, 22), (TABLE_1[10][0], 4, 7, 22), (TABLE_1[11][0], 3, 7, 18)]
     rng = random.Random(41)
     for cap, w, n, rows in codes:
         spec = spec_from_capability(field(w), cap, n)
