@@ -7,10 +7,12 @@ strength of the child code they need (strongest first, ties by block
 index); the weighted-sum constraints are triangulated over that ordering;
 and blocks are peeled off the bottom of the triangle, each time combining
 the target block with already-known blocks so the result lands in a child
-code that can finish the repair.  It writes only erased symbols, and
-returns the node's blocks in repair order.  A block in the implicit zero
-code is peeled like any other, with the erased entries of its combination
-set to zero.
+code that can finish the repair.  It writes only erased symbols.  A block
+in the implicit zero code is peeled like any other, with the erased
+entries of its combination set to zero.  `decode` runs it on a mask's
+first sighting only: from the second on, a repeated mask, as from a failed
+device, is filled by one product with its plan from `pcheck._plan`, the
+table that encoding and `pc_decode` use too.
 
 Guaranteed correctability is one rule, `_chain_levels`: vectorized over a
 batch of masks, it gives each mask the weakest member of a nested chain of
@@ -56,7 +58,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import _plan, build_parity_check
+from .pcheck import _plan, _sightings, build_parity_check
 from .words import SymbolWord, check_symbols, word_arrays
 
 
@@ -169,26 +171,32 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarra
     return rows
 
 
-def _repair(spec: CodeSpec, symbols, erased, levels: list) -> list:
+def _schedule(top: list, era: np.ndarray) -> tuple:
+    """A node's erased blocks at level 0, in index order, and the blocks
+    of every other level, strongest first and ties by index: the order in
+    which the latter are triangulated, and the reverse of their peeling."""
+    local = [j for j, hit in enumerate(era.any(axis=1).tolist()) if hit and not top[j]]
+    return local, sorted((j for j in range(len(top)) if top[j]), key=lambda j: (-top[j], j))
+
+
+def _repair(spec: CodeSpec, symbols, erased, levels: list) -> None:
     """Fill the erased symbols of a correctable block in place.
 
     `levels` is the block's share of `_chain_levels`: entry d holds the
-    levels of its blocks d + 1 layers down.  Returns the node's block
-    indices in repair order (empty for a leaf).
+    levels of its blocks d + 1 layers down.
     """
     if isinstance(spec, LeafSpec):
         # the block's pattern passed the capability rule: the plan is solvable
         _plan(build_parity_check(spec).reduced, erased.tobytes()).fill(symbols)
-        return []
+        return
     m = block_count(spec)
     sym, era = symbols.reshape(m, -1), erased.reshape(m, -1)
     top = levels[0].tolist()
-    order = [j for j, hit in enumerate(era.any(axis=1).tolist()) if hit and not top[j]]
-    for j in order:
+    local, pending = _schedule(top, era)
+    for j in local:
         _repair(spec.children[0], sym[j], era[j], [lv[j] for lv in levels[1:]])
-    pending = sorted((j for j in range(m) if top[j]), key=lambda j: (-top[j], j))
     if not pending:
-        return order
+        return
     cols = pending + [j for j in range(m) if not top[j]]
     tri = _triangulate(spec.ctx, tuple(cols), len(pending))
     cols = np.array(cols)
@@ -202,8 +210,6 @@ def _repair(spec: CodeSpec, symbols, erased, levels: list) -> list:
         else:
             _repair(spec.children[top[j]], mixed, era[j], [lv[j] for lv in levels[1:]])
         sym[j] = mixed ^ combo
-        order.append(j)
-    return order
 
 
 def decode(spec: CodeSpec, word: SymbolWord):
@@ -212,19 +218,38 @@ def decode(spec: CodeSpec, word: SymbolWord):
     One `_chain_levels` pass gives the verdict, the assignment and every
     node's block levels.  A mask accepted by `correctable` is recovered; on
     any other the input word comes back unchanged as "uncorrectable", and
-    nothing is repaired.  Decoding writes only erased positions, and a final
-    membership check raises InconsistentWordError whenever the known
-    symbols cannot belong to any codeword.
+    nothing is repaired or counted.  A correctable mask's sightings are
+    counted in `pcheck._sightings` under (spec, mask bytes).  On its first
+    sighting `_repair` fills the word and a membership check follows; from
+    the second on, the plan of the mask against the reduced parity-check
+    matrix, from the table `pc_decode` and `encode` share, fills it in one
+    product.  The erased columns of a correctable mask are independent, so
+    both give the one completion, and both raise InconsistentWordError
+    with one message when the known symbols fit no codeword.  Decoding
+    writes only erased positions.  The peel order is the top level's
+    erased level-0 blocks, then its other blocks in peeling order.
     """
     symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
     verdict, *levels = _chain_levels((spec,), erased)
     assignment = tuple(levels[0].tolist()) if levels else ()
     if verdict:
         return word, DecodeReport(UNCORRECTABLE, assignment, ())
-    order = _repair(spec, symbols, erased, levels)
-    if any(mx.mat_vec(build_parity_check(spec).reduced, symbols)):
-        raise InconsistentWordError("known symbols contradict every codeword")
-    return SymbolWord.known(symbols.tolist()), DecodeReport(RECOVERED, assignment, tuple(order))
+    order = ()
+    if levels:
+        local, pending = _schedule(assignment, erased.reshape(len(assignment), -1))
+        order = (*local, *reversed(pending))
+    bits = erased.tobytes()
+    reduced = build_parity_check(spec).reduced
+    try:
+        if next(_sightings(spec, bits)) == 0:
+            _repair(spec, symbols, erased, levels)
+            if any(mx.mat_vec(reduced, symbols)):
+                raise InconsistentWordError
+        else:
+            _plan(reduced, bits).fill(symbols)
+    except InconsistentWordError:
+        raise InconsistentWordError("known symbols contradict every codeword") from None
+    return SymbolWord.known(symbols.tolist()), DecodeReport(RECOVERED, assignment, order)
 
 
 # -- encoding --------------------------------------------------------------------

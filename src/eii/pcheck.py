@@ -15,11 +15,12 @@ symbols are consistent iff C . known = 0.  The elimination lives in
 `matrix`, and a `matrix.ErasurePlan` holds X and C for one (matrix, mask)
 pair.  `_plan` is the package's one table of plans, keyed by the matrix
 and the mask's bool bytes: `codec.encode` is one lookup of the systematic
-parity mask, the decoder's row repairs look up the row code's mask, and
-`pc_decode` solves a mask directly the first time it sees it and replays
-its plan from the second time on.  Both the sightings and the plans sit in
-bounded caches, so masks that never repeat cost `pc_decode` one direct
-solve each and no memory beyond the sightings table.
+parity mask, the recursive decoder's row repairs look up the row code's
+mask, and `pc_decode` and `codec.decode` each repair a mask their own way
+the first time they see it and replay its plan against the reduced matrix
+from the second time on.  Both the sightings and the plans sit in bounded
+caches, so masks that never repeat cost one first-sighting repair each
+and no memory beyond the sightings table.
 
 Each layer of an EII code adds checks on its own blocks, and the sums of
 a layer's M blocks of length n are often among them: all M sums, as when
@@ -206,8 +207,13 @@ def density(pc: ParityCheck) -> float:
 
 
 @lru_cache(maxsize=PLAN_SIGHTINGS)
-def _sightings(h: MatrixGF, bits: bytes):
-    """Counter of the calls for one (matrix, mask bytes) pair, from 0."""
+def _sightings(owner, bits: bytes):
+    """Counter of the calls for one (matrix or spec, mask bytes) pair, from 0.
+
+    The owner is the caller's: `pc_decode` counts under its reduced matrix
+    and `codec.decode` under its spec, so neither's first sighting is the
+    other's second.
+    """
     return itertools.count()
 
 

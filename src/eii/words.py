@@ -21,7 +21,7 @@ class SymbolWord:
         if len(self.symbols) != len(self.erased):
             raise ValueError("erasure mask length does not match symbol count")
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "erased", tuple(bool(e) for e in self.erased))
+        object.__setattr__(self, "erased", tuple(map(bool, self.erased)))
 
     def __len__(self):
         return len(self.symbols)

@@ -261,6 +261,7 @@ def decode_based_encode(spec, data):
     word with every parity position erased, repaired by the recursive
     decoder."""
     mask = codec.parity_mask(spec)
+    pcheck._sightings.cache_clear()  # a first sighting: decode takes the recursion, not encode's plan
     it = iter(data)
     word = SymbolWord(tuple(0 if p else next(it) for p in mask), mask)
     out, report = codec.decode(spec, word)
@@ -544,6 +545,104 @@ def test_uncorrectable_mask_repairs_nothing(monkeypatch, cap, erased, flipped, a
     assert lookups == []
     assert report == codec.DecodeReport(codec.UNCORRECTABLE, assignment, ())
     assert out == word
+
+
+def _three_decodes(spec, word) -> list:
+    """decode on fresh plan caches three times: recursive repair, plan
+    build, plan replay.  Each outcome is (word, report) or the exception's
+    (type, message)."""
+    pcheck._sightings.cache_clear()
+    pcheck._plan.cache_clear()
+    outcomes = []
+    for _ in range(3):
+        try:
+            outcomes.append(codec.decode(spec, word))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_decode_paths_agree_on_chains(data):
+    # a codeword and random known symbols, under correctable masks of every
+    # weight and one mask past them: the first sighting, the plan build and
+    # the replay give one outcome, and only correctable masks are counted
+    n = data.draw(st.integers(1, 7))
+    for spec in data.draw(ordered_chains(data.draw(st.integers(0, 2)), n)):
+        size = length(spec)
+        k = dimension(spec)
+        word = codec.encode(spec, data.draw(st.lists(st.integers(0, 7), min_size=k, max_size=k)))
+        noise = SymbolWord.known(data.draw(st.lists(st.integers(0, 7), min_size=size, max_size=size)))
+        order = data.draw(st.permutations(range(size)))
+        cut = 0
+        while cut < size and codec.correctable(spec, np.isin(np.arange(size), order[:cut + 1])):
+            cut += 1
+        for weight in sorted({0, cut // 2, cut, min(cut + 1, size)}):
+            mask = np.isin(np.arange(size), order[:weight])
+            for w in (word, noise):
+                outcomes = _three_decodes(spec, w.with_erasures(order[:weight]))
+                assert outcomes[0] == outcomes[1] == outcomes[2]
+                counted = next(pcheck._sightings(spec, mask.tobytes()))
+                assert counted == (3 if weight <= cut else 0)
+                if w is word and weight <= cut:
+                    assert outcomes[0][0] == word
+
+
+@pytest.mark.parametrize("cap", STRIPE_SHAPES)
+def test_fresh_masks_repair_and_repeated_masks_replay(monkeypatch, cap):
+    # a fresh mask looks up leaf plans only, so masks that never repeat
+    # plan no [84, 62] word; a repeated one is one top-level plan, no repair
+    spec = spec_from_capability(field(8), cap, 7)
+    word = random_codeword(spec, random.Random(cap))
+    erased = word.with_erasures(
+        [i for i, e in enumerate(random_correctable_mask(spec, random.Random(43))) if e])
+    top = pcheck.build_parity_check(spec).reduced
+    table = codec._plan
+    looked_up = []
+
+    def recorded(h, bits):
+        looked_up.append(h)
+        return table(h, bits)
+
+    monkeypatch.setattr(codec, "_plan", recorded)
+    pcheck._sightings.cache_clear()
+    first = codec.decode(spec, erased)
+    assert first[0] == word and looked_up and top not in looked_up
+    assert {h.cols for h in looked_up} == {7}
+
+    def boom(*args):
+        raise AssertionError("a repeated mask ran the recursive decoder")
+
+    monkeypatch.setattr(codec, "_repair", boom)
+    for _ in range(2):
+        looked_up.clear()
+        assert codec.decode(spec, erased) == first
+        assert looked_up == [top]
+
+
+def test_rejected_words_and_uncorrectable_masks_count_no_sighting(monkeypatch):
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+    erased = word.with_erasures([0, 8, 30])
+    pcheck._sightings.cache_clear()
+    pcheck._plan.cache_clear()
+    before = pcheck._sightings.cache_info(), pcheck._plan.cache_info()
+    short = SymbolWord(erased.symbols[1:], erased.erased[1:])
+    outside = SymbolWord((8,) + erased.symbols[1:], erased.erased)  # same mask
+    for bad in (short, outside, outside):
+        with pytest.raises(ValueError):
+            codec.decode(spec, bad)
+    lost = word.with_erasures(range(21 * 3))  # three whole blocks: past every tail
+    for _ in range(2):
+        assert codec.decode(spec, lost)[1].outcome == codec.UNCORRECTABLE
+    assert (pcheck._sightings.cache_info(), pcheck._plan.cache_info()) == before
+    # the next valid word is the mask's first sighting: the recursive repair
+    repaired = []
+    real = codec._repair
+    monkeypatch.setattr(codec, "_repair", lambda *args: repaired.append(args[0]) or real(*args))
+    assert codec.decode(spec, erased)[0] == word
+    assert repaired[0] == spec
 
 
 @pytest.mark.parametrize("cap, w, n", [(cap, 8, 7) for cap in STRIPE_SHAPES]

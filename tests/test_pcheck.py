@@ -425,6 +425,32 @@ def test_one_plan_table_for_encode_and_row_repair(monkeypatch):
         assert h in matrices
         assert type(bits) is bytes and len(bits) == h.cols and set(bits) <= {0, 1}
 
+def test_decode_and_pc_decode_build_one_plan_per_mask(monkeypatch):
+    # each counts its own sightings; their second sightings share one plan
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    pc = pcheck.build_parity_check(spec)
+    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+    erased = word.with_erasures([0, 8, 21, 22, 23, 50])
+    table = pcheck._plan
+    top = []
+
+    def recorded(h, bits):
+        misses = table.cache_info().misses
+        plan = table(h, bits)
+        if h == pc.reduced:
+            top.append(table.cache_info().misses - misses)
+        return plan
+
+    monkeypatch.setattr(pcheck, "_plan", recorded)
+    monkeypatch.setattr(codec, "_plan", recorded)
+    pcheck._sightings.cache_clear()
+    table.cache_clear()
+    for _ in range(2):
+        assert codec.decode(spec, erased)[0] == word
+        assert pcheck.pc_decode(pc, erased) == word
+    assert top == [1, 0]  # decode's second sighting builds it, pc_decode's replays it
+
+
 def test_alist_export():
     pc = pcheck.build_parity_check(LeafSpec(G8, 4, 2))
     text = pcheck.to_alist(pc)
