@@ -17,8 +17,10 @@ table that encoding and `pc_decode` use too.
 Guaranteed correctability is one rule, `_chain_levels`: vectorized over a
 batch of masks, it gives each mask the weakest member of a nested chain of
 sibling codes that can repair it, and every block below it the weakest
-child that can.  `correctable` reads its first entry; `decode` calls it
-once, for its verdict and for every node's block levels.  `anetf` applies
+child that can.  `correctable` reads its first entry.  `decode` calls it
+once per mask, for its verdict and for every node's block levels, and
+keeps them with the report in the bounded memo `_outcome`, so a repeated
+mask costs one plan fill and no capability rule.  `anetf` applies
 the same rule along a whole erasure order, through the tail profiles of
 `_chain_tails`, as first-rejection times.
 
@@ -58,7 +60,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import _plan, _sightings, build_parity_check
+from .pcheck import PLAN_SIGHTINGS, _plan, _sightings, build_parity_check
 from .words import SymbolWord, check_symbols, word_arrays
 
 
@@ -212,33 +214,54 @@ def _repair(spec: CodeSpec, symbols, erased, levels: list) -> None:
         sym[j] = mixed ^ combo
 
 
-def decode(spec: CodeSpec, word: SymbolWord):
-    """Erasure decode; returns (word, DecodeReport).
+@lru_cache(maxsize=PLAN_SIGHTINGS)
+def _outcome(spec: CodeSpec, bits: bytes) -> tuple:
+    """`decode`'s reading of the mask whose bool bytes are `bits`: its
+    report, then the read-only `_chain_levels` levels `_repair` takes (none
+    for an uncorrectable mask).
 
     One `_chain_levels` pass gives the verdict, the assignment and every
-    node's block levels.  A mask accepted by `correctable` is recovered; on
-    any other the input word comes back unchanged as "uncorrectable", and
-    nothing is repaired or counted.  A correctable mask's sightings are
-    counted in `pcheck._sightings` under (spec, mask bytes).  On its first
-    sighting `_repair` fills the word and a membership check follows; from
-    the second on, the plan of the mask against the reduced parity-check
-    matrix, from the table `pc_decode` and `encode` share, fills it in one
-    product.  The erased columns of a correctable mask are independent, so
-    both give the one completion, and both raise InconsistentWordError
-    with one message when the known symbols fit no codeword.  Decoding
-    writes only erased positions.  The peel order is the top level's
-    erased level-0 blocks, then its other blocks in peeling order.
+    node's block levels; the peel order is the top level's erased level-0
+    blocks, then its other blocks in peeling order.  All of it depends on
+    the mask alone, so a repeated mask runs no capability rule.
     """
-    symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
+    erased = np.frombuffer(bits, dtype=bool)
     verdict, *levels = _chain_levels((spec,), erased)
     assignment = tuple(levels[0].tolist()) if levels else ()
     if verdict:
-        return word, DecodeReport(UNCORRECTABLE, assignment, ())
+        return DecodeReport(UNCORRECTABLE, assignment, ()), ()
     order = ()
     if levels:
         local, pending = _schedule(assignment, erased.reshape(len(assignment), -1))
         order = (*local, *reversed(pending))
+    for lv in levels:
+        lv.setflags(write=False)
+    return DecodeReport(RECOVERED, assignment, order), tuple(levels)
+
+
+def decode(spec: CodeSpec, word: SymbolWord):
+    """Erasure decode; returns (word, DecodeReport).
+
+    The report and the block levels of a mask come from the memo
+    `_outcome`, keyed by (spec, mask bytes) and bounded like the sightings
+    table, so only a mask's first call runs the capability rule.  A mask
+    accepted by `correctable` is recovered; on any other the input word
+    comes back unchanged as "uncorrectable", and nothing is repaired or
+    counted.  A correctable mask's sightings are counted in
+    `pcheck._sightings` under (spec, mask bytes).  On its first sighting
+    `_repair` fills the word and a membership check follows; from the
+    second on, the plan of the mask against the reduced parity-check
+    matrix, from the table `pc_decode` and `encode` share, fills it in one
+    product.  The erased columns of a correctable mask are independent, so
+    both give the one completion, and both raise InconsistentWordError
+    with one message when the known symbols fit no codeword.  Decoding
+    writes only erased positions.
+    """
+    symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
     bits = erased.tobytes()
+    report, levels = _outcome(spec, bits)
+    if report.outcome == UNCORRECTABLE:
+        return word, report
     reduced = build_parity_check(spec).reduced
     try:
         if next(_sightings(spec, bits)) == 0:
@@ -249,7 +272,7 @@ def decode(spec: CodeSpec, word: SymbolWord):
             _plan(reduced, bits).fill(symbols)
     except InconsistentWordError:
         raise InconsistentWordError("known symbols contradict every codeword") from None
-    return SymbolWord.known(symbols.tolist()), DecodeReport(RECOVERED, assignment, order)
+    return SymbolWord.known(symbols.tolist()), report
 
 
 # -- encoding --------------------------------------------------------------------

@@ -108,7 +108,9 @@ class FieldContext:
         One gather from the flattened table at a * q + b.  Its fixed cost is
         higher than the 2-D fancy index's, so it is faster only above about
         500 products; on large operands it costs about half as much per
-        element.
+        element.  `matrix.ErasurePlan` uses the same gather with the shift
+        of its left operand done once per plan, which makes it faster than
+        the 2-D fancy index on every plan but the smallest leaf plans.
         """
         return self.mul_table.ravel().take((np.asarray(a, dtype=np.uint16) << self.w) | b)
 

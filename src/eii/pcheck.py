@@ -18,9 +18,11 @@ and the mask's bool bytes: `codec.encode` is one lookup of the systematic
 parity mask, the recursive decoder's row repairs look up the row code's
 mask, and `pc_decode` and `codec.decode` each repair a mask their own way
 the first time they see it and replay its plan against the reduced matrix
-from the second time on.  Both the sightings and the plans sit in bounded
-caches, so masks that never repeat cost one first-sighting repair each
-and no memory beyond the sightings table.
+from the second time on.  A plan holds its rows as flat offsets into the
+multiplication table, so a replay is one gather and one XOR-reduce.  The
+sightings, the plans and `codec.decode`'s memo of each mask's report sit
+in bounded caches, so masks that never repeat cost one first-sighting
+repair each and no memory beyond the sightings table and that memo.
 
 Each layer of an EII code adds checks on its own blocks, and the sums of
 a layer's M blocks of length n are often among them: all M sums, as when

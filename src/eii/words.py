@@ -28,8 +28,11 @@ class SymbolWord:
 
     @classmethod
     def known(cls, symbols) -> "SymbolWord":
-        symbols = tuple(symbols)
-        return cls(symbols, (False,) * len(symbols))
+        # the all-False mask is already normal: skip __post_init__'s pass over it
+        word = object.__new__(cls)
+        object.__setattr__(word, "symbols", tuple(symbols))
+        object.__setattr__(word, "erased", (False,) * len(word.symbols))
+        return word
 
     def with_erasures(self, positions) -> "SymbolWord":
         """Copy with the given zero-based positions marked erased (additionally)."""

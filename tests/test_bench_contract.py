@@ -59,6 +59,13 @@ def _lru_caches():
 
 
 def test_clear_caches_reaches_every_lru_cache():
+    # a decode first fills codec's memo, which design-sweep must not carry
+    # from one pass into the next
+    from eii import codec, codespec
+
+    spec = codespec.spec_from_capability(gf.field(3), "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    codec.decode(spec, codec.encode(spec, [0] * codespec.dimension(spec)).with_erasures([0, 8]))
+    assert codec._outcome.cache_info().currsize > 0
     walked = []
 
     class Library:
@@ -73,3 +80,4 @@ def test_clear_caches_reaches_every_lru_cache():
     for cache in caches - KEPT_CACHES:
         mod, name = cache.split(".")
         assert importlib.import_module(f"eii.{mod}").__dict__[name].cache_info().currsize == 0, cache
+

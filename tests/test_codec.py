@@ -335,8 +335,9 @@ def test_leaf_plan_check_rows():
         for erased in ((0,), (1, 4), (2, 3, 6), (0, 1, 2, 3)[:u]):
             plan = pcheck._plan(h, np.isin(np.arange(n), erased).tobytes())
             assert plan.solvable and plan.n_checks == u - len(erased)
-            checks = mx.MatrixGF(ctx, plan.rows[:plan.n_checks])
-            solve = mx.MatrixGF(ctx, plan.rows[plan.n_checks:])
+            rows = plan.offsets >> ctx.w
+            checks = mx.MatrixGF(ctx, rows[:plan.n_checks])
+            solve = mx.MatrixGF(ctx, rows[plan.n_checks:])
             assert rank(checks) == u - len(erased)
             for _ in range(5):
                 word = random_codeword(leaf, rng).symbols
@@ -551,6 +552,7 @@ def _three_decodes(spec, word) -> list:
     """decode on fresh plan caches three times: recursive repair, plan
     build, plan replay.  Each outcome is (word, report) or the exception's
     (type, message)."""
+    codec._outcome.cache_clear()
     pcheck._sightings.cache_clear()
     pcheck._plan.cache_clear()
     outcomes = []
@@ -659,14 +661,12 @@ def test_decode_runs_the_capability_rule_once_per_layer(monkeypatch, cap, w, n):
         mask[pos] = True
         if not codec.correctable(spec, mask):
             break
-    real = codec._chain_levels
-    calls = []
-
-    def counted(chain, masks):
-        calls.append(chain)
-        return real(chain, masks)
-
-    monkeypatch.setattr(codec, "_chain_levels", counted)
+    calls, schedules = [], []
+    for name, log in (("_chain_levels", calls), ("_schedule", schedules)):
+        real = getattr(codec, name)
+        monkeypatch.setattr(codec, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
+    codec._outcome.cache_clear()
+    pcheck._sightings.cache_clear()
     for erased, outcome in ((order[:cut], codec.RECOVERED), (order[:cut + 1], codec.UNCORRECTABLE),
                             (order, codec.UNCORRECTABLE)):
         calls.clear()
@@ -674,6 +674,12 @@ def test_decode_runs_the_capability_rule_once_per_layer(monkeypatch, cap, w, n):
         assert report.outcome == outcome
         assert len(calls) == layer_count(spec), (cap, len(erased))
         assert out == (word if outcome == codec.RECOVERED else word.with_erasures(erased))
+        # a repeated mask takes its report from the memo and runs neither rule
+        calls.clear()
+        schedules.clear()
+        again = codec.decode(spec, word.with_erasures(erased))
+        assert again == (out, report) and again[1] is report
+        assert calls == schedules == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

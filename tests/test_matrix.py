@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eii import matrix as mx
 from eii.codespec import LeafSpec, NodeSpec
@@ -250,6 +251,49 @@ def test_solve_erasures_example_1_grid():
     via_decoder, report = decode(spec, erased)
     assert report.outcome == "recovered"
     assert via_matrix == via_decoder == word
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_plan_fill_matches_the_reference_product(data):
+    # the flat-offset gather against the 2-D table product of the rows
+    # `_solve` gives, on a codeword and on noise, for a drawn mask, no
+    # erasures, every position erased and a dependent mask of rank + 1
+    ctx = field(data.draw(st.integers(2, 8)))
+    n, r = data.draw(st.integers(1, 10)), data.draw(st.integers(0, 6))
+    entries = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=r * n, max_size=r * n))
+    h = mx.MatrixGF(ctx, np.array(entries, dtype=np.uint8).reshape(r, n))
+    noise = np.array(data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n)),
+                     dtype=np.uint8)
+    pivots = [c for _, c in mx._eliminate(h.data.copy(), ctx)]
+    codeword = mx.solve_erasures(h, SymbolWord.known(noise.tolist()).with_erasures(pivots))
+    codeword = np.array(codeword.symbols, dtype=np.uint8)
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    dependent = np.arange(n) <= len(pivots)
+    for mask in (drawn, np.zeros(n, dtype=bool), np.ones(n, dtype=bool), dependent):
+        erased, known = np.flatnonzero(mask), np.flatnonzero(~mask)
+        checks, solution = mx._solve(ctx, h.data[:, erased], h.data[:, known])
+        rows = checks if solution is None else np.vstack([checks, solution])
+        plan = mx.ErasurePlan(h, mask)
+        assert np.array_equal(plan.offsets >> ctx.w, rows)
+        for word in (codeword, noise):
+            syms = word.copy()
+            expected = np.bitwise_xor.reduce(ctx.mul_table[rows, syms[known]], axis=1)
+            if expected[:len(checks)].any():
+                assert word is noise
+                with pytest.raises(mx.InconsistentWordError):
+                    plan.fill(syms)
+            elif solution is None:
+                assert plan.fill(syms) is False
+            else:
+                assert plan.fill(syms) is True
+                assert np.array_equal(syms[erased], expected[len(checks):])
+                assert word is noise or np.array_equal(syms, codeword)
+            assert np.array_equal(syms[known], word[known])
+            if solution is None or expected[:len(checks)].any():
+                assert np.array_equal(syms, word)
+        if mask is dependent and dependent.sum() > len(pivots):
+            assert solution is None and plan.fill(codeword.copy()) is False
 
 
 def test_csv_export():

@@ -277,6 +277,13 @@ def test_plan_caches_stay_bounded_on_fresh_masks():
         assert pcheck.pc_decode(pc, word.with_erasures(mask)) == word
     plans = pcheck._plan.cache_info()
     assert (plans.currsize, plans.misses, plans.hits) == (1, 1, 1)
+    # decode's memo of reports and levels is bounded like the sightings
+    codec._outcome.cache_clear()
+    for mask in seen:
+        assert codec.decode(spec, word.with_erasures(mask))[0] == word
+    outcomes = codec._outcome.cache_info()
+    assert outcomes.maxsize == pcheck.PLAN_SIGHTINGS
+    assert (outcomes.currsize, outcomes.misses) == (pcheck.PLAN_SIGHTINGS, 5000)
 
 
 def test_rejected_words_count_no_sighting():
