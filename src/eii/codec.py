@@ -33,9 +33,9 @@ The decoder works in place on numpy views of one symbol array: a node
 reshapes its word into blocks, a leaf block is filled by the plan of its
 row code's mask from the same table, and each peel combines the
 known blocks with one multiplication-table gather and an XOR-reduce.  The
-block triangulations are precomputed with the elimination kernel in
-`matrix`.  Membership is checked by the syndrome H . c against the reduced
-parity-check matrix.
+block triangulations have a closed form, the Newton form of a Vandermonde
+LU.  Membership is one product, the fill of the reduced parity-check
+matrix's plan with nothing erased, whose checks are the matrix itself.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import matrix as mx
 from .codespec import (
     CodeSpec,
     LeafSpec,
@@ -60,7 +59,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import PLAN_SIGHTINGS, _plan, _sightings, build_parity_check
+from .pcheck import PLAN_SIGHTINGS, _membership, _plan, _sightings, build_parity_check
 from .words import SymbolWord, check_symbols, word_arrays
 
 
@@ -130,7 +129,10 @@ def is_codeword(spec: CodeSpec, word: SymbolWord) -> bool:
     symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
     if erased.any():
         raise ValueError("membership test needs a fully known word")
-    return not any(mx.mat_vec(build_parity_check(spec).reduced, symbols))
+    try:  # the plan with nothing erased is always solvable: fill returns True
+        return _membership(build_parity_check(spec).reduced).fill(symbols)
+    except InconsistentWordError:
+        return False
 
 
 # -- systematic layout ----------------------------------------------------------
@@ -162,15 +164,20 @@ def parity_mask(spec: CodeSpec) -> tuple:
 def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarray:
     """Unit upper-triangular combination rows for the block ordering.
 
-    Row r of the raw system carries coefficient alpha^(r j) on block j;
-    eliminating the first n_rows ordered columns top-down yields rows whose
-    leading 1 sits on successive ordered blocks.  Works because every
-    leading minor is a Vandermonde determinant on distinct points.
+    Row r of the raw system carries alpha^(r j) = x_j^r on block j.
+    Eliminating the first n_rows ordered columns top-down leaves in row k
+    p_k(x) = prod_{l<k} (x - x_{c_l}) scaled to 1 at x_{c_k}, the Newton
+    form of a Vandermonde LU (Bjorck and Pereyra, Math. Comp. 24, 1970): so
+    entry (k, i) is p_k(x_{c_i}) / p_k(x_{c_k}), 0 for i < k, computed here
+    as a cumulative sum of discrete logs.
     """
-    rows = mx.vandermonde(ctx, n_rows, len(col_blocks)).data[:, list(col_blocks)]
-    mx._eliminate(rows, ctx, n_rows)
-    rows.setflags(write=False)
-    return rows
+    exp, log = np.array(ctx.exp_table, dtype=np.uint8), np.array(ctx.log_table)
+    x = exp[list(col_blocks)]
+    logs = np.zeros((n_rows, len(col_blocks)), dtype=np.int64)
+    np.cumsum(log[x[:n_rows - 1, None] ^ x], axis=0, out=logs[1:])
+    tri = np.triu(exp[(logs - logs.diagonal()[:, None]) % (ctx.q - 1)])
+    tri.setflags(write=False)
+    return tri
 
 
 def _schedule(top: list, era: np.ndarray) -> tuple:
@@ -266,13 +273,12 @@ def decode(spec: CodeSpec, word: SymbolWord):
     try:
         if next(_sightings(spec, bits)) == 0:
             _repair(spec, symbols, erased, levels)
-            if any(mx.mat_vec(reduced, symbols)):
-                raise InconsistentWordError
+            _membership(reduced).fill(symbols)
         else:
             _plan(reduced, bits).fill(symbols)
     except InconsistentWordError:
         raise InconsistentWordError("known symbols contradict every codeword") from None
-    return SymbolWord.known(symbols.tolist()), report
+    return SymbolWord._from_array(symbols), report
 
 
 # -- encoding --------------------------------------------------------------------
@@ -293,7 +299,7 @@ def encode(spec: CodeSpec, data) -> SymbolWord:
     syms[~np.frombuffer(bits, dtype=bool)] = data
     if not _plan(build_parity_check(spec).reduced, bits).fill(syms):
         raise AssertionError("systematic parity columns are dependent")
-    return SymbolWord.known(syms.tolist())
+    return SymbolWord._from_array(syms)
 
 
 # -- minimum-weight witness ---------------------------------------------------------
@@ -303,7 +309,7 @@ def min_weight_codeword(spec: CodeSpec) -> SymbolWord:
     """A codeword whose weight equals min_distance(spec)."""
     if dimension(spec) < 1:
         raise NoCodewordsError("zero-dimensional code")
-    return SymbolWord.known(_min_weight_symbols(spec).tolist())
+    return SymbolWord._from_array(_min_weight_symbols(spec))
 
 
 def _min_weight_symbols(spec: CodeSpec) -> np.ndarray:

@@ -3,8 +3,10 @@
 Matrices are stored row-major as read-only numpy uint8 arrays; all products
 go through the field's q x q multiplication table, so every routine here is
 exact integer arithmetic.  `_eliminate` is the package's one elimination
-kernel: erasure solving, parity-check reduction, the local split of
-`pcheck` and the decoder's precomputed solves all run on it.
+kernel, in two forms: with nothing carried it is the forward pass that
+parity-check reduction and the local split of `pcheck` run, and with
+columns carried it leaves the pivot rows in reduced form, from which
+erasure solving reads its solution without back-substitution.
 
 Eliminating the erased columns of a parity-check matrix H is written once,
 in `_solve`, which is handed the columns: `solve_erasures` carries the
@@ -52,9 +54,6 @@ class MatrixGF:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def __getitem__(self, rc):
-        return int(self.data[rc])
 
     def __eq__(self, other):
         if not isinstance(other, MatrixGF):
@@ -119,41 +118,39 @@ def stack(blocks) -> MatrixGF:
     return MatrixGF(ctx, np.vstack([blk.data for blk in blocks]))
 
 
-def mat_vec(m: MatrixGF, vec) -> list:
-    v = np.asarray(vec, dtype=np.uint8)
-    if v.shape != (m.cols,):
-        raise ValueError("vector length mismatch")
-    prod = m.ctx.mul_table[m.data, v[None, :]]
-    return [int(x) for x in np.bitwise_xor.reduce(prod, axis=1)]
-
-
 def _eliminate(arr: np.ndarray, ctx: FieldContext, ncols: int | None = None) -> list:
-    """In-place forward elimination on the first `ncols` columns (default all).
+    """In-place elimination on the first `ncols` columns (default all).
 
     Rows are visited top to bottom, without swaps.  A row, once the pivots
     above it have cleared their columns from it, takes its leftmost nonzero
     entry among the first `ncols` columns as its pivot; the row is scaled to
-    a unit pivot and the pivot column is cleared from every row below.
-    Columns from `ncols` on are carried along (a right-hand side or an
-    identity block).  Returns the (row, col) pivots in row order; every
-    other row is zero in the first `ncols` columns.
+    a unit pivot and the pivot column is cleared from every row below, and
+    from the rows above too when columns from `ncols` on are carried along
+    (a right-hand side or an identity block): the pivot rows then end in
+    reduced form.  Returns the (row, col) pivots in row order; every other
+    row is zero in the first `ncols` columns, and the same in either form.
     """
-    mt = ctx.mul_table
-    inv = ctx.inv_table
+    mt, inv = ctx.mul_table, ctx.inv_table
     ncols = arr.shape[1] if ncols is None else ncols
     pivots = []
     for r in range(arr.shape[0]):
         if len(pivots) == ncols:
             break
-        nz = arr[r, :ncols].nonzero()[0]
+        row = arr[r]
+        nz = row[:ncols].nonzero()[0]
         if nz.size == 0:
             continue
         col = int(nz[0])
-        pivot = arr[r, col]
+        pivot = row[col]
         if pivot != 1:
-            arr[r] = mt[arr[r], inv[pivot]]
-        # a zero factor multiplies to a zero row, so every row below is updated
-        arr[r + 1:] ^= mt[arr[r + 1:, col, None], arr[r]]
+            row[:] = mt[inv[pivot]].take(row)
+        if ncols < arr.shape[1]:
+            factors = arr[:, col].copy()
+            factors[r] = 0
+            arr ^= mt.take(factors, axis=0).take(row, axis=1)
+        else:
+            # a zero factor multiplies to a zero row, so every row below is updated
+            arr[r + 1:] ^= mt[arr[r + 1:, col, None], row]
         pivots.append((r, col))
     return pivots
 
@@ -163,21 +160,15 @@ def _solve(ctx: FieldContext, cols: np.ndarray, carried: np.ndarray):
     columns `carried` alongside.
 
     One `_eliminate` of [cols | carried] on the erased columns.  Returns
-    (C, X): C is the carried part of the non-pivot rows, and X that of the
-    pivot rows back-substituted to [I | X] in erased-column order, or None
-    when the erased columns are dependent.
+    (C, X): C is the carried part of the rows without a pivot, and X that
+    of the pivot rows in erased-column order, [I | X] in reduced form, or
+    None when the erased columns are dependent.
     """
-    mt = ctx.mul_table
     e = cols.shape[1]
-    aug = np.hstack([cols, carried])
-    pivots = _eliminate(aug, ctx, e)
-    checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
-    if len(pivots) < e:
-        return checks, None
-    out = aug[[r for r, _ in sorted(pivots, key=lambda rc: rc[1])]]
-    for i in range(e - 1, 0, -1):
-        out[:i] ^= mt[out[:i, i, None], out[i]]
-    return checks, out[:, e:]
+    aug = np.concatenate((cols, carried), axis=1)
+    rows = {c: r for r, c in _eliminate(aug, ctx, e)}
+    checks = aug[~aug[:, :e].any(axis=1), e:]
+    return checks, aug[[rows[c] for c in range(e)], e:] if len(rows) == e else None
 
 
 def solve_erasures(h: MatrixGF, word: SymbolWord):
@@ -196,7 +187,7 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
     if solution is None:
         return None
     syms[mask] = solution[:, 0]
-    return SymbolWord.known(syms.tolist())
+    return SymbolWord._from_array(syms)
 
 
 class ErasurePlan:

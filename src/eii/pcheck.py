@@ -13,12 +13,12 @@ Erasure repair against a parity-check matrix is linear in the known
 symbols: for a fixed mask the erased symbols are X . known, and the known
 symbols are consistent iff C . known = 0.  The elimination lives in
 `matrix`, and a `matrix.ErasurePlan` holds X and C for one (matrix, mask)
-pair.  `_plan` is the package's one table of plans, keyed by the matrix
-and the mask's bool bytes: `codec.encode` is one lookup of the systematic
-parity mask, the recursive decoder's row repairs look up the row code's
-mask, and `pc_decode` and `codec.decode` each repair a mask their own way
-the first time they see it and replay its plan against the reduced matrix
-from the second time on.  A plan holds its rows as flat offsets into the
+pair.  `_plan` is the one table of mask plans, keyed by the matrix and the
+mask's bool bytes: `codec.encode` is one lookup of the systematic parity
+mask, the recursive decoder's row repairs look up the row code's mask, and
+`pc_decode` and `codec.decode` each repair a mask their own way the first
+time they see it and replay its plan against the reduced matrix from the
+second time on.  A plan holds its rows as flat offsets into the
 multiplication table, so a replay is one gather and one XOR-reduce.  The
 sightings, the plans and `codec.decode`'s memo of each mask's report sit
 in bounded caches, so masks that never repeat cost one first-sighting
@@ -225,6 +225,13 @@ def _plan(h: MatrixGF, bits: bytes) -> mx.ErasurePlan:
     return mx.ErasurePlan(h, np.frombuffer(bits, dtype=bool))
 
 
+@lru_cache(maxsize=None)
+def _membership(h: MatrixGF) -> mx.ErasurePlan:
+    """The plan of h with nothing erased, whose fill is the test h . c = 0;
+    kept apart from `_plan`, so a membership test looks up no mask plan."""
+    return mx.ErasurePlan(h, np.zeros(h.cols, dtype=bool))
+
+
 def pc_decode(pc: ParityCheck, word: SymbolWord):
     """Matrix-based erasure decode: fill the erased positions so that
     H . c = 0 for the reduced parity-check matrix H.
@@ -242,7 +249,7 @@ def pc_decode(pc: ParityCheck, word: SymbolWord):
     bits = mask.tobytes()
     if next(_sightings(h, bits)) == 0:
         return _split_solve(pc, syms, mask)
-    return SymbolWord.known(syms.tolist()) if _plan(h, bits).fill(syms) else None
+    return SymbolWord._from_array(syms) if _plan(h, bits).fill(syms) else None
 
 
 def _split_solve(pc: ParityCheck, syms: np.ndarray, mask: np.ndarray):
@@ -289,7 +296,7 @@ def _split_solve(pc: ParityCheck, syms: np.ndarray, mask: np.ndarray):
     syms[erased] = solution[:, 0]
     if split:
         syms[heads] ^= np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)[struck]
-    return SymbolWord.known(syms.tolist())
+    return SymbolWord._from_array(syms)
 
 
 def to_alist(pc: ParityCheck) -> str:

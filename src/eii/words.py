@@ -7,7 +7,7 @@ Text format (used by the CLI): whitespace-separated integers 0..q-1, with
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,8 @@ import numpy as np
 class SymbolWord:
     symbols: tuple
     erased: tuple
+    # bytes of a word the library built from a uint8 array (see `word_arrays`)
+    _bytes: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.symbols) != len(self.erased):
@@ -34,6 +36,13 @@ class SymbolWord:
         object.__setattr__(word, "erased", (False,) * len(word.symbols))
         return word
 
+    @classmethod
+    def _from_array(cls, symbols: np.ndarray) -> "SymbolWord":
+        """The fully known word of a 1-D uint8 array, keeping its bytes."""
+        word = cls.known(symbols.tolist())
+        object.__setattr__(word, "_bytes", symbols.tobytes())
+        return word
+
     def with_erasures(self, positions) -> "SymbolWord":
         """Copy with the given zero-based positions marked erased (additionally)."""
         erased = list(self.erased)
@@ -43,7 +52,9 @@ class SymbolWord:
             if not 0 <= p < len(erased):
                 raise ValueError(f"erasure index {p} out of range")
             erased[p] = True
-        return SymbolWord(self.symbols, tuple(erased))
+        word = SymbolWord(self.symbols, tuple(erased))
+        object.__setattr__(word, "_bytes", self._bytes)
+        return word
 
 
 def check_symbols(symbols, q: int) -> list:
@@ -69,12 +80,17 @@ def word_arrays(word: SymbolWord, n: int, q: int):
     """Fresh (uint8 symbols, bool erasure mask) arrays of `word`.
 
     The one place a word is checked: ValueError unless it has n symbols,
-    each an integer in 0..q-1 (see `check_symbols`).
+    each an integer in 0..q-1 (see `check_symbols`).  A word the library
+    built from a uint8 array carries its symbols' bytes, so only their
+    maximum is checked; one above q - 1 fails `check_symbols` as before.
     """
     if len(word) != n:
         raise ValueError(f"word length {len(word)} != code length {n}")
+    raw = word._bytes
+    if raw is None or max(raw, default=0) >= q:
+        raw = check_symbols(word.symbols, q)
     # a bytearray is a fresh writable buffer, and numpy wraps it without a copy
-    symbols = np.frombuffer(bytearray(check_symbols(word.symbols, q)), dtype=np.uint8)
+    symbols = np.frombuffer(bytearray(raw), dtype=np.uint8)
     return symbols, np.frombuffer(bytearray(word.erased), dtype=bool)
 
 

@@ -24,7 +24,7 @@ from eii.matrix import InconsistentWordError
 from eii.words import SymbolWord
 from test_acceptance import TABLE_1
 from test_golden import STRIPE_SHAPES
-from test_matrix import rank
+from test_matrix import forward_eliminate, mat_vec, rank
 
 G4 = field(2)
 G8 = field(3)
@@ -246,14 +246,13 @@ def test_encode_wrong_length():
 
 
 def test_encode_zero_syndrome_all_examples():
-    from eii import matrix as mx
     from eii.pcheck import build_parity_check
     rng = random.Random(3)
     for name, spec in example_codes().items():
         h = build_parity_check(spec).h
         for _ in range(20):
             word = random_codeword(spec, rng)
-            assert not any(mx.mat_vec(h, word.symbols)), name
+            assert not any(mat_vec(h, word.symbols)), name
 
 
 def decode_based_encode(spec, data):
@@ -270,6 +269,23 @@ def decode_based_encode(spec, data):
 
 
 # -- decoding ------------------------------------------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_closed_form_triangles_match_forward_elimination(data):
+    # the Newton form against the elimination of Vandermonde rows it
+    # replaces, over w = 2..8, random block orders and every n_rows
+    from eii import matrix as mx
+    ctx = field(data.draw(st.integers(2, 8)))
+    m = data.draw(st.integers(1, min(ctx.q - 1, 16)))
+    order = tuple(data.draw(st.permutations(range(m))))
+    for n_rows in range(1, m + 1):
+        rows = mx.vandermonde(ctx, n_rows, m).data[:, list(order)]
+        forward_eliminate(rows, ctx, n_rows)
+        tri = codec._triangulate.__wrapped__(ctx, order, n_rows)
+        assert tri.dtype == np.uint8 and not tri.flags.writeable
+        assert np.array_equal(tri, rows)
 
 
 def test_decode_example1_grid():
@@ -342,8 +358,8 @@ def test_leaf_plan_check_rows():
             for _ in range(5):
                 word = random_codeword(leaf, rng).symbols
                 known = [word[i] for i in plan.known]
-                assert not any(mx.mat_vec(checks, known))
-                assert mx.mat_vec(solve, known) == [word[i] for i in erased]
+                assert not any(mat_vec(checks, known))
+                assert mat_vec(solve, known) == [word[i] for i in erased]
 
 
 def test_decode_and_encode_make_no_scalar_field_calls(monkeypatch):

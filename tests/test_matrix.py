@@ -45,6 +45,15 @@ def matmul(a, b):
     return mx.MatrixGF(a.ctx, np.bitwise_xor.reduce(prod, axis=1))
 
 
+def mat_vec(m, vec):
+    """The product m . vec over the field, as a list of ints."""
+    v = np.asarray(vec, dtype=np.uint8)
+    if v.shape != (m.cols,):
+        raise ValueError("vector length mismatch")
+    prod = m.ctx.mul_table[m.data, v[None, :]]
+    return [int(x) for x in np.bitwise_xor.reduce(prod, axis=1)]
+
+
 def from_rows(ctx, rows):
     return mx.MatrixGF(ctx, np.array(rows, dtype=np.uint8))
 
@@ -179,7 +188,7 @@ def test_solve_erasures_rs_two_erasures():
         pos = rng.sample(range(7), 2)
         got = mx.solve_erasures(h, word.with_erasures(pos))
         assert got == word
-        assert not any(mx.mat_vec(h, got.symbols))
+        assert not any(mat_vec(h, got.symbols))
 
 
 def test_solve_erasures_undetermined():
@@ -231,7 +240,90 @@ def test_eliminate_carries_columns():
         ops = mx.MatrixGF(f, aug[:, 3:])
         assert matmul(ops, mx.MatrixGF(f, a)) == mx.MatrixGF(f, aug[:, :3])
         for r, c in pivots:
-            assert aug[r, c] == 1 and not aug[r, :c].any() and not aug[r + 1:, c].any()
+            assert aug[r, c] == 1 and not aug[r, :c].any() and np.count_nonzero(aug[:, c]) == 1
+
+
+def forward_eliminate(arr, ctx, ncols=None):
+    """The forward pass alone, whatever is carried: the reference for
+    `mx._eliminate`, `mx._solve` and the decoder's block triangles."""
+    mt, inv = ctx.mul_table, ctx.inv_table
+    ncols = arr.shape[1] if ncols is None else ncols
+    pivots = []
+    for r in range(arr.shape[0]):
+        if len(pivots) == ncols:
+            break
+        nz = arr[r, :ncols].nonzero()[0]
+        if nz.size == 0:
+            continue
+        col = int(nz[0])
+        if arr[r, col] != 1:
+            arr[r] = mt[arr[r], inv[arr[r, col]]]
+        arr[r + 1:] ^= mt[arr[r + 1:, col, None], arr[r]]
+        pivots.append((r, col))
+    return pivots
+
+
+def solve_by_back_substitution(ctx, cols, carried):
+    """`mx._solve` as a forward pass, then back-substitution of the pivot
+    rows sorted by column: the reference."""
+    mt = ctx.mul_table
+    e = cols.shape[1]
+    aug = np.hstack([cols, carried])
+    pivots = forward_eliminate(aug, ctx, e)
+    checks = np.delete(aug, [r for r, _ in pivots], axis=0)[:, e:]
+    if len(pivots) < e:
+        return checks, None
+    out = aug[[r for r, _ in sorted(pivots, key=lambda rc: rc[1])]]
+    for i in range(e - 1, 0, -1):
+        out[:i] ^= mt[out[:i, i, None], out[i]]
+    return checks, out[:, e:]
+
+
+def _draw_matrix(data, ctx, rows, cols):
+    entries = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=np.uint8).reshape(rows, cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_eliminate_is_the_forward_pass_unless_columns_are_carried(data):
+    # with nothing carried the rows above each pivot are left as they were;
+    # with columns carried only the pivot rows differ, each pivot column
+    # being cleared from every other row
+    ctx = field(data.draw(st.integers(2, 8)))
+    rows, width = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 10))
+    a = _draw_matrix(data, ctx, rows, width)
+    if rows >= 2 and data.draw(st.booleans()):
+        a[-1] = ctx.mul_table[a[0], data.draw(st.integers(0, ctx.q - 1))]  # a dependent row
+    ncols = data.draw(st.integers(0, width))
+    expected = a.copy()
+    pivots = forward_eliminate(expected, ctx, ncols)
+    got = a.copy()
+    assert mx._eliminate(got, ctx, ncols) == pivots
+    if ncols == width:
+        assert np.array_equal(got, expected)
+        return
+    others = [r for r in range(rows) if r not in dict(pivots)]
+    assert np.array_equal(got[others], expected[others])
+    for r, c in pivots:
+        assert got[r, c] == 1 and np.count_nonzero(got[:, c]) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_solve_matches_back_substitution(data):
+    # C and X bit for bit over w = 2..8, with dependent erased columns:
+    # repeated ones, and more of them than rows
+    ctx = field(data.draw(st.integers(2, 8)))
+    rows, e, k = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8)), data.draw(st.integers(0, 4))
+    a = _draw_matrix(data, ctx, rows, e + k)
+    if e >= 2 and data.draw(st.booleans()):
+        a[:, e - 1] = ctx.mul_table[a[:, 0], data.draw(st.integers(0, ctx.q - 1))]
+    checks, solution = mx._solve(ctx, a[:, :e], a[:, e:])
+    expected_checks, expected = solve_by_back_substitution(ctx, a[:, :e], a[:, e:])
+    assert checks.dtype == np.uint8 and np.array_equal(checks, expected_checks)
+    assert (solution is None) == (expected is None)
+    assert solution is None or (solution.dtype == np.uint8 and np.array_equal(solution, expected))
 
 
 def test_solve_erasures_example_1_grid():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -66,9 +67,37 @@ def test_word_arrays():
     ((1, 2, -1), 3, "symbol -1 at position 2 outside 0..7"),
 ])
 def test_word_arrays_rejects(symbols, n, message):
-    with pytest.raises(ValueError) as info:
-        word_arrays(SymbolWord(symbols, (False,) * len(symbols)), n, 8)
-    assert str(info.value) == message
+    word = SymbolWord(symbols, (False,) * len(symbols))
+    for w in (word, word.with_erasures([0])):
+        with pytest.raises(ValueError) as info:
+            word_arrays(w, n, 8)
+        assert str(info.value) == message
+
+
+def test_library_words_keep_their_bytes_and_compare_as_built():
+    spec = spec_from_capability(field(8), "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    pc = pcheck.build_parity_check(spec)
+    word = codec.encode(spec, [(37 * i) % 256 for i in range(dimension(spec))])
+    erased = word.with_erasures([0, 8, 30])
+    built = [word, erased, codec.decode(spec, erased)[0], pcheck.pc_decode(pc, erased),
+             mx.solve_erasures(pc.reduced, erased), codec.min_weight_codeword(spec)]
+    for got in built:
+        plain = SymbolWord(got.symbols, got.erased)
+        assert got._bytes == bytes(got.symbols) and plain._bytes is None
+        assert got == plain and hash(got) == hash(plain) and repr(got) == repr(plain)
+        assert dataclasses.replace(got)._bytes is None
+        assert dataclasses.replace(got, erased=(True,) * len(got))._bytes is None
+        syms, mask = word_arrays(got, len(got), 256)
+        assert syms.tolist() == list(got.symbols) and mask.tolist() == list(got.erased)
+    # checked against a smaller field, the kept bytes fail as the symbols do
+    for got in (word, erased):
+        with pytest.raises(ValueError) as kept:
+            word_arrays(got, len(got), 8)
+        with pytest.raises(ValueError) as plain:
+            word_arrays(SymbolWord(got.symbols, got.erased), len(got), 8)
+        assert str(kept.value) == str(plain.value) and "outside 0..7" in str(kept.value)
+    with pytest.raises(ValueError, match="word length 84 != code length 85"):
+        word_arrays(erased, 85, 256)
 
 
 def test_word_arrays_are_fresh():
