@@ -160,7 +160,7 @@ def _dual_weights(ctx, blocks: np.ndarray, m: int) -> np.ndarray:
     alpha^b_j), one product of the m x m table of those logs with the sets'
     0/1 membership columns.
     """
-    log, exp = np.asarray(ctx.log_table), np.asarray(ctx.exp_table, dtype=np.uint8)
+    log, exp = ctx.log_array, ctx.exp_array
     logs = log[exp[:m, None] ^ exp[:m]]
     np.fill_diagonal(logs, 0)
     member = np.zeros((m, blocks.shape[1]), dtype=logs.dtype)  # integers: no BLAS call
@@ -339,17 +339,16 @@ def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
     return int(_COUNTS[mode](spec, np.array([perm], dtype=np.int64))[0])
 
 
-def simulate(config: AnetfConfig, batch: int = 50_000) -> AnetfReport:
-    """Monte-Carlo ANETF estimate; deterministic for a fixed (seed, trials, mode)."""
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+def simulate(config: AnetfConfig) -> AnetfReport:
+    """Monte-Carlo ANETF estimate; deterministic for a fixed (seed, trials, mode)
+    however the trials are batched (see `_batch_trials`)."""
     spec = config.spec
     n = length(spec)
     all_counts = []
     if dimension(spec) == 0:
         all_counts.append(np.ones(config.trials, dtype=np.int64))
     else:
-        batch = min(batch, _batch_trials(spec, config.mode))
+        batch = _batch_trials(spec, config.mode)
         fits = config.trials * n * np.min_scalar_type(n - 1).itemsize <= _PERMS_BYTES
         kept = _kept_permutations(config.seed, config.trials, n) if fits else None
         for start in range(0, config.trials, batch):

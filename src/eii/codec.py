@@ -171,7 +171,7 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarra
     entry (k, i) is p_k(x_{c_i}) / p_k(x_{c_k}), 0 for i < k, computed here
     as a cumulative sum of discrete logs.
     """
-    exp, log = np.array(ctx.exp_table, dtype=np.uint8), np.array(ctx.log_table)
+    exp, log = ctx.exp_array, ctx.log_array
     x = exp[list(col_blocks)]
     logs = np.zeros((n_rows, len(col_blocks)), dtype=np.int64)
     np.cumsum(log[x[:n_rows - 1, None] ^ x], axis=0, out=logs[1:])

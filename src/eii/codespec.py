@@ -356,12 +356,6 @@ def _flatten(entry):
     return tuple(out)
 
 
-def _shape(entry):
-    if isinstance(entry, int):
-        return 0
-    return tuple(_shape(e) for e in entry)
-
-
 def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     """Build nested specs for the given sorted, distinct capability entries.
 
@@ -392,7 +386,7 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
                 f"incomparable sibling capabilities {capability_to_string(a)} "
                 f"and {capability_to_string(b)}"
             )
-    if len({_shape(sub) for sub in [*flats, *full]}) > 1:
+    if len({_saturate(sub, 0) for sub in [*flats, *full]}) > 1:
         raise NotTotallyOrderedError("sibling capabilities have mixed shapes")
     subs = [sub for sub, _ in rows]
     children = tuple(_build_chain(ctx, subs, n))

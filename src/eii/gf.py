@@ -90,17 +90,23 @@ class FieldContext:
     # -- vectorized table views (lazy, cached on first use) ----------------
 
     @cached_property
+    def exp_array(self) -> np.ndarray:
+        """exp_table as a uint8 array, for numpy fancy indexing."""
+        return _read_only(np.array(self.exp_table, dtype=np.uint8))
+
+    @cached_property
+    def log_array(self) -> np.ndarray:
+        """log_table as an int64 array, -1 at 0 as there."""
+        return _read_only(np.array(self.log_table, dtype=np.int64))
+
+    @cached_property
     def mul_table(self) -> np.ndarray:
         """Full q x q multiplication table as uint8, for numpy fancy indexing."""
-        q = self.q
-        log = np.array(self.log_table, dtype=np.int32)
-        exp = np.array(self.exp_table[: q - 1], dtype=np.uint8)
-        a = np.arange(q, dtype=np.int32)
-        table = exp[(log[a][:, None] + log[a][None, :]) % (q - 1)]
+        log = self.log_array
+        table = self.exp_array[(log[:, None] + log) % (self.q - 1)]
         table[0, :] = 0
         table[:, 0] = 0
-        table.setflags(write=False)
-        return table
+        return _read_only(table)
 
     def mul_arrays(self, a, b) -> np.ndarray:
         """Elementwise product of symbol arrays, broadcast like mul_table[a, b].
@@ -116,14 +122,17 @@ class FieldContext:
 
     @cached_property
     def inv_table(self) -> np.ndarray:
-        table = np.zeros(self.q, dtype=np.uint8)
-        for a in range(1, self.q):
-            table[a] = self.inv(a)
-        table.setflags(write=False)
-        return table
+        table = self.exp_array[-self.log_array % (self.q - 1)]
+        table[0] = 0
+        return _read_only(table)
 
     def __repr__(self):
         return f"FieldContext(w={self.w})"
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)

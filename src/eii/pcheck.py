@@ -36,7 +36,9 @@ column in the r' = rows - t rows of Q; an MDS leaf, whose rows are all
 leaf-local, leaves r' = 0.  The ANETF pcheck walk decides dependence on
 these residuals alone, and when every block sum is a check (t = M),
 `pc_decode` solves a fresh mask's later erasures on them in r'
-dimensions, then fills each block's first erasure from its sum.
+dimensions, then fills each block's first erasure from its sum.  Any
+other code, with t < M Vandermonde checks or leaf-local rows of u0 >= 2,
+has its fresh masks solved on the rows of H by `matrix.solve_erasures`.
 """
 
 from __future__ import annotations
@@ -241,61 +243,53 @@ def pc_decode(pc: ParityCheck, word: SymbolWord):
     dependent.  Raises ValueError for a wrong length or a symbol that is
     not an integer in the field, before the mask counts as seen, then
     InconsistentWordError when no completion exists.  A mask seen before is
-    replayed from its cached plan, and a fresh one is solved through the
-    local split (`_split_solve`); the result is the same either way.
+    replayed from its cached plan.  A fresh one is solved in the local split
+    (`_split_solve`) when every block sum of its layer is a check, and by
+    `matrix.solve_erasures` on the rows of H otherwise; the result is the
+    same either way.
     """
     h = pc.reduced
     syms, mask = word_arrays(word, h.cols, h.ctx.q)
     bits = mask.tobytes()
     if next(_sightings(h, bits)) == 0:
-        return _split_solve(pc, syms, mask)
+        n, u0, t, _ = _local_split(pc)
+        if u0 == 1 and t * n == h.cols:
+            return _split_solve(pc, syms, mask)
+        return mx.solve_erasures(h, word)
     return SymbolWord._from_array(syms) if _plan(h, bits).fill(syms) else None
 
 
 def _split_solve(pc: ParityCheck, syms: np.ndarray, mask: np.ndarray):
-    """`pc_decode`'s direct solve of one word in the local split [L; Q].
+    """`pc_decode`'s direct solve of one word in a local split [L; Q] whose
+    L holds every block sum of its layer (u0 = 1, t = M).
 
     [L; Q] spans the rows of H, so the word's completions are those that
-    meet L and Q.  When every block sum of the split's layer is a check
-    (u0 = 1, t = M), a block without erasures must already sum to 0, and a
+    meet L and Q.  A block without erasures must already sum to 0, and a
     block's first erased symbol f is its known sum s plus its later erased
     symbols.  Put into Q, the later erasures e solve (Q[:, e] - Q[:, f]) x
     = Q_K c_K - Q_F s, a system of r' rows instead of H's; each first
-    erasure then follows from its block.  Any other split, with t < M
-    Vandermonde checks or leaf-local rows of u0 >= 2, is solved on the
-    columns of H, where every erasure is late.
+    erasure then follows from its block.
     """
-    n, u0, t, qt = _local_split(pc)
-    split = u0 == 1 and t * n == len(mask)
-    if not split:
-        qt = pc.reduced.data.T
+    n, _, _, qt = _local_split(pc)
     ctx = pc.reduced.ctx
     syms[mask] = 0
-    local_fails = False
-    if split:
-        hit = mask.reshape(-1, n)
-        struck = hit.any(axis=1)
-        sums = np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)
-        local_fails = sums[~struck].any()  # a block without erasures must sum to 0
-        first = np.arange(0, len(mask), n) + hit.argmax(axis=1)
-        heads = first[struck]
-        syms[heads] = sums[struck]  # so that Q . syms is the right-hand side
-        late = mask.copy()
-        late[heads] = False
-        erased = np.flatnonzero(late)
-        cols = qt[erased] ^ qt[first[erased // n]]
-    else:
-        erased = np.flatnonzero(mask)
-        cols = qt[erased]
+    hit = mask.reshape(-1, n)
+    struck = hit.any(axis=1)
+    sums = np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)
+    first = np.arange(0, len(mask), n) + hit.argmax(axis=1)
+    heads = first[struck]
+    syms[heads] = sums[struck]  # so that Q . syms is the right-hand side
+    late = mask.copy()
+    late[heads] = False
+    erased = np.flatnonzero(late)
     syndrome = np.bitwise_xor.reduce(ctx.mul_table[qt, syms[:, None]], axis=0)
-    checks, solution = mx._solve(ctx, cols.T, syndrome[:, None])
-    if local_fails or checks.any():
+    checks, solution = mx._solve(ctx, (qt[erased] ^ qt[first[erased // n]]).T, syndrome[:, None])
+    if sums[~struck].any() or checks.any():  # a block without erasures must sum to 0
         raise mx.InconsistentWordError("known symbols are inconsistent with the parity checks")
     if solution is None:
         return None
     syms[erased] = solution[:, 0]
-    if split:
-        syms[heads] ^= np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)[struck]
+    syms[heads] ^= np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)[struck]
     return SymbolWord._from_array(syms)
 
 

@@ -373,7 +373,7 @@ def test_criterion_8_anetf_table():
 # -- criterion 9: determinism ---------------------------------------------------------------
 
 
-def test_criterion_9_determinism():
+def test_criterion_9_determinism(monkeypatch):
     failures = []
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     for mode in (anetf.CAPABILITY, anetf.PCHECK):
@@ -381,7 +381,8 @@ def test_criterion_9_determinism():
         texts = set()
         jsons = set()
         for batch in (2000, 128, 777):  # different internal batching
-            report = anetf.simulate(config, batch=batch)
+            monkeypatch.setattr(anetf, "_batch_trials", lambda spec, mode: batch)
+            report = anetf.simulate(config)
             texts.add(anetf.report_to_text(report))
             jsons.add(anetf.report_to_json(report))
         if len(texts) != 1 or len(jsons) != 1:

@@ -317,13 +317,19 @@ def test_table1_batches_hold_1000_trials():
             assert anetf._batch_trials(spec, mode) >= 1000, (cap, mode)
 
 
-def test_simulate_deterministic_across_batching():
+def simulate_in_batches(monkeypatch, config, batch: int):
+    """`anetf.simulate` run in batches of `batch` trials, whatever the code."""
+    monkeypatch.setattr(anetf, "_batch_trials", lambda spec, mode: batch)
+    return anetf.simulate(config)
+
+
+def test_simulate_deterministic_across_batching(monkeypatch):
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
-    a = anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=300, seed=42), batch=300)
-    b = anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=300, seed=42), batch=37)
+    pchk = anetf.AnetfConfig(spec, anetf.PCHECK, trials=300, seed=42)
+    a, b = (simulate_in_batches(monkeypatch, pchk, batch) for batch in (300, 37))
     assert a == b
-    c = anetf.simulate(anetf.AnetfConfig(spec, anetf.CAPABILITY, trials=300, seed=42), batch=64)
-    d = anetf.simulate(anetf.AnetfConfig(spec, anetf.CAPABILITY, trials=300, seed=42), batch=301)
+    capa = anetf.AnetfConfig(spec, anetf.CAPABILITY, trials=300, seed=42)
+    c, d = (simulate_in_batches(monkeypatch, capa, batch) for batch in (64, 301))
     assert c == d
     assert anetf.report_to_text(a) == anetf.report_to_text(b)
     assert anetf.report_to_json(c) == anetf.report_to_json(d)
@@ -371,10 +377,10 @@ def philox_built(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", anetf.MODES)
-def test_simulate_builds_one_philox_per_batch(mode, philox_built):
+def test_simulate_builds_one_philox_per_batch(mode, philox_built, monkeypatch):
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     anetf._kept_permutations.cache_clear()  # else one mode reuses the other's orders
-    anetf.simulate(anetf.AnetfConfig(spec, mode, trials=1000, seed=4), batch=300)
+    simulate_in_batches(monkeypatch, anetf.AnetfConfig(spec, mode, trials=1000, seed=4), 300)
     assert 0 < len(philox_built) <= 4  # batches of 300, 300, 300 and 100 trials
 
 
@@ -417,21 +423,14 @@ def test_kept_orders_are_dropped_before_the_next_key_is_drawn(monkeypatch):
 def test_simulate_streams_orders_past_the_cap(mode, monkeypatch):
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     config = anetf.AnetfConfig(spec, mode, trials=400, seed=11)
-    kept = [anetf.simulate(config, batch=b) for b in (1, 300, 50_000)]
+    kept = [simulate_in_batches(monkeypatch, config, b) for b in (1, 300, 50_000)]
     assert kept[0] == kept[1] == kept[2]
     monkeypatch.setattr(anetf, "_PERMS_BYTES", 0)
     anetf._kept_permutations.cache_clear()
     for b, want in zip((1, 300, 50_000), kept):
-        report = anetf.simulate(config, batch=b)
+        report = simulate_in_batches(monkeypatch, config, b)
         assert anetf.report_to_json(report) == anetf.report_to_json(want)
     assert anetf._kept_permutations.cache_info().currsize == 0
-
-
-@pytest.mark.parametrize("batch", [0, -1])
-def test_simulate_rejects_bad_batch(batch):
-    config = anetf.AnetfConfig(LeafSpec(G8, 7, 2), anetf.CAPABILITY, trials=10, seed=0)
-    with pytest.raises(ValueError, match="batch must be >= 1"):
-        anetf.simulate(config, batch=batch)
 
 
 def test_simulate_batch_memory_is_capped():

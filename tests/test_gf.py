@@ -122,3 +122,16 @@ def test_mul_arrays_matches_table(w):
     assert f.mul_arrays(cube, grid).shape == (cube.shape[0], 2, f.q)
     assert np.array_equal(f.mul_arrays(cube, grid), table[cube, grid])
     assert np.array_equal(f.mul_arrays(syms, 3), table[syms, 3])
+
+
+@pytest.mark.parametrize("w", sorted(MODULI))
+def test_table_arrays_match_the_scalar_tables(w):
+    # built once per field, read-only, and equal to the tuples and to the
+    # scalar mul and inv they replace in vectorized code
+    f = field(w)
+    for name in ("exp_array", "log_array", "mul_table", "inv_table"):
+        assert getattr(f, name) is getattr(f, name) and not getattr(f, name).flags.writeable
+    assert f.exp_array.dtype == np.uint8 and f.exp_array.tolist() == list(f.exp_table)
+    assert f.log_array.tolist() == list(f.log_table)
+    assert f.mul_table.tolist() == [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
+    assert f.inv_table.tolist() == [0] + [f.inv(a) for a in range(1, f.q)]

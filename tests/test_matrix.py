@@ -60,15 +60,15 @@ def from_rows(ctx, rows):
 
 def test_vandermonde_all_ones_row():
     m = mx.vandermonde(field(3), 1, 7, 0)
-    assert m.tolist() == [[1] * 7]
+    assert m.data.tolist() == [[1] * 7]
 
 
 def test_vandermonde_gf8_rows():
     f = field(3)
     m = mx.vandermonde(f, 2, 3, 0)
-    assert m.tolist() == [[1, 1, 1], [1, 2, 4]]
+    assert m.data.tolist() == [[1, 1, 1], [1, 2, 4]]
     m2 = mx.vandermonde(f, 1, 5, 1)
-    assert m2.tolist() == [[1, 2, 4, f.alpha_pow(3), f.alpha_pow(4)]]
+    assert m2.data.tolist() == [[1, 2, 4, f.alpha_pow(3), f.alpha_pow(4)]]
 
 
 def test_vandermonde_rank():
@@ -102,14 +102,14 @@ def test_kronecker_all_ones_left():
     f = field(3)
     b = mx.vandermonde(f, 2, 3, 1)
     k = mx.kronecker(mx.vandermonde(f, 1, 2, 0), b)
-    assert k.tolist() == [row + row for row in b.tolist()]
+    assert k.data.tolist() == [row + row for row in b.data.tolist()]
 
 
 def test_kronecker_block_diagonal():
     f = field(3)
     k = mx.kronecker(mx.identity(f, 6), mx.vandermonde(f, 1, 7, 0))
     assert k.rows == 6 and k.cols == 42
-    arr = np.array(k.tolist())
+    arr = k.data
     for i in range(6):
         row = arr[i]
         assert (row[7 * i:7 * i + 7] == 1).all()
@@ -286,10 +286,9 @@ def _draw_matrix(data, ctx, rows, cols):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(data=st.data())
-def test_eliminate_is_the_forward_pass_unless_columns_are_carried(data):
-    # with nothing carried the rows above each pivot are left as they were;
-    # with columns carried only the pivot rows differ, each pivot column
-    # being cleared from every other row
+def test_eliminate_is_the_forward_pass_in_reduced_form(data):
+    # at every ncols, carried columns or none: the forward pass's pivots and
+    # rows without a pivot, with each pivot column cleared from every other row
     ctx = field(data.draw(st.integers(2, 8)))
     rows, width = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 10))
     a = _draw_matrix(data, ctx, rows, width)
@@ -300,9 +299,6 @@ def test_eliminate_is_the_forward_pass_unless_columns_are_carried(data):
     pivots = forward_eliminate(expected, ctx, ncols)
     got = a.copy()
     assert mx._eliminate(got, ctx, ncols) == pivots
-    if ncols == width:
-        assert np.array_equal(got, expected)
-        return
     others = [r for r in range(rows) if r not in dict(pivots)]
     assert np.array_equal(got[others], expected[others])
     for r, c in pivots:

@@ -287,22 +287,25 @@ def test_plan_caches_stay_bounded_on_fresh_masks():
 
 
 def test_rejected_words_count_no_sighting():
-    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
-    pc = pcheck.build_parity_check(spec)
-    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
-    erased = word.with_erasures([0, 8, 30])
-    pcheck._sightings.cache_clear()
-    pcheck._plan.cache_clear()
-    before = pcheck._sightings.cache_info(), pcheck._plan.cache_info()
-    short = SymbolWord(erased.symbols[1:], erased.erased[1:])
-    outside = SymbolWord((8,) + erased.symbols[1:], erased.erased)  # same mask
-    for bad in (short, outside, outside):
-        with pytest.raises(ValueError):
-            pcheck.pc_decode(pc, bad)
-    assert (pcheck._sightings.cache_info(), pcheck._plan.cache_info()) == before
-    # the next valid word is the mask's first sighting: a direct solve, no plan
-    assert pcheck.pc_decode(pc, erased) == word
-    assert pcheck._plan.cache_info() == before[1]
+    # a code solved in the local split, and row 11 (t < M block sums),
+    # whose first sightings go to solve_erasures
+    for cap, w in (("((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 3), (TABLE_1[10][0], 4)):
+        spec = spec_from_capability(field(w), cap, 7)
+        pc = pcheck.build_parity_check(spec)
+        word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+        erased = word.with_erasures([0, 8, 30])
+        pcheck._sightings.cache_clear()
+        pcheck._plan.cache_clear()
+        before = pcheck._sightings.cache_info(), pcheck._plan.cache_info()
+        short = SymbolWord(erased.symbols[1:], erased.erased[1:])
+        outside = SymbolWord((spec.ctx.q,) + erased.symbols[1:], erased.erased)  # same mask
+        for bad in (short, outside, outside):
+            with pytest.raises(ValueError):
+                pcheck.pc_decode(pc, bad)
+        assert (pcheck._sightings.cache_info(), pcheck._plan.cache_info()) == before, cap
+        # the next valid word is the mask's first sighting: a direct solve, no plan
+        assert pcheck.pc_decode(pc, erased) == word, cap
+        assert pcheck._plan.cache_info() == before[1], cap
 
 
 def _with_a_corrupted_symbol(word, block: int, flip) -> list:
@@ -369,23 +372,28 @@ def test_first_sightings_take_the_local_split(monkeypatch):
     # the stripe shapes (every leaf block sum known) solve in r' = 10 rows,
     # never through solve_erasures, and Table 1 row 12 (every sum of 21
     # known) in 18; the [84,62] leaf (no rows left to Q) and row 11 (10
-    # Vandermonde combinations of 12 block sums) solve on all of H's rows
-    solve = mx._solve
-    heights = []
+    # Vandermonde combinations of 12 block sums) go to solve_erasures once,
+    # which solves on all 22 of H's rows
+    solve, solve_erasures = mx._solve, mx.solve_erasures
+    heights, direct = [], []
 
     def recorded(ctx, cols, carried):
         heights.append(cols.shape[0])
         return solve(ctx, cols, carried)
 
-    def boom(*args):
+    def counted(h, word):
+        if not split:
+            direct.append(word)
+            return solve_erasures(h, word)
         raise AssertionError("pc_decode called solve_erasures")
 
     monkeypatch.setattr(mx, "_solve", recorded)
-    monkeypatch.setattr(mx, "solve_erasures", boom)
-    codes = [(cap, 8, 7, 10) for cap in STRIPE_SHAPES]
-    codes += [(TABLE_1[0][0], 7, 84, 22), (TABLE_1[10][0], 4, 7, 22), (TABLE_1[11][0], 3, 7, 18)]
+    monkeypatch.setattr(mx, "solve_erasures", counted)
+    codes = [(cap, 8, 7, 10, True) for cap in STRIPE_SHAPES]
+    codes += [(TABLE_1[0][0], 7, 84, 22, False), (TABLE_1[10][0], 4, 7, 22, False),
+              (TABLE_1[11][0], 3, 7, 18, True)]
     rng = random.Random(41)
-    for cap, w, n, rows in codes:
+    for cap, w, n, rows, split in codes:
         spec = spec_from_capability(field(w), cap, n)
         pc = pcheck.build_parity_check(spec)
         word = codec.encode(spec, [rng.randrange(2 ** w) for _ in range(dimension(spec))])
@@ -397,9 +405,11 @@ def test_first_sightings_take_the_local_split(monkeypatch):
                 break
         pcheck._sightings.cache_clear()
         heights.clear()
+        direct.clear()
         erased = word.with_erasures([i for i, e in enumerate(mask) if e])
         assert pcheck.pc_decode(pc, erased) == word, cap
         assert heights == [rows], cap
+        assert direct == ([] if split else [erased]), cap
 
 
 def test_one_plan_table_for_encode_and_row_repair(monkeypatch):
