@@ -160,7 +160,7 @@ def _dual_weights(ctx, blocks: np.ndarray, m: int) -> np.ndarray:
     alpha^b_j), one product of the m x m table of those logs with the sets'
     0/1 membership columns.
     """
-    log, exp = ctx.log_array, ctx.exp_array
+    log, exp = ctx.log_table, ctx.exp_table
     logs = log[exp[:m, None] ^ exp[:m]]
     np.fill_diagonal(logs, 0)
     member = np.zeros((m, blocks.shape[1]), dtype=logs.dtype)  # integers: no BLAS call

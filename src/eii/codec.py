@@ -19,10 +19,11 @@ batch of masks, it gives each mask the weakest member of a nested chain of
 sibling codes that can repair it, and every block below it the weakest
 child that can.  `correctable` reads its first entry.  `decode` calls it
 once per mask, for its verdict and for every node's block levels, and
-keeps them with the report in the bounded memo `_outcome`, so a repeated
-mask costs one plan fill and no capability rule.  `anetf` applies
-the same rule along a whole erasure order, through the tail profiles of
-`_chain_tails`, as first-rejection times.
+keeps the report in the bounded memo `_outcome`, with the levels until the
+mask's first decode takes them, so a repeated mask costs one plan fill and
+no capability rule.  `anetf` applies the same rule along a whole erasure
+order, through the tail profiles of `_chain_tails`, as first-rejection
+times.
 
 Encoding does not use the decoder: data fills the systematic positions,
 every parity position is an erasure, and one lookup in the plan table
@@ -59,7 +60,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import PLAN_SIGHTINGS, _membership, _plan, _sightings, build_parity_check
+from .pcheck import PLAN_SIGHTINGS, _membership, _plan, build_parity_check
 from .words import SymbolWord, check_symbols, word_arrays
 
 
@@ -171,7 +172,7 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarra
     entry (k, i) is p_k(x_{c_i}) / p_k(x_{c_k}), 0 for i < k, computed here
     as a cumulative sum of discrete logs.
     """
-    exp, log = ctx.exp_array, ctx.log_array
+    exp, log = ctx.exp_table, ctx.log_table
     x = exp[list(col_blocks)]
     logs = np.zeros((n_rows, len(col_blocks)), dtype=np.int64)
     np.cumsum(log[x[:n_rows - 1, None] ^ x], axis=0, out=logs[1:])
@@ -223,56 +224,54 @@ def _repair(spec: CodeSpec, symbols, erased, levels: list) -> None:
 
 @lru_cache(maxsize=PLAN_SIGHTINGS)
 def _outcome(spec: CodeSpec, bits: bytes) -> tuple:
-    """`decode`'s reading of the mask whose bool bytes are `bits`: its
-    report, then the read-only `_chain_levels` levels `_repair` takes (none
-    for an uncorrectable mask).
+    """`decode`'s record of the mask whose bool bytes are `bits`: its report,
+    then a one-slot list holding the `_chain_levels` levels `_repair` takes.
 
     One `_chain_levels` pass gives the verdict, the assignment and every
     node's block levels; the peel order is the top level's erased level-0
     blocks, then its other blocks in peeling order.  All of it depends on
-    the mask alone, so a repeated mask runs no capability rule.
+    the mask alone, so a repeated mask runs no capability rule.  The list
+    of a correctable mask is emptied by its first decode, so from then on
+    the record holds its report alone; that of any other mask stays empty.
     """
     erased = np.frombuffer(bits, dtype=bool)
     verdict, *levels = _chain_levels((spec,), erased)
     assignment = tuple(levels[0].tolist()) if levels else ()
     if verdict:
-        return DecodeReport(UNCORRECTABLE, assignment, ()), ()
+        return DecodeReport(UNCORRECTABLE, assignment, ()), []
     order = ()
     if levels:
         local, pending = _schedule(assignment, erased.reshape(len(assignment), -1))
         order = (*local, *reversed(pending))
-    for lv in levels:
-        lv.setflags(write=False)
-    return DecodeReport(RECOVERED, assignment, order), tuple(levels)
+    return DecodeReport(RECOVERED, assignment, order), [levels]
 
 
 def decode(spec: CodeSpec, word: SymbolWord):
     """Erasure decode; returns (word, DecodeReport).
 
-    The report and the block levels of a mask come from the memo
-    `_outcome`, keyed by (spec, mask bytes) and bounded like the sightings
-    table, so only a mask's first call runs the capability rule.  A mask
-    accepted by `correctable` is recovered; on any other the input word
-    comes back unchanged as "uncorrectable", and nothing is repaired or
-    counted.  A correctable mask's sightings are counted in
-    `pcheck._sightings` under (spec, mask bytes).  On its first sighting
-    `_repair` fills the word and a membership check follows; from the
-    second on, the plan of the mask against the reduced parity-check
-    matrix, from the table `pc_decode` and `encode` share, fills it in one
-    product.  The erased columns of a correctable mask are independent, so
-    both give the one completion, and both raise InconsistentWordError
-    with one message when the known symbols fit no codeword.  Decoding
-    writes only erased positions.
+    A mask's report and block levels come from its record in the memo
+    `_outcome`, keyed by (spec, mask bytes) and bounded like `pcheck`'s
+    sightings, so only a mask's first call runs the capability rule.  A
+    mask accepted by `correctable` is recovered; on any other the input
+    word comes back unchanged as "uncorrectable", and nothing is repaired.
+    A correctable mask's first decode takes the levels out of its record:
+    `_repair` fills the word and a membership check follows.  Every later
+    decode finds none there and fills the word in one product with the
+    plan of the mask against the reduced parity-check matrix, from the
+    table `pc_decode` and `encode` share.  The erased columns of a
+    correctable mask are independent, so both give the one completion, and
+    both raise InconsistentWordError with one message when the known
+    symbols fit no codeword.  Decoding writes only erased positions.
     """
     symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
     bits = erased.tobytes()
-    report, levels = _outcome(spec, bits)
+    report, held = _outcome(spec, bits)
     if report.outcome == UNCORRECTABLE:
         return word, report
     reduced = build_parity_check(spec).reduced
     try:
-        if next(_sightings(spec, bits)) == 0:
-            _repair(spec, symbols, erased, levels)
+        if held:
+            _repair(spec, symbols, erased, held.pop())
             _membership(reduced).fill(symbols)
         else:
             _plan(reduced, bits).fill(symbols)

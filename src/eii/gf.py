@@ -40,16 +40,18 @@ class FieldContext:
     modulus : irreducible polynomial bitmask of degree w, MODULI[w]
     q : field size, 2^w
     alpha : the generator (residue class of x, always the integer 2)
-    exp_table : exp_table[i] = alpha^i for 0 <= i <= q-1 (period q-1)
-    log_table : log_table[a] = discrete log of a; log_table[0] = -1 sentinel
+    exp_table : read-only uint8 array, exp_table[i] = alpha^i for
+        0 <= i <= q-1 (period q-1)
+    log_table : read-only int64 array, log_table[a] = discrete log of a;
+        log_table[0] = -1 sentinel
     """
 
     w: int
     modulus: int = _field(init=False, default=0)
     q: int = _field(init=False, compare=False, default=0)
     alpha: int = _field(init=False, compare=False, default=2)
-    exp_table: tuple = _field(init=False, compare=False, repr=False, default=())
-    log_table: tuple = _field(init=False, compare=False, repr=False, default=())
+    exp_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
+    log_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.w not in MODULI:
@@ -69,41 +71,31 @@ class FieldContext:
         if x != 1:
             raise ValueError(f"x is not primitive modulo {self.modulus:#b}")
         exp[q - 1] = 1  # alpha^(q-1) = 1, completing one full period
-        object.__setattr__(self, "exp_table", tuple(exp))
-        object.__setattr__(self, "log_table", tuple(log))
+        object.__setattr__(self, "exp_table", _read_only(np.array(exp, dtype=np.uint8)))
+        object.__setattr__(self, "log_table", _read_only(np.array(log, dtype=np.int64)))
 
     # -- scalar operations ------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
+        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^w)")
-        return self.exp_table[(self.q - 1 - self.log_table[a]) % (self.q - 1)]
+        return int(self.exp_table[(self.q - 1 - self.log_table[a]) % (self.q - 1)])
 
     def alpha_pow(self, e: int) -> int:
-        return self.exp_table[e % (self.q - 1)]
+        return int(self.exp_table[e % (self.q - 1)])
 
     # -- vectorized table views (lazy, cached on first use) ----------------
 
     @cached_property
-    def exp_array(self) -> np.ndarray:
-        """exp_table as a uint8 array, for numpy fancy indexing."""
-        return _read_only(np.array(self.exp_table, dtype=np.uint8))
-
-    @cached_property
-    def log_array(self) -> np.ndarray:
-        """log_table as an int64 array, -1 at 0 as there."""
-        return _read_only(np.array(self.log_table, dtype=np.int64))
-
-    @cached_property
     def mul_table(self) -> np.ndarray:
         """Full q x q multiplication table as uint8, for numpy fancy indexing."""
-        log = self.log_array
-        table = self.exp_array[(log[:, None] + log) % (self.q - 1)]
+        log = self.log_table
+        table = self.exp_table[(log[:, None] + log) % (self.q - 1)]
         table[0, :] = 0
         table[:, 0] = 0
         return _read_only(table)
@@ -122,7 +114,7 @@ class FieldContext:
 
     @cached_property
     def inv_table(self) -> np.ndarray:
-        table = self.exp_array[-self.log_array % (self.q - 1)]
+        table = self.exp_table[-self.log_table % (self.q - 1)]
         table[0] = 0
         return _read_only(table)
 

@@ -12,10 +12,11 @@ in `_solve`, which is handed the columns: `solve_erasures` carries the
 syndrome of the known symbols through it and solves one word, an
 `ErasurePlan` carries H_K and keeps the rows that repair every word with
 the same mask, and `pcheck.pc_decode` solves a fresh mask on the residual
-columns of the local split, or through `solve_erasures` when not every
-block sum is a check.  The one table of plans sits in `pcheck`.  A
-plan keeps its rows as flat offsets into the multiplication table, shifted
-once when it is built, so each fill is one gather (see `gf.mul_arrays`).
+columns of the local split, or, when not every block sum is a check, with
+`solve_erasures`' core `_solve_symbols` on the word arrays it has checked.
+The one table of plans sits in `pcheck`.  A plan keeps its rows as flat
+offsets into the multiplication table, shifted once when it is built, so
+each fill is one gather (see `gf.mul_arrays`).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def vandermonde(ctx: FieldContext, s: int, w: int, v: int = 0) -> MatrixGF:
         raise ValueError(f"s={s} exceeds order(alpha)={ctx.q - 1} in GF(2^{ctx.w})")
     r = np.arange(s, dtype=np.int64)[:, None]
     c = np.arange(w, dtype=np.int64)[None, :]
-    return MatrixGF(ctx, ctx.exp_array[(c * (v + r)) % (ctx.q - 1)])
+    return MatrixGF(ctx, ctx.exp_table[(c * (v + r)) % (ctx.q - 1)])
 
 
 def kronecker(a: MatrixGF, b: MatrixGF) -> MatrixGF:
@@ -174,7 +175,11 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
     Raises ValueError for a wrong length or a symbol outside the field,
     then InconsistentWordError when no completion exists at all.
     """
-    syms, mask = word_arrays(word, h.cols, h.ctx.q)
+    return _solve_symbols(h, *word_arrays(word, h.cols, h.ctx.q))
+
+
+def _solve_symbols(h: MatrixGF, syms: np.ndarray, mask: np.ndarray):
+    """`solve_erasures` on a word's checked arrays; fills `syms` in place."""
     syndrome = np.bitwise_xor.reduce(h.ctx.mul_table[h.data[:, ~mask], syms[~mask]], axis=1)
     checks, solution = _solve(h.ctx, h.data[:, mask], syndrome[:, None])
     if checks.any():

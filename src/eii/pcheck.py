@@ -18,11 +18,13 @@ mask's bool bytes: `codec.encode` is one lookup of the systematic parity
 mask, the recursive decoder's row repairs look up the row code's mask, and
 `pc_decode` and `codec.decode` each repair a mask their own way the first
 time they see it and replay its plan against the reduced matrix from the
-second time on.  A plan holds its rows as flat offsets into the
-multiplication table, so a replay is one gather and one XOR-reduce.  The
-sightings, the plans and `codec.decode`'s memo of each mask's report sit
-in bounded caches, so masks that never repeat cost one first-sighting
-repair each and no memory beyond the sightings table and that memo.
+second time on.  `pc_decode` counts its sightings of a mask in
+`_sightings`, and `codec.decode` keeps its own record of each mask.  A
+plan holds its rows as flat offsets into the multiplication table, so a
+replay is one gather and one XOR-reduce.  The sightings, the plans and
+`codec.decode`'s records sit in bounded caches, so masks that never repeat
+cost one first-sighting repair each and no memory beyond the sightings
+table and those records.
 
 Each layer of an EII code adds checks on its own blocks, and the sums of
 a layer's M blocks of length n are often among them: all M sums, as when
@@ -38,7 +40,8 @@ these residuals alone, and when every block sum is a check (t = M),
 `pc_decode` solves a fresh mask's later erasures on them in r'
 dimensions, then fills each block's first erasure from its sum.  Any
 other code, with t < M Vandermonde checks or leaf-local rows of u0 >= 2,
-has its fresh masks solved on the rows of H by `matrix.solve_erasures`.
+has its fresh masks solved on the rows of H, as `matrix.solve_erasures`
+solves a word.
 """
 
 from __future__ import annotations
@@ -211,13 +214,9 @@ def density(pc: ParityCheck) -> float:
 
 
 @lru_cache(maxsize=PLAN_SIGHTINGS)
-def _sightings(owner, bits: bytes):
-    """Counter of the calls for one (matrix or spec, mask bytes) pair, from 0.
-
-    The owner is the caller's: `pc_decode` counts under its reduced matrix
-    and `codec.decode` under its spec, so neither's first sighting is the
-    other's second.
-    """
+def _sightings(h: MatrixGF, bits: bytes):
+    """Counter of `pc_decode`'s calls for one (reduced matrix, mask bytes)
+    pair, from 0."""
     return itertools.count()
 
 
@@ -244,22 +243,22 @@ def pc_decode(pc: ParityCheck, word: SymbolWord):
     not an integer in the field, before the mask counts as seen, then
     InconsistentWordError when no completion exists.  A mask seen before is
     replayed from its cached plan.  A fresh one is solved in the local split
-    (`_split_solve`) when every block sum of its layer is a check, and by
-    `matrix.solve_erasures` on the rows of H otherwise; the result is the
-    same either way.
+    (`_split_solve`) when every block sum of its layer is a check, and on
+    the rows of H as by `matrix.solve_erasures` otherwise; the result is
+    the same either way.
     """
     h = pc.reduced
     syms, mask = word_arrays(word, h.cols, h.ctx.q)
     bits = mask.tobytes()
     if next(_sightings(h, bits)) == 0:
-        n, u0, t, _ = _local_split(pc)
-        if u0 == 1 and t * n == h.cols:
-            return _split_solve(pc, syms, mask)
-        return mx.solve_erasures(h, word)
+        split = _local_split(pc)
+        if split.u0 == 1 and split.t * split.n == h.cols:
+            return _split_solve(h.ctx, split, syms, mask)
+        return mx._solve_symbols(h, syms, mask)
     return SymbolWord._from_array(syms) if _plan(h, bits).fill(syms) else None
 
 
-def _split_solve(pc: ParityCheck, syms: np.ndarray, mask: np.ndarray):
+def _split_solve(ctx, split: Split, syms: np.ndarray, mask: np.ndarray):
     """`pc_decode`'s direct solve of one word in a local split [L; Q] whose
     L holds every block sum of its layer (u0 = 1, t = M).
 
@@ -270,8 +269,7 @@ def _split_solve(pc: ParityCheck, syms: np.ndarray, mask: np.ndarray):
     = Q_K c_K - Q_F s, a system of r' rows instead of H's; each first
     erasure then follows from its block.
     """
-    n, _, _, qt = _local_split(pc)
-    ctx = pc.reduced.ctx
+    n, qt = split.n, split.qt
     syms[mask] = 0
     hit = mask.reshape(-1, n)
     struck = hit.any(axis=1)

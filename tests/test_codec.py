@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def decode_based_encode(spec, data):
     word with every parity position erased, repaired by the recursive
     decoder."""
     mask = codec.parity_mask(spec)
-    pcheck._sightings.cache_clear()  # a first sighting: decode takes the recursion, not encode's plan
+    codec._outcome.cache_clear()  # a first sighting: decode takes the recursion, not encode's plan
     it = iter(data)
     word = SymbolWord(tuple(0 if p else next(it) for p in mask), mask)
     out, report = codec.decode(spec, word)
@@ -564,20 +565,22 @@ def test_uncorrectable_mask_repairs_nothing(monkeypatch, cap, erased, flipped, a
     assert out == word
 
 
-def _three_decodes(spec, word) -> list:
-    """decode on fresh plan caches three times: recursive repair, plan
-    build, plan replay.  Each outcome is (word, report) or the exception's
-    (type, message)."""
+def _three_decodes(spec, word) -> tuple:
+    """decode on a fresh memo and plan table three times: recursive repair,
+    plan build, plan replay.  Returns the outcomes, each (word, report) or
+    the exception's (type, message), and how often `_repair` ran on the
+    whole word."""
     codec._outcome.cache_clear()
-    pcheck._sightings.cache_clear()
     pcheck._plan.cache_clear()
-    outcomes = []
-    for _ in range(3):
-        try:
-            outcomes.append(codec.decode(spec, word))
-        except ValueError as exc:
-            outcomes.append((type(exc), str(exc)))
-    return outcomes
+    real, repaired, outcomes = codec._repair, [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_repair", lambda *args: repaired.append(args[0] is spec) or real(*args))
+        for _ in range(3):
+            try:
+                outcomes.append(codec.decode(spec, word))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes, sum(repaired)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -585,7 +588,8 @@ def _three_decodes(spec, word) -> list:
 def test_decode_paths_agree_on_chains(data):
     # a codeword and random known symbols, under correctable masks of every
     # weight and one mask past them: the first sighting, the plan build and
-    # the replay give one outcome, and only correctable masks are counted
+    # the replay give one outcome, and only a correctable mask's first
+    # sighting runs the recursive repair
     n = data.draw(st.integers(1, 7))
     for spec in data.draw(ordered_chains(data.draw(st.integers(0, 2)), n)):
         size = length(spec)
@@ -597,12 +601,10 @@ def test_decode_paths_agree_on_chains(data):
         while cut < size and codec.correctable(spec, np.isin(np.arange(size), order[:cut + 1])):
             cut += 1
         for weight in sorted({0, cut // 2, cut, min(cut + 1, size)}):
-            mask = np.isin(np.arange(size), order[:weight])
             for w in (word, noise):
-                outcomes = _three_decodes(spec, w.with_erasures(order[:weight]))
+                outcomes, repairs = _three_decodes(spec, w.with_erasures(order[:weight]))
                 assert outcomes[0] == outcomes[1] == outcomes[2]
-                counted = next(pcheck._sightings(spec, mask.tobytes()))
-                assert counted == (3 if weight <= cut else 0)
+                assert repairs == (1 if weight <= cut else 0)
                 if w is word and weight <= cut:
                     assert outcomes[0][0] == word
 
@@ -624,7 +626,7 @@ def test_fresh_masks_repair_and_repeated_masks_replay(monkeypatch, cap):
         return table(h, bits)
 
     monkeypatch.setattr(codec, "_plan", recorded)
-    pcheck._sightings.cache_clear()
+    codec._outcome.cache_clear()
     first = codec.decode(spec, erased)
     assert first[0] == word and looked_up and top not in looked_up
     assert {h.cols for h in looked_up} == {7}
@@ -639,22 +641,44 @@ def test_fresh_masks_repair_and_repeated_masks_replay(monkeypatch, cap):
         assert looked_up == [top]
 
 
+@pytest.mark.parametrize("cap", STRIPE_SHAPES)
+def test_memo_records_drop_their_levels_on_first_decode(cap):
+    # the first decode takes the block levels out of the mask's record and
+    # frees them once it returns; the record keeps only the report
+    spec = spec_from_capability(field(8), cap, 7)
+    word = random_codeword(spec, random.Random(cap))
+    erased = word.with_erasures(
+        [i for i, e in enumerate(random_correctable_mask(spec, random.Random(47))) if e])
+    bits = bytes(erased.erased)
+    codec._outcome.cache_clear()
+    report, held = codec._outcome(spec, bits)
+    assert len(held) == 1 and len(held[0]) == layer_count(spec) - 1
+    levels = [weakref.ref(lv) for lv in held[0]]
+    assert codec.decode(spec, erased) == (word, report)
+    assert codec._outcome(spec, bits) == (report, [])
+    assert [ref() for ref in levels] == [None] * len(levels)
+    assert codec.decode(spec, erased) == (word, report)
+
+
 def test_rejected_words_and_uncorrectable_masks_count_no_sighting(monkeypatch):
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
     erased = word.with_erasures([0, 8, 30])
-    pcheck._sightings.cache_clear()
+    codec._outcome.cache_clear()
     pcheck._plan.cache_clear()
-    before = pcheck._sightings.cache_info(), pcheck._plan.cache_info()
+    before = codec._outcome.cache_info(), pcheck._plan.cache_info()
     short = SymbolWord(erased.symbols[1:], erased.erased[1:])
     outside = SymbolWord((8,) + erased.symbols[1:], erased.erased)  # same mask
     for bad in (short, outside, outside):
         with pytest.raises(ValueError):
             codec.decode(spec, bad)
+    assert (codec._outcome.cache_info(), pcheck._plan.cache_info()) == before
     lost = word.with_erasures(range(21 * 3))  # three whole blocks: past every tail
     for _ in range(2):
         assert codec.decode(spec, lost)[1].outcome == codec.UNCORRECTABLE
-    assert (pcheck._sightings.cache_info(), pcheck._plan.cache_info()) == before
+    assert codec._outcome(spec, bytes(lost.erased))[1] == []
+    assert codec._outcome.cache_info()[:2] == (2, 1)  # (hits, misses): one record, for lost
+    assert pcheck._plan.cache_info() == before[1]
     # the next valid word is the mask's first sighting: the recursive repair
     repaired = []
     real = codec._repair
@@ -682,7 +706,6 @@ def test_decode_runs_the_capability_rule_once_per_layer(monkeypatch, cap, w, n):
         real = getattr(codec, name)
         monkeypatch.setattr(codec, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
     codec._outcome.cache_clear()
-    pcheck._sightings.cache_clear()
     for erased, outcome in ((order[:cut], codec.RECOVERED), (order[:cut + 1], codec.UNCORRECTABLE),
                             (order, codec.UNCORRECTABLE)):
         calls.clear()

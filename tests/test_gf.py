@@ -126,12 +126,12 @@ def test_mul_arrays_matches_table(w):
 
 @pytest.mark.parametrize("w", sorted(MODULI))
 def test_table_arrays_match_the_scalar_tables(w):
-    # built once per field, read-only, and equal to the tuples and to the
-    # scalar mul and inv they replace in vectorized code
+    # built once per field and read-only; mul_table and inv_table equal the
+    # scalar mul and inv they replace in vectorized code, which return ints
     f = field(w)
-    for name in ("exp_array", "log_array", "mul_table", "inv_table"):
-        assert getattr(f, name) is getattr(f, name) and not getattr(f, name).flags.writeable
-    assert f.exp_array.dtype == np.uint8 and f.exp_array.tolist() == list(f.exp_table)
-    assert f.log_array.tolist() == list(f.log_table)
+    assert f.exp_table.dtype == np.uint8 and f.log_table.dtype == np.int64
+    for name in ("exp_table", "log_table", "mul_table", "inv_table"):
+        assert getattr(f, name) is getattr(field(w), name) and not getattr(f, name).flags.writeable
     assert f.mul_table.tolist() == [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
     assert f.inv_table.tolist() == [0] + [f.inv(a) for a in range(1, f.q)]
+    assert {type(f.mul(2, 3)), type(f.inv(2)), type(f.alpha_pow(5))} == {int}

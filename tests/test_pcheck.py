@@ -370,25 +370,25 @@ def test_first_sighting_matches_direct_solve_on_stripe_shapes(cap):
 
 def test_first_sightings_take_the_local_split(monkeypatch):
     # the stripe shapes (every leaf block sum known) solve in r' = 10 rows,
-    # never through solve_erasures, and Table 1 row 12 (every sum of 21
-    # known) in 18; the [84,62] leaf (no rows left to Q) and row 11 (10
-    # Vandermonde combinations of 12 block sums) go to solve_erasures once,
+    # never through solve_erasures' core, and Table 1 row 12 (every sum of
+    # 21 known) in 18; the [84,62] leaf (no rows left to Q) and row 11 (10
+    # Vandermonde combinations of 12 block sums) go to that core once,
     # which solves on all 22 of H's rows
-    solve, solve_erasures = mx._solve, mx.solve_erasures
+    solve, solve_symbols = mx._solve, mx._solve_symbols
     heights, direct = [], []
 
     def recorded(ctx, cols, carried):
         heights.append(cols.shape[0])
         return solve(ctx, cols, carried)
 
-    def counted(h, word):
+    def counted(h, syms, mask):
         if not split:
-            direct.append(word)
-            return solve_erasures(h, word)
-        raise AssertionError("pc_decode called solve_erasures")
+            direct.append((h, mask.tobytes()))
+            return solve_symbols(h, syms, mask)
+        raise AssertionError("pc_decode called solve_erasures' core")
 
     monkeypatch.setattr(mx, "_solve", recorded)
-    monkeypatch.setattr(mx, "solve_erasures", counted)
+    monkeypatch.setattr(mx, "_solve_symbols", counted)
     codes = [(cap, 8, 7, 10, True) for cap in STRIPE_SHAPES]
     codes += [(TABLE_1[0][0], 7, 84, 22, False), (TABLE_1[10][0], 4, 7, 22, False),
               (TABLE_1[11][0], 3, 7, 18, True)]
@@ -409,7 +409,7 @@ def test_first_sightings_take_the_local_split(monkeypatch):
         erased = word.with_erasures([i for i, e in enumerate(mask) if e])
         assert pcheck.pc_decode(pc, erased) == word, cap
         assert heights == [rows], cap
-        assert direct == ([] if split else [erased]), cap
+        assert direct == ([] if split else [(pc.reduced, bytes(mask))]), cap
 
 
 def test_one_plan_table_for_encode_and_row_repair(monkeypatch):
@@ -460,12 +460,36 @@ def test_decode_and_pc_decode_build_one_plan_per_mask(monkeypatch):
 
     monkeypatch.setattr(pcheck, "_plan", recorded)
     monkeypatch.setattr(codec, "_plan", recorded)
+    codec._outcome.cache_clear()
     pcheck._sightings.cache_clear()
     table.cache_clear()
     for _ in range(2):
         assert codec.decode(spec, erased)[0] == word
         assert pcheck.pc_decode(pc, erased) == word
     assert top == [1, 0]  # decode's second sighting builds it, pc_decode's replays it
+
+
+def test_fresh_decodes_leave_pc_decode_sightings_alone():
+    # decode keeps no sightings of its own in pc_decode's table: a mask
+    # seen once by pc_decode is planned on its second sighting, however
+    # many fresh masks decode has seen in between
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    pc = pcheck.build_parity_check(spec)
+    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+    erased = word.with_erasures([0, 8, 21, 22, 23, 50])
+    pcheck._sightings.cache_clear()
+    pcheck._plan.cache_clear()
+    assert pcheck.pc_decode(pc, erased) == word
+    rng = random.Random(43)
+    seen = {(0, 8, 21, 22, 23, 50)}
+    while len(seen) < 1101:
+        mask = tuple(sorted(rng.sample(range(84), rng.randint(1, 3))))
+        if mask not in seen:
+            seen.add(mask)
+            assert codec.decode(spec, word.with_erasures(mask))[0] == word
+    misses = pcheck._plan.cache_info().misses
+    assert pcheck.pc_decode(pc, erased) == word
+    assert pcheck._plan.cache_info().misses == misses + 1
 
 
 def test_alist_export():

@@ -8,6 +8,7 @@ from eii import codec, matrix as mx, pcheck
 from eii.codespec import dimension, spec_from_capability
 from eii.gf import field
 from eii.words import SymbolWord, word_arrays, word_from_text, word_to_text
+from test_acceptance import TABLE_1
 
 
 def test_text_round_trip():
@@ -126,24 +127,27 @@ def _counted(word: SymbolWord) -> SymbolWord:
 
 
 def test_entry_points_scan_a_word_once():
-    spec = spec_from_capability(field(3), "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
-    pc = pcheck.build_parity_check(spec)
-    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
-    erased = word.with_erasures([0, 8, 30])
-    calls = [
-        lambda w: codec.decode(spec, w),
-        lambda w: codec.is_codeword(spec, w),
-        lambda w: mx.solve_erasures(pc.reduced, w),
-    ]
-    for call, w in zip(calls, (erased, word, erased)):
-        w = _counted(SymbolWord(w.symbols, w.erased))
-        call(w)
-        assert w.symbols.scans == 1
-    # pc_decode: first sighting (direct solve), plan build, plan replay
-    pcheck._sightings.cache_clear()
-    pcheck._plan.cache_clear()
-    for _ in range(3):
-        w = _counted(SymbolWord(erased.symbols, erased.erased))
-        assert pcheck.pc_decode(pc, w) == word
-        assert w.symbols.scans == 1
-    assert pcheck._plan.cache_info()[:2] == (1, 1)
+    # the 3-layer code solves a fresh pc_decode mask in the local split, and
+    # Table 1 row 11 (t < M block sums) on the rows of H
+    for cap, w in (("((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 3), (TABLE_1[10][0], 4)):
+        spec = spec_from_capability(field(w), cap, 7)
+        pc = pcheck.build_parity_check(spec)
+        word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+        erased = word.with_erasures([0, 8, 30])
+        calls = [
+            lambda w: codec.decode(spec, w),
+            lambda w: codec.is_codeword(spec, w),
+            lambda w: mx.solve_erasures(pc.reduced, w),
+        ]
+        for call, w in zip(calls, (erased, word, erased)):
+            w = _counted(SymbolWord(w.symbols, w.erased))
+            call(w)
+            assert w.symbols.scans == 1, cap
+        # pc_decode: first sighting (direct solve), plan build, plan replay
+        pcheck._sightings.cache_clear()
+        pcheck._plan.cache_clear()
+        for _ in range(3):
+            w = _counted(SymbolWord(erased.symbols, erased.erased))
+            assert pcheck.pc_decode(pc, w) == word
+            assert w.symbols.scans == 1, cap
+        assert pcheck._plan.cache_info()[:2] == (1, 1)
