@@ -151,9 +151,8 @@ def _cmd_decode(args) -> int:
 def _cmd_pcheck(args) -> int:
     spec = _load_spec(args)
     pc = pcheck.build_parity_check(spec)
-    if args.reduce:
-        pc = pcheck.reduce(pc)
-    text = mx.to_csv(pc.h) if args.format == "csv" else pcheck.to_alist(pc)
+    h = pc.reduced if args.reduce else pc.h
+    text = mx.to_csv(h) if args.format == "csv" else mx.to_alist(h)
     _write_output(args, text)
     return 0
 
@@ -163,7 +162,8 @@ def _cmd_density(args) -> int:
     pc = pcheck.build_parity_check(spec)
     nz = pc.h.nonzero_count()
     total = pc.h.rows * pc.h.cols
-    print(f"{nz}/{total} = {pcheck.density(pc):.6f} ({100 * pcheck.density(pc):.2f}%)")
+    density = pcheck.density(pc)
+    print(f"{nz}/{total} = {density:.6f} ({100 * density:.2f}%)")
     return 0
 
 

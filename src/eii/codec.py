@@ -36,7 +36,8 @@ row code's mask from the same table, and each peel combines the
 known blocks with one multiplication-table gather and an XOR-reduce.  The
 block triangulations have a closed form, the Newton form of a Vandermonde
 LU.  Membership is one product, the fill of the reduced parity-check
-matrix's plan with nothing erased, whose checks are the matrix itself.
+matrix's plan with nothing erased, from the same table, whose checks are
+the matrix itself.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .codespec import (
 )
 from .gf import FieldContext
 from .matrix import InconsistentWordError
-from .pcheck import PLAN_SIGHTINGS, _membership, _plan, build_parity_check
+from .pcheck import PLAN_SIGHTINGS, _plan, build_parity_check
 from .words import SymbolWord, check_symbols, word_arrays
 
 
@@ -131,7 +132,7 @@ def is_codeword(spec: CodeSpec, word: SymbolWord) -> bool:
     if erased.any():
         raise ValueError("membership test needs a fully known word")
     try:  # the plan with nothing erased is always solvable: fill returns True
-        return _membership(build_parity_check(spec).reduced).fill(symbols)
+        return _plan(build_parity_check(spec).reduced, erased.tobytes()).fill(symbols)
     except InconsistentWordError:
         return False
 
@@ -272,7 +273,7 @@ def decode(spec: CodeSpec, word: SymbolWord):
     try:
         if held:
             _repair(spec, symbols, erased, held.pop())
-            _membership(reduced).fill(symbols)
+            _plan(reduced, bytes(len(bits))).fill(symbols)
         else:
             _plan(reduced, bits).fill(symbols)
     except InconsistentWordError:

@@ -294,7 +294,6 @@ def _capability_entry(spec: CodeSpec):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def capability(spec: CodeSpec) -> tuple:
     """Erasure-correcting capability tree.
 

@@ -11,7 +11,7 @@ supported field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +44,11 @@ class FieldContext:
         0 <= i <= q-1 (period q-1)
     log_table : read-only int64 array, log_table[a] = discrete log of a;
         log_table[0] = -1 sentinel
+    mul_table : read-only q x q uint8 array, mul_table[a, b] = a * b, for
+        numpy fancy indexing
+    inv_table : read-only uint8 array, inv_table[a] = 1 / a; inv_table[0] = 0
+
+    All four tables are built with the context.
     """
 
     w: int
@@ -52,6 +57,8 @@ class FieldContext:
     alpha: int = _field(init=False, compare=False, default=2)
     exp_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
     log_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
+    mul_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
+    inv_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.w not in MODULI:
@@ -71,8 +78,15 @@ class FieldContext:
         if x != 1:
             raise ValueError(f"x is not primitive modulo {self.modulus:#b}")
         exp[q - 1] = 1  # alpha^(q-1) = 1, completing one full period
-        object.__setattr__(self, "exp_table", _read_only(np.array(exp, dtype=np.uint8)))
-        object.__setattr__(self, "log_table", _read_only(np.array(log, dtype=np.int64)))
+        exp, log = np.array(exp, dtype=np.uint8), np.array(log, dtype=np.int64)
+        mul = exp[(log[:, None] + log) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        inv = exp[-log % (q - 1)]
+        inv[0] = 0
+        for name, table in dict(exp_table=exp, log_table=log, mul_table=mul, inv_table=inv).items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     # -- scalar operations ------------------------------------------------
 
@@ -89,16 +103,7 @@ class FieldContext:
     def alpha_pow(self, e: int) -> int:
         return int(self.exp_table[e % (self.q - 1)])
 
-    # -- vectorized table views (lazy, cached on first use) ----------------
-
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        """Full q x q multiplication table as uint8, for numpy fancy indexing."""
-        log = self.log_table
-        table = self.exp_table[(log[:, None] + log) % (self.q - 1)]
-        table[0, :] = 0
-        table[:, 0] = 0
-        return _read_only(table)
+    # -- vectorized products ------------------------------------------------
 
     def mul_arrays(self, a, b) -> np.ndarray:
         """Elementwise product of symbol arrays, broadcast like mul_table[a, b].
@@ -112,19 +117,8 @@ class FieldContext:
         """
         return self.mul_table.ravel().take((np.asarray(a, dtype=np.uint16) << self.w) | b)
 
-    @cached_property
-    def inv_table(self) -> np.ndarray:
-        table = self.exp_table[-self.log_table % (self.q - 1)]
-        table[0] = 0
-        return _read_only(table)
-
     def __repr__(self):
         return f"FieldContext(w={self.w})"
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)
-    return table
 
 
 @lru_cache(maxsize=None)

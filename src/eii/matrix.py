@@ -16,7 +16,8 @@ columns of the local split, or, when not every block sum is a check, with
 `solve_erasures`' core `_solve_symbols` on the word arrays it has checked.
 The one table of plans sits in `pcheck`.  A plan keeps its rows as flat
 offsets into the multiplication table, shifted once when it is built, so
-each fill is one gather (see `gf.mul_arrays`).
+each fill is one gather (see `gf.mul_arrays`).  A matrix prints as CSV
+(`to_csv`) or as an alist (`to_alist`).
 """
 
 from __future__ import annotations
@@ -237,4 +238,12 @@ def to_csv(m: MatrixGF) -> str:
     lines = [f"# gf=2^{m.ctx.w} rows={m.rows} cols={m.cols}"]
     for row in m.data:
         lines.append(",".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def to_alist(m: MatrixGF) -> str:
+    """Sparse export: `rows cols` header, then 1-based column indices per row."""
+    lines = [f"{m.rows} {m.cols}"]
+    for row in m.data:
+        lines.append(" ".join(str(int(c)) for c in np.nonzero(row)[0] + 1))
     return "\n".join(lines) + "\n"

@@ -6,8 +6,8 @@ to the node itself.  An increment between two nodes over the same children
 is one Vandermonde (x) B_j strip per tail count that grows, where B_j is
 the increment from child j-1 to child j (built the same way, down to the
 extra Vandermonde rows of a leaf) or the identity for the zero code.
-Dense as-constructed matrices may carry dependent rows; `reduce` drops the
-later dependent ones.
+Dense as-constructed matrices may carry dependent rows; a `ParityCheck`
+keeps the matrix and, as `reduced`, its earliest rows that span it.
 
 Erasure repair against a parity-check matrix is linear in the known
 symbols: for a fixed mask the erased symbols are X . known, and the known
@@ -15,16 +15,17 @@ symbols are consistent iff C . known = 0.  The elimination lives in
 `matrix`, and a `matrix.ErasurePlan` holds X and C for one (matrix, mask)
 pair.  `_plan` is the one table of mask plans, keyed by the matrix and the
 mask's bool bytes: `codec.encode` is one lookup of the systematic parity
-mask, the recursive decoder's row repairs look up the row code's mask, and
-`pc_decode` and `codec.decode` each repair a mask their own way the first
-time they see it and replay its plan against the reduced matrix from the
-second time on.  `pc_decode` counts its sightings of a mask in
-`_sightings`, and `codec.decode` keeps its own record of each mask.  A
-plan holds its rows as flat offsets into the multiplication table, so a
-replay is one gather and one XOR-reduce.  The sightings, the plans and
-`codec.decode`'s records sit in bounded caches, so masks that never repeat
-cost one first-sighting repair each and no memory beyond the sightings
-table and those records.
+mask, the recursive decoder's row repairs look up the row code's mask,
+membership tests look up the all-known mask, whose plan's checks are the
+matrix itself, and `pc_decode` and `codec.decode` each repair a mask their
+own way the first time they see it and replay its plan against the
+reduced matrix from the second time on.  `pc_decode` counts its
+sightings of a mask in `_sightings`, and `codec.decode` keeps its own
+record of each mask.  A plan holds its rows as flat offsets into the
+multiplication table, so a replay is one gather and one XOR-reduce.  The
+sightings, the plans and `codec.decode`'s records sit in bounded caches,
+so masks that never repeat cost one first-sighting repair each and no
+memory beyond the sightings table and those records.
 
 Each layer of an EII code adds checks on its own blocks, and the sums of
 a layer's M blocks of length n are often among them: all M sums, as when
@@ -135,11 +136,6 @@ def build_parity_check(spec: CodeSpec) -> ParityCheck:
     return pc
 
 
-def reduce(pc: ParityCheck) -> ParityCheck:
-    """Full-rank variant; keeps earliest rows, drops later dependent ones."""
-    return ParityCheck(pc.reduced, pc.reduced, pc.layers, pc.u0)
-
-
 class Split(NamedTuple):
     """A basis [L; Q] of the reduced rows; see `_local_split`."""
 
@@ -226,13 +222,6 @@ def _plan(h: MatrixGF, bits: bytes) -> mx.ErasurePlan:
     return mx.ErasurePlan(h, np.frombuffer(bits, dtype=bool))
 
 
-@lru_cache(maxsize=None)
-def _membership(h: MatrixGF) -> mx.ErasurePlan:
-    """The plan of h with nothing erased, whose fill is the test h . c = 0;
-    kept apart from `_plan`, so a membership test looks up no mask plan."""
-    return mx.ErasurePlan(h, np.zeros(h.cols, dtype=bool))
-
-
 def pc_decode(pc: ParityCheck, word: SymbolWord):
     """Matrix-based erasure decode: fill the erased positions so that
     H . c = 0 for the reduced parity-check matrix H.
@@ -289,12 +278,3 @@ def _split_solve(ctx, split: Split, syms: np.ndarray, mask: np.ndarray):
     syms[erased] = solution[:, 0]
     syms[heads] ^= np.bitwise_xor.reduce(syms.reshape(-1, n), axis=1)[struck]
     return SymbolWord._from_array(syms)
-
-
-def to_alist(pc: ParityCheck) -> str:
-    """Sparse export of pc.h: `rows cols` header, then 1-based column indices per row."""
-    lines = [f"{pc.h.rows} {pc.h.cols}"]
-    for row in pc.h.data:
-        cols = np.nonzero(row)[0] + 1
-        lines.append(" ".join(str(int(c)) for c in cols))
-    return "\n".join(lines) + "\n"

@@ -150,8 +150,8 @@ def test_criterion_2_parity_shapes():
         want_rank = length(spec) - dimension(spec)
         if pc.rank != want_rank:
             failures.append(f"{name}: rank {pc.rank} != N-k = {want_rank}")
-        if rank_after is not None and pcheck.reduce(pc).h.rows != rank_after:
-            failures.append(f"{name}: reduced rows {pcheck.reduce(pc).h.rows} != {rank_after}")
+        if rank_after is not None and pc.reduced.rows != rank_after:
+            failures.append(f"{name}: reduced rows {pc.reduced.rows} != {rank_after}")
     for name, spec in example_codes().items():
         pc = pcheck.build_parity_check(spec)
         if pc.rank != length(spec) - dimension(spec):

@@ -150,6 +150,10 @@ def test_pcheck_reduce_and_alist(capsys):
                 "--format", "alist"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "12 21"
+    assert run(["pcheck", "--capability", "(1,2,7)", "--field", "3", "--n", "7",
+                "--reduce", "--format", "alist"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "10 21"
 
 
 def test_density_output(capsys):

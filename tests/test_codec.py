@@ -611,8 +611,9 @@ def test_decode_paths_agree_on_chains(data):
 
 @pytest.mark.parametrize("cap", STRIPE_SHAPES)
 def test_fresh_masks_repair_and_repeated_masks_replay(monkeypatch, cap):
-    # a fresh mask looks up leaf plans only, so masks that never repeat
-    # plan no [84, 62] word; a repeated one is one top-level plan, no repair
+    # a fresh mask looks up leaf plans, then the all-known plan for its
+    # membership check, so masks that never repeat plan no [84, 62] word of
+    # their own; a repeated one is one top-level plan, no repair
     spec = spec_from_capability(field(8), cap, 7)
     word = random_codeword(spec, random.Random(cap))
     erased = word.with_erasures(
@@ -622,14 +623,14 @@ def test_fresh_masks_repair_and_repeated_masks_replay(monkeypatch, cap):
     looked_up = []
 
     def recorded(h, bits):
-        looked_up.append(h)
+        looked_up.append((h, bits))
         return table(h, bits)
 
     monkeypatch.setattr(codec, "_plan", recorded)
     codec._outcome.cache_clear()
     first = codec.decode(spec, erased)
-    assert first[0] == word and looked_up and top not in looked_up
-    assert {h.cols for h in looked_up} == {7}
+    assert first[0] == word and looked_up[-1] == (top, bytes(84))
+    assert {h.cols for h, _ in looked_up[:-1]} == {7}
 
     def boom(*args):
         raise AssertionError("a repeated mask ran the recursive decoder")
@@ -638,7 +639,32 @@ def test_fresh_masks_repair_and_repeated_masks_replay(monkeypatch, cap):
     for _ in range(2):
         looked_up.clear()
         assert codec.decode(spec, erased) == first
-        assert looked_up == [top]
+        assert looked_up == [(top, bytes(erased.erased))]
+
+
+def test_membership_plan_is_built_once_in_the_plan_table(monkeypatch):
+    # is_codeword and a first-sighting decode's membership check look up
+    # the all-known mask of the reduced matrix in the one plan table
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    top = pcheck.build_parity_check(spec).reduced
+    word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
+    table = pcheck._plan
+    built = []
+
+    def recorded(h, bits):
+        misses = table.cache_info().misses
+        plan = table(h, bits)
+        if (h, bits) == (top, bytes(84)):
+            built.append(table.cache_info().misses - misses)
+        return plan
+
+    monkeypatch.setattr(codec, "_plan", recorded)
+    codec._outcome.cache_clear()
+    table.cache_clear()
+    assert codec.is_codeword(spec, word)
+    assert codec.decode(spec, word.with_erasures([0, 8, 30]))[0] == word
+    assert not codec.is_codeword(spec, SymbolWord.known((word.symbols[0] ^ 1,) + word.symbols[1:]))
+    assert built == [1, 0, 0]  # built by the first membership test, then replayed
 
 
 @pytest.mark.parametrize("cap", STRIPE_SHAPES)

@@ -74,21 +74,20 @@ def test_example9_reduction():
     pc = pcheck.build_parity_check(example_9_two_level())
     assert (pc.h.rows, pc.h.cols) == (12, 21)
     assert pc.rank == 10
-    reduced = pcheck.reduce(pc)
-    assert reduced.h.rows == 10
+    assert pc.reduced.rows == 10
     # the paper deletes the last two rows; earliest-rows reduction keeps 0..9
-    assert reduced.h == mx.MatrixGF(G8, pc.h.data[:10])
+    assert pc.reduced == mx.MatrixGF(G8, pc.h.data[:10])
 
     pc3 = pcheck.build_parity_check(example_9_three_layer())
     assert (pc3.h.rows, pc3.h.cols) == (24, 84)
     assert pc3.rank == 22
-    assert pcheck.reduce(pc3).h.rows == 22
+    assert pc3.reduced.rows == 22
 
 
 def test_reduce_full_rank_unchanged():
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     pc = pcheck.build_parity_check(spec)
-    assert pcheck.reduce(pc).h.rows == pc.h.rows
+    assert pc.reduced.rows == pc.h.rows
 
 
 def test_example10_shape():
@@ -449,13 +448,13 @@ def test_decode_and_pc_decode_build_one_plan_per_mask(monkeypatch):
     word = codec.encode(spec, [i % 8 for i in range(dimension(spec))])
     erased = word.with_erasures([0, 8, 21, 22, 23, 50])
     table = pcheck._plan
-    top = []
+    top, known = [], []
 
     def recorded(h, bits):
         misses = table.cache_info().misses
         plan = table(h, bits)
         if h == pc.reduced:
-            top.append(table.cache_info().misses - misses)
+            (known if bits == bytes(84) else top).append(table.cache_info().misses - misses)
         return plan
 
     monkeypatch.setattr(pcheck, "_plan", recorded)
@@ -467,6 +466,7 @@ def test_decode_and_pc_decode_build_one_plan_per_mask(monkeypatch):
         assert codec.decode(spec, erased)[0] == word
         assert pcheck.pc_decode(pc, erased) == word
     assert top == [1, 0]  # decode's second sighting builds it, pc_decode's replays it
+    assert known == [1]  # decode's first sighting checks membership with the all-known plan
 
 
 def test_fresh_decodes_leave_pc_decode_sightings_alone():
@@ -494,7 +494,7 @@ def test_fresh_decodes_leave_pc_decode_sightings_alone():
 
 def test_alist_export():
     pc = pcheck.build_parity_check(LeafSpec(G8, 4, 2))
-    text = pcheck.to_alist(pc)
+    text = mx.to_alist(pc.h)
     lines = text.strip().split("\n")
     assert lines[0] == "2 4"
     assert lines[1] == "1 2 3 4"
