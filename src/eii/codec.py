@@ -12,7 +12,11 @@ in the implicit zero code is peeled like any other, with the erased
 entries of its combination set to zero.  `decode` runs it on a mask's
 first sighting only: from the second on, a repeated mask, as from a failed
 device, is filled by one product with its plan from `pcheck._plan`, the
-table that encoding and `pc_decode` use too.
+table that encoding and `pc_decode` use too.  On a first sighting, when
+the weakest leaf code has a check, one vectorized pass first fills every
+row that has one erasure from its own sum, since the leaf's first check
+is the all-ones row; such a row sits at level 0 and changes no level or
+report, so `_repair` finds it known.
 
 Guaranteed correctability is one rule, `_chain_levels`: vectorized over a
 batch of masks, it gives each mask the weakest member of a nested chain of
@@ -35,9 +39,10 @@ reshapes its word into blocks, a leaf block is filled by the plan of its
 row code's mask from the same table, and each peel combines the
 known blocks with one multiplication-table gather and an XOR-reduce.  The
 block triangulations have a closed form, the Newton form of a Vandermonde
-LU.  Membership is one product, the fill of the reduced parity-check
-matrix's plan with nothing erased, from the same table, whose checks are
-the matrix itself.
+LU, kept as flat multiplication-table offsets, as plans keep their rows,
+so each peel gathers its products in one `take`.  Membership is one
+product, the fill of the reduced parity-check matrix's plan with nothing
+erased, from the same table, whose checks are the matrix itself.
 """
 
 from __future__ import annotations
@@ -171,13 +176,15 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarra
     p_k(x) = prod_{l<k} (x - x_{c_l}) scaled to 1 at x_{c_k}, the Newton
     form of a Vandermonde LU (Bjorck and Pereyra, Math. Comp. 24, 1970): so
     entry (k, i) is p_k(x_{c_i}) / p_k(x_{c_k}), 0 for i < k, computed here
-    as a cumulative sum of discrete logs.
+    as a cumulative sum of discrete logs.  Each entry c is kept as its
+    flat `mul_table` offset c << w, in a read-only uint16 array.
     """
-    exp, log = ctx.exp_table, ctx.log_table
+    exp, log, m = ctx.exp_table, ctx.log_table, len(col_blocks)
     x = exp[list(col_blocks)]
-    logs = np.zeros((n_rows, len(col_blocks)), dtype=np.int64)
+    logs = np.zeros((n_rows, m), dtype=np.int64)
     np.cumsum(log[x[:n_rows - 1, None] ^ x], axis=0, out=logs[1:])
-    tri = np.triu(exp[(logs - logs.diagonal()[:, None]) % (ctx.q - 1)])
+    tri = exp[(logs - logs.diagonal()[:, None]) % (ctx.q - 1)].astype(np.uint16) << ctx.w
+    tri *= np.arange(m) >= np.arange(n_rows)[:, None]  # zero below the diagonal
     tri.setflags(write=False)
     return tri
 
@@ -211,16 +218,32 @@ def _repair(spec: CodeSpec, symbols, erased, levels: list) -> None:
     cols = pending + [j for j in range(m) if not top[j]]
     tri = _triangulate(spec.ctx, tuple(cols), len(pending))
     cols = np.array(cols)
-    mt = spec.ctx.mul_table
+    mt = spec.ctx.mul_table.ravel()
     for k in range(len(pending) - 1, -1, -1):
         j = pending[k]
-        combo = np.bitwise_xor.reduce(mt[tri[k, k + 1:, None], sym[cols[k + 1:]]], axis=0)
+        known = sym.take(cols[k + 1:], axis=0)
+        combo = np.bitwise_xor.reduce(mt.take(tri[k, k + 1:, None] | known), axis=0)
         mixed = sym[j] ^ combo
         if top[j] == len(spec.children):
             mixed[era[j]] = 0  # the combination lies in the zero code
         else:
             _repair(spec.children[top[j]], mixed, era[j], [lv[j] for lv in levels[1:]])
         sym[j] = mixed ^ combo
+
+
+def _fill_single_erasure_rows(symbols, erased, n: int) -> None:
+    """Fill every row of length n that has one erasure from its own sum,
+    and clear that erasure.
+
+    Every row of a codeword lies in the weakest leaf code, whose first
+    check, when it has one, is the all-ones row.  A row with one erasure
+    sits at level 0 and raises no block's level, so `_repair` runs on the
+    same levels and finds the row known.
+    """
+    rows, sym = erased.reshape(-1, n), symbols.reshape(-1, n)
+    single = rows & (rows.sum(axis=1) == 1)[:, None]
+    sym ^= single * np.bitwise_xor.reduce(sym, axis=1)[:, None]
+    rows ^= single
 
 
 @lru_cache(maxsize=PLAN_SIGHTINGS)
@@ -256,26 +279,30 @@ def decode(spec: CodeSpec, word: SymbolWord):
     mask accepted by `correctable` is recovered; on any other the input
     word comes back unchanged as "uncorrectable", and nothing is repaired.
     A correctable mask's first decode takes the levels out of its record:
-    `_repair` fills the word and a membership check follows.  Every later
-    decode finds none there and fills the word in one product with the
-    plan of the mask against the reduced parity-check matrix, from the
-    table `pc_decode` and `encode` share.  The erased columns of a
-    correctable mask are independent, so both give the one completion, and
-    both raise InconsistentWordError with one message when the known
-    symbols fit no codeword.  Decoding writes only erased positions.
+    rows with one erasure are filled from their sums when the weakest leaf
+    code has a check, `_repair` fills the rest and a membership check
+    follows.  Every later decode finds none there and fills the word in
+    one product with the plan of the mask against the reduced parity-check
+    matrix, from the table `pc_decode` and `encode` share.  The erased
+    columns of a correctable mask are independent, so both give the one
+    completion, and both raise InconsistentWordError with one message when
+    the known symbols fit no codeword.  Decoding writes only erased
+    positions.
     """
     symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
     bits = erased.tobytes()
     report, held = _outcome(spec, bits)
     if report.outcome == UNCORRECTABLE:
         return word, report
-    reduced = build_parity_check(spec).reduced
+    pc = build_parity_check(spec)
     try:
         if held:
+            if isinstance(spec, NodeSpec) and pc.u0:
+                _fill_single_erasure_rows(symbols, erased, pc.layers[-1])
             _repair(spec, symbols, erased, held.pop())
-            _plan(reduced, bytes(len(bits))).fill(symbols)
+            _plan(pc.reduced, bytes(len(bits))).fill(symbols)
         else:
-            _plan(reduced, bits).fill(symbols)
+            _plan(pc.reduced, bits).fill(symbols)
     except InconsistentWordError:
         raise InconsistentWordError("known symbols contradict every codeword") from None
     return SymbolWord._from_array(symbols), report

@@ -183,7 +183,7 @@ def _solve_symbols(h: MatrixGF, syms: np.ndarray, mask: np.ndarray):
     """`solve_erasures` on a word's checked arrays; fills `syms` in place."""
     syndrome = np.bitwise_xor.reduce(h.ctx.mul_table[h.data[:, ~mask], syms[~mask]], axis=1)
     checks, solution = _solve(h.ctx, h.data[:, mask], syndrome[:, None])
-    if checks.any():
+    if np.count_nonzero(checks):
         raise InconsistentWordError("known symbols are inconsistent with the parity checks")
     if solution is None:
         return None
@@ -226,7 +226,7 @@ class ErasurePlan:
         """
         out = np.bitwise_xor.reduce(
             self.ctx.mul_table.ravel().take(self.offsets | syms[self.known]), axis=1)
-        if out[:self.n_checks].any():
+        if np.count_nonzero(out[:self.n_checks]):
             raise InconsistentWordError("known symbols are inconsistent with the parity checks")
         if self.solvable:
             syms[self.erased] = out[self.n_checks:]

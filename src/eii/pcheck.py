@@ -143,6 +143,7 @@ class Split(NamedTuple):
     u0: int          # erasures of each free block that are free
     t: int           # free blocks: L has t u0 rows
     qt: np.ndarray   # Q^T, (N, r') with r' = rows - t u0
+    offsets: np.ndarray  # Q^T as flat mul_table offsets, each c as c << w
 
 
 def _block_sum_checks(h: MatrixGF, n: int) -> int:
@@ -180,18 +181,20 @@ def _local_split(pc: ParityCheck) -> Split:
     (`_block_sum_checks`).  The layer with the largest t is taken, the
     deepest one on ties unless a higher one has t = M.  Extending L to a
     basis [L; Q] leaves Q with r' = rows - t rows; Q^T is returned as an
-    (N, r') array.  Any t blocks have independent columns in L, so the
-    first erasures of t distinct blocks are free.  A later erasure e of a
-    block leaves the residual Q[:, e] - Q[:, e'] against an earlier one e'
-    of the same block, and the first erasure of a further block is
-    combined with the t free ones by the dual weights of V(t, M) (see
-    `anetf._dual_weights`).
+    (N, r') array, and beside it as flat `mul_table` offsets, each entry c
+    shifted once to c << w, which `_split_solve` gathers in one `take`.
+    Any t blocks have independent columns in L, so the first erasures of
+    t distinct blocks are free.  A later erasure e of a block leaves the
+    residual Q[:, e] - Q[:, e'] against an earlier one e' of the same
+    block, and the first erasure of a further block is combined with the
+    t free ones by the dual weights of V(t, M) (see `anetf._dual_weights`).
     """
     h = pc.reduced
     ctx = h.ctx
     rows = h.cols // pc.layers[-1]
     if h.rows == rows * pc.u0 > 0:
-        return Split(pc.layers[-1], pc.u0, rows, np.zeros((h.cols, 0), dtype=np.uint8))
+        qt = np.zeros((h.cols, 0), dtype=np.uint8)
+        return Split(pc.layers[-1], pc.u0, rows, qt, qt.astype(np.uint16))
     t, full, n = 0, False, h.cols  # no block sum is a check
     for width in reversed(pc.layers):
         checks = _block_sum_checks(h, width)
@@ -200,7 +203,8 @@ def _local_split(pc: ParityCheck) -> Split:
     g = mx.identity(ctx, t) if full else mx.vandermonde(ctx, t, h.cols // n)
     both = np.vstack([np.repeat(g.data, n, axis=1), h.data])
     kept = [r for r, _ in mx._eliminate(both.copy(), ctx) if r >= t]
-    return Split(n, 1, t, np.ascontiguousarray(both[kept].T))
+    qt = np.ascontiguousarray(both[kept].T)
+    return Split(n, 1, t, qt, qt.astype(np.uint16) << ctx.w)
 
 
 def density(pc: ParityCheck) -> float:
@@ -269,9 +273,11 @@ def _split_solve(ctx, split: Split, syms: np.ndarray, mask: np.ndarray):
     late = mask.copy()
     late[heads] = False
     erased = np.flatnonzero(late)
-    syndrome = np.bitwise_xor.reduce(ctx.mul_table[qt, syms[:, None]], axis=0)
+    products = ctx.mul_table.ravel().take(split.offsets | syms[:, None])
+    syndrome = np.bitwise_xor.reduce(products, axis=0)
     checks, solution = mx._solve(ctx, (qt[erased] ^ qt[first[erased // n]]).T, syndrome[:, None])
-    if sums[~struck].any() or checks.any():  # a block without erasures must sum to 0
+    # a block without erasures must sum to 0
+    if np.count_nonzero(sums[~struck]) or np.count_nonzero(checks):
         raise mx.InconsistentWordError("known symbols are inconsistent with the parity checks")
     if solution is None:
         return None

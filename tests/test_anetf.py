@@ -229,10 +229,11 @@ def test_pcheck_walk_without_a_split():
              NodeSpec(G8, (LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 4)), (1, 1, 1))]
     for spec in specs:
         pc = pcheck.build_parity_check(spec)
-        n, u0, t, qt = pcheck._local_split(pc)
+        n, u0, t, qt, offsets = pcheck._local_split(pc)
         blocks = length(spec) // spec.children[0].n
         assert (n, u0, t) == (spec.children[0].n, 1, blocks)
         assert qt.shape == (length(spec), pc.rank - blocks)
+        assert offsets.dtype == np.uint16 and np.array_equal(offsets, qt.astype(np.uint16) << spec.ctx.w)
         perms = anetf._trial_permutations(12, 0, 500, length(spec))
         assert anetf._pcheck_counts(spec, perms).tolist() == \
             elimination_pcheck_counts(spec, perms).tolist()
@@ -246,9 +247,10 @@ def test_table1_splits():
     want = [(84, 1, 0)] + [(7, 12, 10)] * 9 + [(7, 10, 12), (21, 4, 18), (7, 10, 12)]
     for (cap, w, row_n, _, _), split in zip(TABLE_1, want):
         spec = spec_from_capability(field(w), cap, row_n)
-        n, u0, t, qt = pcheck._local_split(pcheck.build_parity_check(spec))
+        n, u0, t, qt, offsets = pcheck._local_split(pcheck.build_parity_check(spec))
         assert (n, t, qt.shape[1]) == split, cap
         assert u0 == (22 if cap == "(22)" else 1) and qt.shape[0] == 84
+        assert offsets.dtype == np.uint16 and np.array_equal(offsets, qt.astype(np.uint16) << w)
 
 
 @pytest.mark.parametrize("w", range(2, 9))

@@ -276,7 +276,8 @@ def decode_based_encode(spec, data):
 @given(data=st.data())
 def test_closed_form_triangles_match_forward_elimination(data):
     # the Newton form against the elimination of Vandermonde rows it
-    # replaces, over w = 2..8, random block orders and every n_rows
+    # replaces, over w = 2..8, random block orders and every n_rows; the
+    # triangle keeps each entry c as its flat mul_table offset c << w
     from eii import matrix as mx
     ctx = field(data.draw(st.integers(2, 8)))
     m = data.draw(st.integers(1, min(ctx.q - 1, 16)))
@@ -285,8 +286,8 @@ def test_closed_form_triangles_match_forward_elimination(data):
         rows = mx.vandermonde(ctx, n_rows, m).data[:, list(order)]
         forward_eliminate(rows, ctx, n_rows)
         tri = codec._triangulate.__wrapped__(ctx, order, n_rows)
-        assert tri.dtype == np.uint8 and not tri.flags.writeable
-        assert np.array_equal(tri, rows)
+        assert tri.dtype == np.uint16 and not tri.flags.writeable
+        assert np.array_equal(tri >> ctx.w, rows) and not (tri & (ctx.q - 1)).any()
 
 
 def test_decode_example1_grid():
@@ -640,6 +641,108 @@ def test_fresh_masks_repair_and_repeated_masks_replay(monkeypatch, cap):
         looked_up.clear()
         assert codec.decode(spec, erased) == first
         assert looked_up == [(top, bytes(erased.erased))]
+
+
+def _longest_correctable_prefix(spec, rng) -> list:
+    """Erased positions: the longest correctable prefix of a random order."""
+    order = list(range(length(spec)))
+    rng.shuffle(order)
+    mask = np.zeros(len(order), dtype=bool)
+    for pos in order:
+        mask[pos] = True
+        if not codec.correctable(spec, mask):
+            mask[pos] = False
+            break
+    return np.flatnonzero(mask).tolist()
+
+
+def _traced_fresh_decode(monkeypatch, spec, word):
+    """A first-sighting decode of `word`, with the (matrix, mask bytes) of
+    its plan lookups and the erasure mask `_repair` got for the whole word.
+    The word and report must equal the replay's, and the word those of
+    `pc_decode` and `solve_erasures`."""
+    from eii import matrix as mx
+    table, real = codec._plan, codec._repair
+    looked_up, handed = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "_plan", lambda h, bits: looked_up.append((h, bits)) or table(h, bits))
+        patch.setattr(codec, "_repair", lambda *args: (args[0] is spec and handed.append(
+            args[2].tobytes())) or real(*args))
+        codec._outcome.cache_clear()
+        first = codec.decode(spec, word)
+    assert handed and codec.decode(spec, word) == first
+    pc = pcheck.build_parity_check(spec)
+    pcheck._sightings.cache_clear()
+    assert pcheck.pc_decode(pc, word) == first[0] == mx.solve_erasures(pc.reduced, word)
+    return first, looked_up, np.frombuffer(handed[0], dtype=bool)
+
+
+@pytest.mark.parametrize("cap", STRIPE_SHAPES)
+def test_fresh_decode_fills_single_erasure_rows_from_their_sums(monkeypatch, cap):
+    # every row lies in the weakest leaf code [7, 6], whose check is the
+    # all-ones row: a row with one erasure is filled from its own sum before
+    # `_repair`, which then looks up the leaf plans of the rows with two or
+    # more erasures alone, and the membership plan last
+    spec = spec_from_capability(field(8), cap, 7)
+    top = pcheck.build_parity_check(spec).reduced
+    rng = random.Random(cap)
+    seen = set()
+    for _ in range(6):
+        word = random_codeword(spec, rng)
+        erased = word.with_erasures(_longest_correctable_prefix(spec, rng))
+        (out, report), looked_up, handed = _traced_fresh_decode(monkeypatch, spec, erased)
+        assert out == word and report.outcome == codec.RECOVERED
+        rows = np.array(erased.erased).reshape(-1, 7)
+        counts = rows.sum(axis=1)
+        seen.update(np.minimum(counts, 2).tolist())
+        assert np.array_equal(handed.reshape(-1, 7), rows & (counts != 1)[:, None])
+        assert looked_up[-1] == (top, bytes(84))
+        assert {h.cols for h, _ in looked_up[:-1]} <= {7}
+        assert sorted(bits for _, bits in looked_up[:-1]) == sorted(
+            row.tobytes() for row in rows[counts >= 2])
+    assert seen == {0, 1, 2}
+
+
+def test_single_erasure_pass_leaves_a_weakest_leaf_without_checks_alone(monkeypatch):
+    # Table 1 row 11: the weakest leaf is [7, 7], so a row with one erasure
+    # is not level 0 and `_repair` gets the word's whole mask
+    cap, w, n = TABLE_1[10][:3]
+    spec = spec_from_capability(field(w), cap, n)
+    assert pcheck.build_parity_check(spec).u0 == 0
+    rng = random.Random(cap)
+    single = 0
+    for _ in range(6):
+        word = random_codeword(spec, rng)
+        erased = word.with_erasures(_longest_correctable_prefix(spec, rng))
+        (out, report), looked_up, handed = _traced_fresh_decode(monkeypatch, spec, erased)
+        assert out == word and report.outcome == codec.RECOVERED
+        assert handed.tolist() == list(erased.erased)
+        single += sum(bits.count(1) == 1 for h, bits in looked_up if h.cols == 7)
+    assert single > 0  # rows with one erasure still go through the leaf plans
+
+
+@pytest.mark.parametrize("spec", [
+    spec_from_capability(field(8), STRIPE_SHAPES[1], 7),
+    NodeSpec(G8, (LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 4)), (1, 1, 1)),
+], ids=["u0=1", "u0=2"])
+def test_corrupted_single_erasure_row_is_inconsistent(spec):
+    # one erasure in row 0 and a corrupted known symbol beside it: the row
+    # sum fills a wrong symbol, and the membership check rejects the word
+    # on the first sighting as on the replay
+    u0 = pcheck.build_parity_check(spec).u0
+    word = random_codeword(spec, random.Random(u0))
+    symbols = list(word.symbols)
+    symbols[1] ^= 1
+    erased = SymbolWord(symbols, [i in (0, 7, 8) for i in range(len(symbols))])
+    assert codec.correctable(spec, erased.erased)
+    kept = SymbolWord(erased.symbols, erased.erased)
+    codec._outcome.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InconsistentWordError) as exc:
+            codec.decode(spec, erased)
+        assert str(exc.value) == "known symbols contradict every codeword"
+        assert erased == kept
+    assert codec._outcome(spec, bytes(erased.erased))[1] == []  # the second was a replay
 
 
 def test_membership_plan_is_built_once_in_the_plan_table(monkeypatch):
