@@ -6,8 +6,13 @@ to the node itself.  An increment between two nodes over the same children
 is one Vandermonde (x) B_j strip per tail count that grows, where B_j is
 the increment from child j-1 to child j (built the same way, down to the
 extra Vandermonde rows of a leaf) or the identity for the zero code.
-Dense as-constructed matrices may carry dependent rows; a `ParityCheck`
-keeps the matrix and, as `reduced`, its earliest rows that span it.
+Each row of H is therefore a Kronecker product of one term per layer:
+v >= 0, the Vandermonde row alpha^(d v) over the layer's digit d, or
+-1 - i, the unit vector e_i.  The recursion yields these terms, and H is
+evaluated from them once over each position's digits (its block at each
+layer, top first, then its place in the row).  H may carry dependent
+rows; a `ParityCheck` keeps it and, as `reduced`, its earliest rows that
+span it, which is H itself when none is dependent.
 
 Erasure repair against a parity-check matrix is linear in the known
 symbols: for a fixed mask the erased symbols are X . known, and the known
@@ -48,6 +53,7 @@ solves a word.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -63,6 +69,7 @@ from .codespec import (
     dimension,
     length,
     tail_counts,
+    validate,
 )
 from .matrix import MatrixGF
 from .words import SymbolWord, word_arrays
@@ -77,7 +84,7 @@ PLAN_CACHE = 4096
 @dataclass(frozen=True)
 class ParityCheck:
     h: MatrixGF              # as-constructed stack, possibly rank-deficient
-    reduced: MatrixGF        # full-rank variant spanning the same row space
+    reduced: MatrixGF        # full-rank variant spanning the same row space (h if full rank)
     layers: tuple            # block length per layer: the code's length first, the row length last
     u0: int                  # redundancy of the weakest leaf code, which holds every row
 
@@ -86,51 +93,68 @@ class ParityCheck:
         return self.reduced.rows
 
 
+def _layers(spec: CodeSpec) -> tuple:
+    """(widths, leaf): the block count of each layer, top first, then the
+    row length; and the weakest leaf code, which holds every row."""
+    widths = []
+    while isinstance(spec, NodeSpec):
+        widths.append(block_count(spec))
+        spec = spec.children[0]
+    return (*widths, spec.n), spec
+
+
 @lru_cache(maxsize=None)
-def _increment(prev: CodeSpec, nxt: CodeSpec) -> MatrixGF:
-    """Rows extending prev's parity-check matrix to one for nxt (nxt inside prev).
+def _increment(prev: CodeSpec, nxt: CodeSpec) -> tuple:
+    """Rows extending prev's parity-check matrix to one for nxt (nxt inside
+    prev), as per-layer terms (see the module docstring).
 
     For nodes, strip j raises tail_j from prev's count to nxt's with
-    Vandermonde rows over B_j (see the module docstring).  Memoized:
-    sibling codes share their chains of children, and so their B_j.
+    Vandermonde rows over B_j, whose rows are unit terms on every layer
+    below for the zero code.  Memoized: sibling codes share their chains of
+    children, and so their B_j.
     """
-    ctx = prev.ctx
     if isinstance(prev, LeafSpec):
-        return mx.vandermonde(ctx, nxt.u - prev.u, prev.n, prev.u)
-    m = block_count(prev)
+        return tuple((v,) for v in range(prev.u, nxt.u))
     kids = prev.children
-    strips = []
+    rows = []
     for j, (lo, hi) in enumerate(zip(tail_counts(prev)[1:], tail_counts(nxt)[1:]), 1):
         if hi == lo:
             continue
         if j < len(kids):
             right = _increment(kids[j - 1], kids[j])
         else:
-            right = mx.identity(ctx, length(kids[0]))
-        strips.append(mx.kronecker(mx.vandermonde(ctx, hi - lo, m, lo), right))
-    return mx.stack(strips)
+            right = list(itertools.product(*(range(-1, -1 - w, -1) for w in _layers(kids[0])[0])))
+        rows += [(v, *r) for v in range(lo, hi) for r in right]
+    return tuple(rows)
 
 
-def _construct(spec: CodeSpec) -> MatrixGF:
-    ctx = spec.ctx
+def _construct(spec: CodeSpec) -> tuple:
+    """The rows of spec's parity-check matrix as per-layer terms (see `_increment`)."""
     if isinstance(spec, LeafSpec):
-        return mx.vandermonde(ctx, spec.u, spec.n)
-    m = block_count(spec)
-    top = mx.kronecker(mx.identity(ctx, m), _construct(spec.children[0]))
-    base = NodeSpec(ctx, spec.children, (m,) + (0,) * len(spec.children))
-    return top if base == spec else mx.stack([top, _increment(base, spec)])
+        return tuple((v,) for v in range(spec.u))
+    m, rows = block_count(spec), _construct(spec.children[0])
+    top = tuple((-1 - i, *r) for i in range(m) for r in rows)
+    base = NodeSpec(spec.ctx, spec.children, (m,) + (0,) * len(spec.children))
+    return top if base == spec else top + _increment(base, spec)
 
 
 @lru_cache(maxsize=None)
 def build_parity_check(spec: CodeSpec) -> ParityCheck:
-    h = _construct(spec)
+    """The parity-check record of a spec; ValidationError when `validate` rejects it."""
+    validate(spec)
+    ctx = spec.ctx
+    widths, leaf = _layers(spec)
+    terms = np.array(_construct(spec), dtype=np.int64).reshape(-1, len(widths))
+    digits = np.indices(widths).reshape(len(widths), -1)
+    # alpha^(sum of v d over the Vandermonde terms) where each unit term's i is its digit d, else 0
+    exps = np.where(terms < 0, 0, terms) @ digits % (ctx.q - 1)
+    hit = ((terms[:, :, None] >= 0) | (-1 - terms[:, :, None] == digits)).all(axis=1)
+    h = MatrixGF(ctx, np.where(hit, ctx.exp_table[exps], 0))
     # rows that enlarge the span of the rows above them; the rest are dropped
-    kept = [r for r, _ in mx._eliminate(h.data.copy(), spec.ctx)]
-    layers, leaf = [], spec
-    while isinstance(leaf, NodeSpec):
-        layers.append(length(leaf))
-        leaf = leaf.children[0]
-    pc = ParityCheck(h, MatrixGF(spec.ctx, h.data[kept]), (*layers, leaf.n), leaf.u)
+    kept = [r for r, _ in mx._eliminate(h.data.copy(), ctx)]
+    reduced = h if len(kept) == h.rows else MatrixGF(ctx, h.data[kept])
+    layers = tuple(math.prod(widths[i:]) for i in range(len(widths)))
+    pc = ParityCheck(h, reduced, layers, leaf.u)
     if pc.rank != length(spec) - dimension(spec):
         raise AssertionError("parity-check rank disagrees with the code dimension")
     return pc

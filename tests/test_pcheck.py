@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from eii import codec, matrix as mx, pcheck
 from eii.codespec import (
+    FieldTooSmallError,
     LeafSpec,
     NodeSpec,
+    block_count,
     dimension,
     length,
     spec_from_capability,
+    tail_counts,
 )
 from eii.gf import field
 from eii.words import SymbolWord
@@ -43,6 +47,130 @@ def example_12_four_layer():
     c31 = NodeSpec(G8, (c20, c21, c22), (2, 1, 1, 0))
     c32 = NodeSpec(G8, (c20, c21, c22), (1, 2, 1, 0))
     return NodeSpec(G8, (c30, c31, c32), (1, 1, 1, 0))
+
+
+def kronecker_increment(prev, nxt):
+    """The paper's recursion, as matrices: the rows extending prev's
+    parity-check matrix to nxt's, one Vandermonde (x) B_j strip per tail
+    count that grows, B_j the increment between children j-1 and j or the
+    identity for the zero code."""
+    ctx = prev.ctx
+    if isinstance(prev, LeafSpec):
+        return mx.vandermonde(ctx, nxt.u - prev.u, prev.n, prev.u)
+    m = block_count(prev)
+    kids = prev.children
+    strips = []
+    for j, (lo, hi) in enumerate(zip(tail_counts(prev)[1:], tail_counts(nxt)[1:]), 1):
+        if hi == lo:
+            continue
+        if j < len(kids):
+            right = kronecker_increment(kids[j - 1], kids[j])
+        else:
+            right = mx.identity(ctx, length(kids[0]))
+        strips.append(mx.kronecker(mx.vandermonde(ctx, hi - lo, m, lo), right))
+    return mx.stack(strips)
+
+
+def kronecker_construct(spec):
+    """I_m (x) H(C_0) stacked over the increment from C_0^m to the node."""
+    ctx = spec.ctx
+    if isinstance(spec, LeafSpec):
+        return mx.vandermonde(ctx, spec.u, spec.n)
+    m = block_count(spec)
+    top = mx.kronecker(mx.identity(ctx, m), kronecker_construct(spec.children[0]))
+    base = NodeSpec(ctx, spec.children, (m,) + (0,) * len(spec.children))
+    return top if base == spec else mx.stack([top, kronecker_increment(base, spec)])
+
+
+def ordered_design_trees():
+    """The totally ordered trees of the Table 1 design space: four 3-row
+    blocks with rows 0..6, entrywise nondecreasing, total redundancy 22."""
+    triples = list(itertools.combinations_with_replacement(range(7), 3))
+
+    def chains(prefix, left):
+        if len(prefix) == 4:
+            if left == 0:
+                yield tuple(prefix)
+            return
+        for t in triples:
+            if sum(t) <= left and (not prefix or all(a <= b for a, b in zip(prefix[-1], t))):
+                yield from chains([*prefix, t], left - sum(t))
+
+    return list(chains([], 22))
+
+
+def _matches_kronecker_oracle(spec):
+    pc = pcheck.build_parity_check(spec)
+    want = kronecker_construct(spec)
+    assert pc.h.data.shape == want.data.shape and pc.h == want
+    return pc
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_matrix_matches_kronecker_oracle_on_chains(data):
+    n = data.draw(st.integers(1, 7))
+    for spec in data.draw(ordered_chains(data.draw(st.integers(0, 2)), n)):
+        _matches_kronecker_oracle(spec)
+
+
+def test_matrix_matches_kronecker_oracle_on_table1_and_stripe_shapes():
+    codes = [(cap, w, n) for cap, w, n, _, _ in TABLE_1] + [(cap, 8, 7) for cap in STRIPE_SHAPES]
+    for cap, w, n in codes:
+        _matches_kronecker_oracle(spec_from_capability(field(w), cap, n))
+
+
+def test_matrix_matches_kronecker_oracle_on_paper_examples():
+    c20 = NodeSpec(G8, L123, (4, 1, 0, 0))
+    c21 = NodeSpec(G8, L123, (3, 2, 0, 0))
+    c22 = NodeSpec(G8, L123, (3, 1, 1, 0))
+    specs = [
+        example_9_two_level(), example_9_three_layer(), example_12_four_layer(),
+        NodeSpec(G8, (NodeSpec(G8, L12, (5, 1, 0)), NodeSpec(G8, L12, (4, 2, 0))), (1, 1, 0)),
+        NodeSpec(G8, (c20, c21), (2, 2, 0)),
+        NodeSpec(G8, (c20, c21, c22), (2, 1, 1, 0)),
+        NodeSpec(G8, (c20, c21, c22), (1, 2, 1, 0)),
+        spec_from_capability(G8, "(((1,1,2),(1,2,3)),((1,2,3),(1,2,3)))", 7),
+        LeafSpec(G8, 7, 6),
+    ]
+    for spec in specs:
+        _matches_kronecker_oracle(spec)
+
+
+def test_matrix_matches_kronecker_oracle_on_design_trees():
+    trees = ordered_design_trees()
+    assert len(trees) == 6108
+    for tree in random.Random(26).sample(trees, 300):
+        pc = _matches_kronecker_oracle(spec_from_capability(G8, tree, 7))
+        assert pc.h.data.shape == (22, 84)
+
+
+def test_reduced_shares_h_exactly_when_every_row_is_kept():
+    from test_codec import EX1
+    specs = [EX1, example_9_two_level(), example_12_four_layer(), LeafSpec(G8, 7, 0)]
+    specs += [spec_from_capability(G8, cap, 7) for cap in STRIPE_SHAPES[1:]]
+    for spec in specs:
+        pc = pcheck.build_parity_check(spec)
+        assert (pc.reduced.data is pc.h.data) == (pc.rank == pc.h.rows)
+    pc = pcheck.build_parity_check(EX1)
+    assert (pc.h.rows, pc.rank) == (30, 25)
+
+
+def test_layers_are_the_block_lengths_of_every_layer():
+    assert pcheck.build_parity_check(example_12_four_layer()).layers == (420, 140, 35, 7)
+    assert pcheck.build_parity_check(example_9_two_level()).layers == (21, 7)
+    assert pcheck.build_parity_check(LeafSpec(G8, 7, 2)).layers == (7,)
+
+
+@pytest.mark.parametrize("spec", [
+    LeafSpec(G8, 9, 2),  # rows longer than order(alpha)
+    NodeSpec(G8, (LeafSpec(G8, 7, 1),), (9, 1)),  # more blocks than GF(8) has points
+])
+def test_unvalidated_spec_builds_no_matrix(spec):
+    with pytest.raises(FieldTooSmallError):
+        pcheck.build_parity_check(spec)
+    with pytest.raises(FieldTooSmallError):
+        codec.encode(spec, [0] * dimension(spec))
 
 
 def test_leaf_matrix_is_vandermonde():
