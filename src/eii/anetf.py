@@ -17,9 +17,14 @@ erasure of a block gives the difference of two columns, and the first
 erasure of a block beyond the t free ones the combination of t + 1 columns
 by the dual weights of the Vandermonde checks; an MDS leaf, whose rows are
 all leaf-local, leaves r' = 0.  One batched forward elimination over each
-trial's first r' + 1 residuals, one column per step, finds the first
-dependent one.  Batches are capped so their working arrays stay within a
-fixed memory budget.
+trial's first r' + 1 residuals, one residual per step, finds the first
+dependent one.  The residuals are packed, 64 // w lanes of w bits per
+uint64 word, so a step clears its lead lane from every later residual of
+every trial with one gather from the table of the step residual's
+multiples, built by lane-wise xtime, and one XOR per word, in the
+word-parallel manner of Plank, Greenan & Miller, "Screaming Fast Galois
+Field Arithmetic Using Intel SIMD Instructions" (FAST 2013).  Batches are
+capped so their working arrays stay within a fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -201,6 +206,41 @@ def _residuals(perms: np.ndarray, split, first: int, count: int):
     return late >> bits, late & (1 << bits) - 1, free
 
 
+def _lead(x: np.ndarray, w: int):
+    """Word, bit offset and value of the lowest nonzero w-bit lane of each
+    column of x, (words, R) uint64 lanes of `FieldContext.pack` with no
+    zero column.
+
+    The lowest set bit of the first nonzero word is v & -v, a power of two
+    that a float holds exactly, so `np.frexp` reads its index; its lane
+    starts at that index rounded down to a multiple of w.
+    """
+    word = (x != 0).argmax(axis=0)
+    v = x[word, np.arange(x.shape[1])]
+    bit = np.frexp(v & -v)[1] - 1
+    shift = (bit - bit % w).astype(np.uint64)
+    return word, shift, (v >> shift) & (1 << w) - 1
+
+
+def _multiples(ctx, x: np.ndarray) -> np.ndarray:
+    """c x for every symbol c, (words, q, R), of the packed vectors x, (words, R).
+
+    x alpha^i comes from x alpha^(i-1) by a lane-wise xtime: each lane
+    shifts up one bit, and the modulus is XORed into the lanes whose top
+    bit was set.  Entries 2^i to 2^(i+1) - 1 are then x alpha^i plus the
+    entries below 2^i.
+    """
+    w = ctx.w
+    top = sum(1 << b for b in range(w - 1, 64 // w * w, w))  # each lane's top bit
+    table = np.empty((len(x), ctx.q, x.shape[1]), dtype=np.uint64)
+    table[:, 0], table[:, 1] = 0, x
+    for i in range(1, w):
+        hi = x & top
+        x = (x ^ hi) << 1 ^ (hi >> w - 1) * (ctx.modulus ^ ctx.q)  # the modulus less x^w
+        np.bitwise_xor(table[:, :1 << i], x[:, None], out=table[:, 1 << i:2 << i])
+    return table
+
+
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per permutation under parity-check decoding.
 
@@ -223,55 +263,51 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     when the residuals are.  With r' = 0 no residual is read, and with
     t = 0 every erasure is one.  Any r' + 1 residuals are dependent, and
     the first rows + 1 erasures hold at least that many, so one forward
-    elimination over each trial's first r' + 1 residuals, one column per
-    step, decides it.  Step s keeps only the rows and columns not yet
-    eliminated, so column s is dependent on the earlier ones exactly when
-    its remaining entries are all zero; that trial fails at the erasure time
-    of residual s and leaves the batch.  Otherwise its first nonzero entry
-    is the pivot, and one rank-one update, in trial chunks of about _CHUNK
-    products, clears the column.  Trials that never fail get the time of
-    residual r'.
+    elimination over each trial's first r' + 1 residuals decides it.
+    Residuals are kept packed, 64 // w lanes of w bits per uint64 word
+    (`Split.lanes`), so adding them is one XOR per word.  Step s takes
+    residual s, already cleared at the lead lanes of residuals 0 .. s-1.
+    Each of those is zero at the lead lanes before its own and nonzero at
+    its own, so residual s is dependent on them exactly when it is zero;
+    that trial fails at its erasure time and leaves the batch.  Otherwise
+    its lowest nonzero lane is its lead (`_lead`), and each later residual
+    loses c / lead times it, c being its own entry in that lane: one flat
+    `take` from the table of every multiple of residual s (`_multiples`)
+    and one XOR.  Which lane leads changes no count, only the basis.
+    Trials that never fail get the time of residual r'.
     """
     pc = pcheck.build_parity_check(spec)
     split = pcheck._local_split(pc)
     ctx, qt = spec.ctx, split.qt
-    inv = ctx.inv_table
     trials, rest, first = perms.shape[0], qt.shape[1], pc.rank + 1
     times, before, free = _residuals(perms, split, first, rest + 1)
-    m = qt.take(np.take_along_axis(perms, times, axis=1), axis=0)
+    r = split.lanes.take(np.take_along_axis(perms, times, axis=1).T, axis=0)  # (r' + 1, trials, words)
     if rest:
-        m ^= qt.take(np.take_along_axis(perms, np.minimum(before, first - 1), axis=1), axis=0)
+        r ^= split.lanes.take(np.take_along_axis(perms, np.minimum(before, first - 1), axis=1).T, axis=0)
         if free is not None:
             trial, slot = np.nonzero(before == first)
             group = np.vstack([np.take_along_axis(perms, free, axis=1)[trial].T,
                                perms[trial, times[trial, slot]]])  # (t + 1, residuals)
             weights = _dual_weights(ctx, group // split.n, perms.shape[1] // split.n)
-            m[trial, slot] = np.bitwise_xor.reduce(
-                ctx.mul_arrays(qt.take(group, axis=0), weights[:, :, None]), axis=0)
+            r[slot, trial] = ctx.pack(np.bitwise_xor.reduce(
+                ctx.mul_arrays(qt.take(group, axis=0), weights[:, :, None]), axis=0))
+    r = np.ascontiguousarray(r.transpose(0, 2, 1))  # (r' + 1, words, trials)
     times += 1
-    m = m.transpose(0, 2, 1)  # (trials, r', r' + 1)
     counts = times[:, rest].astype(np.int64)
     ids = np.arange(trials)
     for s in range(rest):
-        nonzero = m[:, :, 0] != 0
-        dead = ~nonzero.any(axis=1)
+        dead = ~r[0].any(axis=0)
         if dead.any():
             counts[ids[dead]] = times[ids[dead], s]
-            ids, m, nonzero = ids[~dead], m[~dead], nonzero[~dead]
+            ids, r = ids[~dead], r.compress(~dead, axis=2)
         if not ids.size:
             break
         at = np.arange(ids.size)
-        p = nonzero.argmax(axis=1)
-        pivot_row = ctx.mul_arrays(m[at, p, 1:], inv[m[at, p, 0]][:, None])
-        m[at, p] = m[:, 0]  # row 0 takes the pivot's place, then drops out
-        m = m[:, 1:]
-        out = np.empty((ids.size, rest - 1 - s, rest - s), dtype=np.uint8)
-        step = max(1, _CHUNK // max(1, out[0].size))
-        for i in range(0, ids.size, step):
-            j = i + step
-            np.bitwise_xor(m[i:j, :, 1:], ctx.mul_arrays(m[i:j, :, :1], pivot_row[i:j, None, :]),
-                           out=out[i:j])
-        m = out  # frees the previous step's matrix
+        word, shift, lead = _lead(r[0], ctx.w)
+        coef = r[1:].reshape(rest - s, -1).take(word * ids.size + at, axis=1)  # (later residuals, trials)
+        scale = ctx.mul_arrays(ctx.inv_table[lead], ((coef >> shift) & ctx.q - 1).view(np.int64))
+        table = _multiples(ctx, r[0]).reshape(r.shape[1], -1)
+        r = r[1:] ^ table.take(scale.astype(np.intp) * ids.size + at, axis=1).transpose(1, 0, 2)
     return counts
 
 
@@ -279,7 +315,6 @@ _COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
 
 _BATCH_BYTES = 16 << 20  # cap on the working arrays of one simulate batch
 _PERMS_BYTES = 32 << 20  # cap on the erasure orders simulate keeps between calls
-_CHUNK = 1 << 16  # products per chunk of the pcheck walk's rank-one update
 
 
 def _batch_trials(spec: CodeSpec, mode: str) -> int:
@@ -291,19 +326,22 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     rejection times it gathers (blocks x members x children at a node) and
     returns (blocks x members); counting every level at once bounds what is
     live.  The pcheck walk's sorts of its first rows + 1 erasures hold at
-    most ten int64 keys and temporaries per erasure, and its elimination
-    the r' x (r' + 1) residual columns and either the second gather they
-    are summed with or the copy each elimination step makes of them.  Each
-    first erasure of a block beyond the t free ones, at most one per such
-    block and r' + 1 in all, gathers (t + 1) x r' entries of Q for its dual
-    weights, with 6 bytes of gather and product temporaries per entry.  The
-    rank-one update's gather temporaries, 12 bytes per product of one
-    chunk, come off the budget first.  The orders `simulate` keeps between calls sit outside
-    this budget, under _PERMS_BYTES, and Q^T, N x r' bytes cached per
-    parity check by `pcheck._local_split`, is no larger than the reduced H.
+    most ten int64 keys and temporaries per erasure.  Its elimination holds
+    the r' + 1 packed residuals, words x 8 bytes each with words = ceil(r'
+    / (64 // w)), and either the second gather they are summed with or the
+    copy each step makes of them; at each step, the table of the q
+    multiples of the step's residual, the r' multiples gathered from it,
+    and 32 bytes of coefficient and index temporaries per later residual.
+    Each first erasure of a block beyond the t free ones, at most one per
+    such block and r' + 1 in all, gathers (t + 1) x r' entries of Q for its
+    dual weights, with 6 bytes of gather and product temporaries per entry,
+    and packs the sum in two uint64 temporaries of 64 // w lanes per word.
+    The orders `simulate` keeps between calls sit outside this budget,
+    under _PERMS_BYTES, and so do the forms of Q^T that
+    `pcheck._local_split` caches per parity check, N x (3 r' + 8 words)
+    bytes.
     """
     n = length(spec)
-    budget = _BATCH_BYTES
     if mode == CAPABILITY:
         words, blocks, chain = n, 1, (spec,)
         while not isinstance(chain[0], LeafSpec):
@@ -314,10 +352,10 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
         pc = pcheck.build_parity_check(spec)
         split = pcheck._local_split(pc)
         rest, beyond = split.qt.shape[1], n // split.n - split.t
-        extra = 80 * (pc.rank + 1) + 2 * rest * (rest + 1)
-        extra += 6 * min(beyond, rest + 1) * (split.t + 1) * rest
-        budget -= 12 * _CHUNK
-    return max(1, budget // (8 * n + extra))
+        size = 8 * split.lanes.shape[1]  # bytes of one packed residual
+        extra = 80 * (pc.rank + 1) + size * (3 * rest + 2 + spec.ctx.q) + 32 * rest
+        extra += min(beyond, rest + 1) * (6 * (split.t + 1) * rest + 2 * (64 // spec.ctx.w) * size)
+    return max(1, _BATCH_BYTES // (8 * n + extra))
 
 
 def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:

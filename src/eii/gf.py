@@ -117,6 +117,21 @@ class FieldContext:
         """
         return self.mul_table.ravel().take((np.asarray(a, dtype=np.uint16) << self.w) | b)
 
+    def pack(self, a) -> np.ndarray:
+        """The last axis of a symbol array in uint64 words of 64 // w lanes.
+
+        Entry j sits in word j // (64 // w) at bits w (j % (64 // w)) up,
+        and lanes past the last entry are zero, so a vector over the field
+        is ceil(len / (64 // w)) words, and XOR of words adds vectors.
+        """
+        a = np.asarray(a)
+        lanes = 64 // self.w
+        words = -(-a.shape[-1] // lanes)
+        padded = np.zeros(a.shape[:-1] + (words * lanes,), dtype=np.uint64)
+        padded[..., :a.shape[-1]] = a
+        shifts = np.arange(0, lanes * self.w, self.w, dtype=np.uint64)
+        return np.bitwise_or.reduce(padded.reshape(a.shape[:-1] + (words, lanes)) << shifts, axis=-1)
+
     def __repr__(self):
         return f"FieldContext(w={self.w})"
 

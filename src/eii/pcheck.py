@@ -168,6 +168,7 @@ class Split(NamedTuple):
     t: int           # free blocks: L has t u0 rows
     qt: np.ndarray   # Q^T, (N, r') with r' = rows - t u0
     offsets: np.ndarray  # Q^T as flat mul_table offsets, each c as c << w
+    lanes: np.ndarray  # Q^T packed by FieldContext.pack, (N, words) uint64
 
 
 def _block_sum_checks(h: MatrixGF, n: int) -> int:
@@ -206,7 +207,8 @@ def _local_split(pc: ParityCheck) -> Split:
     deepest one on ties unless a higher one has t = M.  Extending L to a
     basis [L; Q] leaves Q with r' = rows - t rows; Q^T is returned as an
     (N, r') array, and beside it as flat `mul_table` offsets, each entry c
-    shifted once to c << w, which `_split_solve` gathers in one `take`.
+    shifted once to c << w, which `_split_solve` gathers in one `take`,
+    and packed into uint64 lanes (`FieldContext.pack`) for `anetf`'s walk.
     Any t blocks have independent columns in L, so the first erasures of
     t distinct blocks are free.  A later erasure e of a block leaves the
     residual Q[:, e] - Q[:, e'] against an earlier one e' of the same
@@ -218,7 +220,7 @@ def _local_split(pc: ParityCheck) -> Split:
     rows = h.cols // pc.layers[-1]
     if h.rows == rows * pc.u0 > 0:
         qt = np.zeros((h.cols, 0), dtype=np.uint8)
-        return Split(pc.layers[-1], pc.u0, rows, qt, qt.astype(np.uint16))
+        return Split(pc.layers[-1], pc.u0, rows, qt, qt.astype(np.uint16), ctx.pack(qt))
     t, full, n = 0, False, h.cols  # no block sum is a check
     for width in reversed(pc.layers):
         checks = _block_sum_checks(h, width)
@@ -228,7 +230,7 @@ def _local_split(pc: ParityCheck) -> Split:
     both = np.vstack([np.repeat(g.data, n, axis=1), h.data])
     kept = [r for r, _ in mx._eliminate(both.copy(), ctx) if r >= t]
     qt = np.ascontiguousarray(both[kept].T)
-    return Split(n, 1, t, qt, qt.astype(np.uint16) << ctx.w)
+    return Split(n, 1, t, qt, qt.astype(np.uint16) << ctx.w, ctx.pack(qt))
 
 
 def density(pc: ParityCheck) -> float:

@@ -10,6 +10,7 @@ from eii.codespec import LeafSpec, NodeSpec, length, min_distance, spec_from_cap
 from eii.gf import field
 from test_acceptance import TABLE_1
 from test_codec import ordered_chains, recursive_correctable
+from test_golden import STRIPE_SHAPES
 from test_matrix import rank
 
 G8 = field(3)
@@ -229,11 +230,12 @@ def test_pcheck_walk_without_a_split():
              NodeSpec(G8, (LeafSpec(G8, 7, 2), LeafSpec(G8, 7, 4)), (1, 1, 1))]
     for spec in specs:
         pc = pcheck.build_parity_check(spec)
-        n, u0, t, qt, offsets = pcheck._local_split(pc)
+        n, u0, t, qt, offsets, lanes = pcheck._local_split(pc)
         blocks = length(spec) // spec.children[0].n
         assert (n, u0, t) == (spec.children[0].n, 1, blocks)
         assert qt.shape == (length(spec), pc.rank - blocks)
         assert offsets.dtype == np.uint16 and np.array_equal(offsets, qt.astype(np.uint16) << spec.ctx.w)
+        assert lanes.dtype == np.uint64 and np.array_equal(unpack(spec.ctx, lanes, qt.shape[1]), qt)
         perms = anetf._trial_permutations(12, 0, 500, length(spec))
         assert anetf._pcheck_counts(spec, perms).tolist() == \
             elimination_pcheck_counts(spec, perms).tolist()
@@ -247,10 +249,89 @@ def test_table1_splits():
     want = [(84, 1, 0)] + [(7, 12, 10)] * 9 + [(7, 10, 12), (21, 4, 18), (7, 10, 12)]
     for (cap, w, row_n, _, _), split in zip(TABLE_1, want):
         spec = spec_from_capability(field(w), cap, row_n)
-        n, u0, t, qt, offsets = pcheck._local_split(pcheck.build_parity_check(spec))
+        n, u0, t, qt, offsets, lanes = pcheck._local_split(pcheck.build_parity_check(spec))
         assert (n, t, qt.shape[1]) == split, cap
         assert u0 == (22 if cap == "(22)" else 1) and qt.shape[0] == 84
         assert offsets.dtype == np.uint16 and np.array_equal(offsets, qt.astype(np.uint16) << w)
+        assert lanes.dtype == np.uint64 and np.array_equal(unpack(field(w), lanes, qt.shape[1]), qt)
+
+
+def unpack(ctx, lanes, count):
+    """The first `count` symbols of the `FieldContext.pack` words along the
+    last axis of `lanes` (the inverse of the packing)."""
+    shifts = np.arange(0, 64 // ctx.w * ctx.w, ctx.w, dtype=np.uint64)
+    symbols = (lanes[..., None] >> shifts) & np.uint64(ctx.q - 1)
+    return symbols.reshape(lanes.shape[:-1] + (-1,))[..., :count].astype(np.uint8)
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_multiples_of_packed_vectors_match_the_mul_table(w):
+    # three words, the last one partly filled, so every lane edge is crossed
+    ctx = field(w)
+    size = 2 * (64 // w) + 1
+    v = np.random.default_rng(w).integers(0, ctx.q, (5, size)).astype(np.uint8)
+    v[0] = ctx.q - 1  # every lane's top bit set
+    x = ctx.pack(v).T  # (words, vectors)
+    assert x.shape == (3, 5) and np.array_equal(unpack(ctx, x.T, size), v)
+    table = anetf._multiples(ctx, x)
+    assert table.shape == (3, ctx.q, 5)
+    for c in range(ctx.q):
+        assert np.array_equal(unpack(ctx, table[:, c].T, size), ctx.mul_table[c][v]), c
+
+
+@pytest.mark.parametrize("w", [2, 4, 8])
+def test_lead_lane_of_the_top_bit_of_the_last_word(w):
+    # 64 % w == 0, so bit 63 is the top bit of the last lane, and v & -v is 2^63
+    x = np.array([[0, 1, 0], [1 << 63, 1 << 63, 3 << 62]], dtype=np.uint64)  # (words, residuals)
+    assert (x[1] & -x[1])[0] == 1 << 63
+    word, shift, lead = anetf._lead(x, w)
+    assert word.tolist() == [1, 0, 1]
+    assert shift.tolist() == [64 - w, 0, 64 - w]
+    assert lead.tolist() == [1 << w - 1, 1, (3 << w - 2) & (1 << w) - 1]
+
+
+@pytest.mark.parametrize("cap, w, rest", [(cap, 8, 10) for cap in STRIPE_SHAPES]
+                         + [(TABLE_1[10][0], 8, 12)])
+def test_pcheck_counts_match_elimination_oracle_on_two_words(cap, w, rest):
+    # over GF(256) a word holds eight lanes, so r' = 10 and 12 take two words
+    spec = spec_from_capability(field(w), cap, 7)
+    split = pcheck._local_split(pcheck.build_parity_check(spec))
+    assert split.qt.shape[1] == rest and split.lanes.shape[1] == 2
+    perms = anetf._trial_permutations(27, 0, 2000, length(spec))
+    assert anetf._pcheck_counts(spec, perms).tolist() == \
+        elimination_pcheck_counts(spec, perms).tolist()
+
+
+# per field, a code whose r' fills one word exactly (64 // w lanes) and one
+# whose last lane spills into a second word; no GF(4) code that a search of
+# capability trees with rows of length 3 found has r' above 22, short of
+# GF(4)'s 32 lanes, so there the two largest it found
+LANE_EDGE_CODES = [
+    (2, "(((0,3,3),(3,3,3)),((0,2,3),(0,2,3)))", 3, 21, 1),
+    (2, "(((0,1,3),(2,2,3)),((2,3,3),(2,2,3)))", 3, 22, 1),
+    (3, "(2,6,6,6,6)", 7, 21, 1),
+    (3, "(3,6,6,6,6)", 7, 22, 2),
+    (4, "(4,14)", 15, 16, 1),
+    (4, "(5,14)", 15, 17, 2),
+    (5, "(1,13)", 15, 12, 1),
+    (5, "(1,14)", 15, 13, 2),
+    (6, "(1,11)", 15, 10, 1),
+    (6, "(1,12)", 15, 11, 2),
+    (7, "(1,10)", 15, 9, 1),
+    (7, "(1,11)", 15, 10, 2),
+    (8, "(1,9)", 15, 8, 1),
+    (8, "(1,10)", 15, 9, 2),
+]
+
+
+@pytest.mark.parametrize("w, cap, n, rest, words", LANE_EDGE_CODES)
+def test_pcheck_counts_match_elimination_oracle_at_lane_edges(w, cap, n, rest, words):
+    spec = spec_from_capability(field(w), cap, n)
+    split = pcheck._local_split(pcheck.build_parity_check(spec))
+    assert (split.qt.shape[1], split.lanes.shape[1]) == (rest, words)
+    perms = anetf._trial_permutations(w, 0, 300, length(spec))
+    assert anetf._pcheck_counts(spec, perms).tolist() == \
+        elimination_pcheck_counts(spec, perms).tolist()
 
 
 @pytest.mark.parametrize("w", range(2, 9))
