@@ -6,9 +6,9 @@ decoding oracle rejects the pattern.  Two oracles are supported: the
 guaranteed-capability predicate of `codec` and parity-check decoding
 (erased columns of the reduced matrix stay linearly independent).  Both
 oracles walk a whole batch of trials at once; a single permutation is a
-batch of one.  The capability walk reads the count off the erasure times
-directly: a code's first rejected prefix is an order statistic of its
-children's, so it is one sort per tree level with `codec`'s tail profiles.
+batch of one.  Every entry validates its spec first.  The capability walk
+is `codec`'s one rule, `_rejection_times`, run on each trial's erasure
+times: the count is the time at which the code first rejects.
 The pcheck walk is local to the layer whose block sums give the most
 checks (`pcheck._local_split`): with t of them, the first erasures of t
 distinct blocks are always independent, and each further erasure adds one
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec, pcheck
-from .codespec import CodeSpec, LeafSpec, NodeSpec, block_count, dimension, length
+from .codespec import CodeSpec, LeafSpec, block_count, dimension, length, validate
 
 CAPABILITY = "capability"
 PCHECK = "pcheck"
@@ -63,8 +63,7 @@ class AnetfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.spec, (LeafSpec, NodeSpec)):
-            raise ValueError("spec must be a LeafSpec or NodeSpec")
+        validate(self.spec)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if type(self.trials) is not int or self.trials < 1:
@@ -114,32 +113,6 @@ def _kept_permutations(seed: int, trials: int, n: int) -> np.ndarray:
     return out
 
 
-def _rejection_times(chain: tuple, when: np.ndarray, never: int) -> np.ndarray:
-    """Shortest prefix each member of `chain` rejects, per block of `when`.
-
-    `when` is (..., L): for each position of the blocks of length L, the
-    first prefix length that erases it.  It is sorted in place.  The result
-    is (..., C), one time per member of the chain, capped at `never`.
-    A leaf with redundancy u rejects from its (u+1)-th erasure on; only a
-    top-level leaf can have u = n, and its clamped time is n.
-    A node rejects once more than tail_i blocks sit at child level i or
-    deeper, and a block reaches level i when child i-1 rejects it; so the
-    node's time is the least, over i with tail_i < m, of the
-    (tail_i+1)-th smallest of child i-1's times over the blocks.
-    """
-    tails = codec._chain_tails(chain)
-    head = chain[0]
-    if isinstance(head, LeafSpec):
-        when.sort(axis=-1)
-        return when[..., np.minimum(tails, head.n - 1)]
-    m = block_count(head)
-    times = _rejection_times(head.children, when.reshape(when.shape[:-1] + (m, -1)), never)
-    times.sort(axis=-2)  # (..., m, t): one sort over the blocks serves every member
-    at = times[..., np.minimum(tails, m - 1), np.arange(tails.shape[1])]
-    at[..., tails >= m] = never
-    return at.min(axis=-1)
-
-
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per permutation under `codec`'s capability predicate.
 
@@ -151,7 +124,7 @@ def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     n = perms.shape[1]
     when = np.empty_like(perms)
     np.put_along_axis(when, perms, np.arange(1, n + 1), axis=1)
-    return _rejection_times((spec,), when, n)[:, 0]
+    return codec._rejection_times((spec,), when, n)[0][:, 0]
 
 
 def _dual_weights(ctx, blocks: np.ndarray, m: int) -> np.ndarray:
@@ -323,9 +296,11 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     Per trial these are the int64 permutation, plus either the capability
     walk's arrays or the pcheck walk's.  The capability walk holds the int64
     erasure times, which it sorts in place, and at each tree level the
-    rejection times it gathers (blocks x members x children at a node) and
-    returns (blocks x members); counting every level at once bounds what is
-    live.  The pcheck walk's sorts of its first rows + 1 erasures hold at
+    rejection times it returns (blocks x members), which the list of levels
+    keeps alive to the end; at a node also the sorted copy of the times
+    below (blocks x children) and the order statistics it gathers from it
+    (blocks x members x children).  Counting every level at once bounds
+    what is live.  The pcheck walk's sorts of its first rows + 1 erasures hold at
     most ten int64 keys and temporaries per erasure.  Its elimination holds
     the r' + 1 packed residuals, words x 8 bytes each with words = ceil(r'
     / (64 // w)), and either the second gather they are summed with or the
@@ -345,8 +320,9 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     if mode == CAPABILITY:
         words, blocks, chain = n, 1, (spec,)
         while not isinstance(chain[0], LeafSpec):
-            words += blocks * len(chain) * (len(chain[0].children) + 1)
-            blocks, chain = blocks * block_count(chain[0]), chain[0].children
+            m, t = block_count(chain[0]), len(chain[0].children)
+            words += blocks * (len(chain) * (t + 1) + m * t)
+            blocks, chain = blocks * m, chain[0].children
         extra = 8 * (words + blocks * len(chain))
     else:
         pc = pcheck.build_parity_check(spec)
@@ -365,6 +341,7 @@ def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
     first erasure.  The count comes from the batched walk of `simulate`,
     run on a batch of one permutation.
     """
+    validate(spec)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     perm = list(permutation)

@@ -18,16 +18,20 @@ row that has one erasure from its own sum, since the leaf's first check
 is the all-ones row; such a row sits at level 0 and changes no level or
 report, so `_repair` finds it known.
 
-Guaranteed correctability is one rule, `_chain_levels`: vectorized over a
-batch of masks, it gives each mask the weakest member of a nested chain of
-sibling codes that can repair it, and every block below it the weakest
-child that can.  `correctable` reads its first entry.  `decode` calls it
-once per mask, for its verdict and for every node's block levels, and
-keeps the report in the bounded memo `_outcome`, with the levels until the
-mask's first decode takes them, so a repeated mask costs one plan fill and
-no capability rule.  `anetf` applies the same rule along a whole erasure
-order, through the tail profiles of `_chain_tails`, as first-rejection
-times.
+Guaranteed correctability is one rule, `_rejection_times`, the
+package's only one.  It takes the time at which each position is erased.
+It returns the first prefix that each code of a nested chain rejects, and
+the same for every block below.  A code's time is an order statistic of
+its blocks' times, so the rule is one sort per tree level.  A mask is the
+order that erases its positions at time 0 and the rest never.
+`correctable` reads the top code's time.  `_chain_levels` turns a mask's
+times into levels: each block's weakest child that can repair it.
+`decode` takes them once per mask, for its verdict and for every node's
+block levels, and keeps the report in the bounded memo `_outcome`, with
+the levels until the mask's first decode takes them.  So a repeated mask
+costs one plan fill and no capability rule.  `anetf` reads the top time
+along whole erasure orders.  Every entry point validates its spec first;
+`decode` does so in `_outcome`, so a repeated mask pays nothing.
 
 Encoding does not use the decoder: data fills the systematic positions,
 every parity position is an erasure, and one lookup in the plan table
@@ -93,39 +97,70 @@ class DecodeReport:
 
 
 @lru_cache(maxsize=None)
-def _chain_tails(chain: tuple) -> np.ndarray:
-    """The u of each leaf in a leaf chain; rows tail_1..tail_t of a node chain."""
-    if isinstance(chain[0], LeafSpec):
-        return np.array([ch.u for ch in chain])
-    return np.array([tail_counts(ch)[1:] for ch in chain])
+def _chain_tails(chain: tuple) -> tuple:
+    """The plan by which `_rejection_times` reads the times below `chain`.
+
+    A member rejects once more than its tail of the items below are
+    rejected: u of a leaf's positions, or tail_i of a node's blocks at
+    child i - 1.  The plan holds the order-statistic index, clamped to the
+    last item; the axis of the children, which only a node reads; and
+    where a tail reaches the item count, so that no prefix trips that term
+    (None if nowhere).
+    """
+    leaf = isinstance(chain[0], LeafSpec)
+    tails = np.array([ch.u if leaf else tail_counts(ch)[1:] for ch in chain])
+    size = chain[0].n if leaf else block_count(chain[0])
+    past = tails >= size
+    return np.minimum(tails, size - 1), np.arange(tails.shape[-1]), past if past.any() else None
+
+
+def _rejection_times(chain: tuple, when: np.ndarray, never) -> list:
+    """The first rejected prefix of each member of `chain`, then of every
+    block below it: the package's one capability rule.
+
+    `chain` is a strictly nested tuple of siblings sharing their children;
+    `when` is (..., N), the time at which each position is erased, and is
+    sorted in place.  Entry 0, (..., C), holds each member's time; entry
+    d, (..., m_1, ..., m_d, C_d), the times of every depth-d block against
+    the chain of C_d children the members share at that depth.  A leaf
+    rejects at its (u + 1)-th erasure.  A block reaches level i when child
+    i - 1 rejects it, so a node rejects at the least, over i, of the
+    (tail_i + 1)-th smallest time of child i - 1 over its blocks.  A term
+    that never trips gives `never`.
+    """
+    head = chain[0]
+    index, axis, past = _chain_tails(chain)
+    if isinstance(head, LeafSpec):
+        when.sort(axis=-1)
+        below, at = [], when[..., index]
+    else:
+        below = _rejection_times(head.children, when.reshape(when.shape[:-1] + (block_count(head), -1)), never)
+        at = np.sort(below[0], axis=-2)[..., index, axis]  # a copy: below keeps its block order
+    if past is not None:
+        at[..., past] = never
+    return [at.min(axis=-1) if below else at, *below]
 
 
 def _chain_levels(chain: tuple, masks: np.ndarray) -> list:
     """Levels of each mask against `chain`, then of every block below it.
 
-    `chain` is a strictly nested tuple of siblings sharing their children;
-    `masks` is boolean, (..., N).  Entry 0, shape (...), is the index of
-    the weakest member guaranteed to correct each mask (len(chain) if
-    none); entry d, shape (..., m_1, ..., m_d), is every depth-d block's
-    level against the chain of children the members share at that depth.
-    Nesting makes the tail profiles grow along the chain, so the members
-    that reject a mask form a prefix and counting them gives the level.
+    `masks` is boolean, (..., N).  Entry 0, shape (...), is the index of the
+    weakest member guaranteed to correct each mask (len(chain) if none);
+    entry d, shape (..., m_1, ..., m_d), is every depth-d block's level.
+    A mask is the erasure order with its positions at time 0 (False) and
+    the rest at `never` (True).  Nesting makes the members that reject it
+    a prefix of the chain, so a level counts the times that are 0.
     """
-    tails = _chain_tails(chain)
-    head = chain[0]
-    if isinstance(head, LeafSpec):
-        return [np.searchsorted(tails, masks.sum(axis=-1))]
-    below = _chain_levels(head.children, masks.reshape(masks.shape[:-1] + (block_count(head), -1)))
-    deep = (below[0][..., None] >= np.arange(1, tails.shape[-1] + 1)).sum(axis=-2)
-    return [(deep[..., None, :] > tails).any(axis=-1).sum(axis=-1), *below]
+    return [(~t).sum(axis=-1) for t in _rejection_times(chain, ~masks, True)]
 
 
 def correctable(spec: CodeSpec, mask) -> bool:
     """Guaranteed-correctability test for an erasure mask."""
+    validate(spec)
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 1 or len(mask) != length(spec):
-        raise ValueError(f"mask length {len(mask)} != code length {length(spec)}")
-    return bool(_chain_levels((spec,), mask)[0] == 0)
+    if mask.shape != (length(spec),):
+        raise ValueError(f"mask shape {mask.shape} != ({length(spec)},)")
+    return bool(_rejection_times((spec,), ~mask, True)[0][0])  # True: never rejected
 
 
 # -- membership ----------------------------------------------------------------
@@ -258,6 +293,7 @@ def _outcome(spec: CodeSpec, bits: bytes) -> tuple:
     of a correctable mask is emptied by its first decode, so from then on
     the record holds its report alone; that of any other mask stays empty.
     """
+    validate(spec)
     erased = np.frombuffer(bits, dtype=bool)
     verdict, *levels = _chain_levels((spec,), erased)
     assignment = tuple(levels[0].tolist()) if levels else ()
@@ -334,6 +370,7 @@ def encode(spec: CodeSpec, data) -> SymbolWord:
 
 def min_weight_codeword(spec: CodeSpec) -> SymbolWord:
     """A codeword whose weight equals min_distance(spec)."""
+    validate(spec)
     if dimension(spec) < 1:
         raise NoCodewordsError("zero-dimensional code")
     return SymbolWord._from_array(_min_weight_symbols(spec))

@@ -205,9 +205,10 @@ def _strictly_nested(a: CodeSpec, b: CodeSpec) -> bool:
 
 # -- validation ---------------------------------------------------------------
 
-# Table 1 codes have at most 4 layers.  The capability rule's arrays take
-# one dimension per layer, plus one for anetf's batch of trials, and numpy
-# sorts arrays of at most 32 dimensions.
+# Table 1 codes have at most 4 layers.  The capability rule's arrays, which
+# masks and erasure orders share, take one dimension per layer, plus one
+# for anetf's batch of trials, and numpy sorts arrays of at most 32
+# dimensions.
 MAX_LAYERS = 16
 
 
@@ -218,6 +219,8 @@ def validate(spec: CodeSpec) -> None:
     than once, so the checks are memoized per spec.  The layer count comes
     first, from a loop, so that a spec too deep to hash raises it.
     """
+    if not isinstance(spec, (LeafSpec, NodeSpec)):
+        raise ValidationError(f"spec must be a LeafSpec or NodeSpec, got {type(spec).__name__}")
     if layer_count(spec) > MAX_LAYERS:
         raise ValidationError(f"{layer_count(spec)} layers exceed the limit of {MAX_LAYERS}")
     try:

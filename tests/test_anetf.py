@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eii import anetf, codec, matrix as mx, pcheck
-from eii.codespec import LeafSpec, NodeSpec, length, min_distance, spec_from_capability
+from eii.codespec import LeafSpec, NodeSpec, ValidationError, length, min_distance, spec_from_capability
 from eii.gf import field
 from test_acceptance import TABLE_1
-from test_codec import ordered_chains, recursive_correctable
+from test_codec import invalid_specs, ordered_chains, recursive_correctable
 from test_golden import STRIPE_SHAPES
 from test_matrix import rank
 
@@ -541,6 +541,21 @@ def test_report_invariants():
     assert 1 <= report.mean <= length(spec)
     assert report.mode == anetf.CAPABILITY
     assert report.seed == 2
+
+
+@pytest.mark.parametrize("label", list(invalid_specs()))
+def test_anetf_entry_points_validate_their_spec(label):
+    spec = invalid_specs()[label]
+    for mode in anetf.MODES:
+        with pytest.raises(ValidationError):
+            anetf.simulate(anetf.AnetfConfig(spec, mode, trials=10, seed=0))
+        with pytest.raises(ValidationError):
+            anetf.erasures_to_failure(spec, mode, range(length(spec)))
+
+
+def test_erasures_to_failure_rejects_a_spec_that_is_not_a_code():
+    with pytest.raises(ValidationError, match="LeafSpec or NodeSpec"):
+        anetf.erasures_to_failure("abc", anetf.CAPABILITY, [0, 1, 2])
 
 
 def test_config_validation():

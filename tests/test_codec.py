@@ -9,6 +9,7 @@ from eii import codec, pcheck
 from eii.codespec import (
     LeafSpec,
     NodeSpec,
+    ValidationError,
     block_count,
     capability,
     dimension,
@@ -831,7 +832,7 @@ def test_decode_runs_the_capability_rule_once_per_layer(monkeypatch, cap, w, n):
         if not codec.correctable(spec, mask):
             break
     calls, schedules = [], []
-    for name, log in (("_chain_levels", calls), ("_schedule", schedules)):
+    for name, log in (("_rejection_times", calls), ("_schedule", schedules)):
         real = getattr(codec, name)
         monkeypatch.setattr(codec, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
     codec._outcome.cache_clear()
@@ -914,6 +915,79 @@ def test_encode_matches_decode_based_oracle(data):
             word = codec.encode(spec, symbols)
             assert word == decode_based_encode(spec, symbols)
             assert codec.is_codeword(spec, word)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_rejection_times_give_every_block_its_first_rejected_prefix(data):
+    # along an erasure order, entry 0 holds the first prefix each member of
+    # the chain rejects, and entry d the first prefix whose share of each
+    # depth-d block each child below rejects, as the recursive rule finds it
+    n = data.draw(st.integers(1, 7))
+    chain = data.draw(ordered_chains(data.draw(st.integers(0, 2)), n))
+    size = length(chain[0])
+    order = data.draw(st.permutations(range(size)))
+    when = np.empty(size, dtype=np.int64)
+    when[list(order)] = np.arange(1, size + 1)
+    times = codec._rejection_times(chain, when, size + 1)
+    assert len(times) == layer_count(chain[0])
+    prefixes = [np.isin(np.arange(size), order[:k]) for k in range(1, size + 1)]
+
+    def first_rejected(accepts):
+        return next((k for k, mask in enumerate(prefixes, 1) if not accepts(mask)), size + 1)
+
+    assert times[0].tolist() == [first_rejected(lambda mask: recursive_correctable(spec, mask))
+                                 for spec in chain]
+    spec, blocks = chain[0], 1
+    for entry in times[1:]:
+        blocks *= block_count(spec)
+        sub = size // blocks
+        assert entry.shape[-1] == len(spec.children)
+        assert entry.reshape(blocks, -1).tolist() == [
+            [first_rejected(lambda mask: _recursive_block_level(spec, mask[b * sub:(b + 1) * sub]) <= c)
+             for c in range(len(spec.children))]
+            for b in range(blocks)]
+        spec = spec.children[0]
+
+
+def invalid_specs() -> dict:
+    """GF(8) specs that `validate` rejects, one per broken invariant."""
+    leaf = LeafSpec(G8, 7, 1)
+    chains = {}
+    for layers in (17, 40):
+        spec = LeafSpec(G8, 3, 1)
+        for _ in range(layers - 1):
+            spec = NodeSpec(G8, (spec,), (1, 0))
+        chains[f"{layers}-layers"] = spec
+    return {
+        "unnested": NodeSpec(G8, (LeafSpec(G8, 7, 3), leaf), (1, 1, 0)),
+        "m=q": NodeSpec(G8, (leaf,), (8, 0)),
+        "u>n": LeafSpec(G8, 7, 9),
+        "n>=q": LeafSpec(G8, 9, 1),
+        "no-blocks": NodeSpec(G8, (leaf,), (0, 0)),
+        **chains,
+    }
+
+
+@pytest.mark.parametrize("label", list(invalid_specs()))
+def test_codec_entry_points_validate_their_spec(label):
+    # no verdict, report or witness for a spec that is not a code, whatever
+    # the mask: the empty one, or one that erases everything
+    spec = invalid_specs()[label]
+    word = SymbolWord.known([0] * length(spec))
+    with pytest.raises(ValidationError):
+        codec.correctable(spec, [False] * length(spec))
+    for erased in ((), range(length(spec))):
+        with pytest.raises(ValidationError):
+            codec.decode(spec, word.with_erasures(erased))
+    with pytest.raises(ValidationError):
+        codec.min_weight_codeword(spec)
+
+
+def test_correctable_rejects_a_mask_of_the_wrong_shape():
+    for mask in (None, True, [[False] * 49]):
+        with pytest.raises(ValueError, match="mask shape"):
+            codec.correctable(EX1, mask)
 
 
 def test_correctable_empty_mask():
