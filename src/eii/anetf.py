@@ -116,14 +116,14 @@ def _kept_permutations(seed: int, trials: int, n: int) -> np.ndarray:
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per permutation under `codec`'s capability predicate.
 
-    Along an erasure order a block's level only grows, so the first prefix
-    a code rejects is an order statistic of its children's first rejection
-    times: one sort per tree level of when[b, perms[b, i]] = i + 1 gives
-    every trial's count, capped at n.
+    The count is the time at which the code first rejects under `codec`'s
+    rule, with when[b, perms[b, i]] = i + 1, capped at n.  The times are
+    int32: a batch's arrays take half the memory of int64 ones, and numpy
+    sorts narrower integers more slowly.
     """
     n = perms.shape[1]
-    when = np.empty_like(perms)
-    np.put_along_axis(when, perms, np.arange(1, n + 1), axis=1)
+    when = np.empty(perms.shape, dtype=np.int32)
+    np.put_along_axis(when, perms, np.arange(1, n + 1, dtype=np.int32), axis=1)
     return codec._rejection_times((spec,), when, n)[0][:, 0]
 
 
@@ -294,19 +294,20 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     """Trials per batch that keep its largest arrays within _BATCH_BYTES.
 
     Per trial these are the int64 permutation, plus either the capability
-    walk's arrays or the pcheck walk's.  The capability walk holds the int64
+    walk's arrays or the pcheck walk's.  The capability walk holds the int32
     erasure times, which it sorts in place, and at each tree level the
-    rejection times it returns (blocks x members), which the list of levels
-    keeps alive to the end; at a node also the sorted copy of the times
-    below (blocks x children) and the order statistics it gathers from it
-    (blocks x members x children).  Counting every level at once bounds
-    what is live.  The pcheck walk's sorts of its first rows + 1 erasures hold at
-    most ten int64 keys and temporaries per erasure.  Its elimination holds
-    the r' + 1 packed residuals, words x 8 bytes each with words = ceil(r'
-    / (64 // w)), and either the second gather they are summed with or the
-    copy each step makes of them; at each step, the table of the q
-    multiples of the step's residual, the r' multiples gathered from it,
-    and 32 bytes of coefficient and index temporaries per later residual.
+    int32 rejection times it returns (blocks x members), which the list of
+    levels keeps alive to the end; at a node also the sorted copy of the
+    times below (blocks x children) and the order statistics it gathers
+    from it (blocks x members x children).  Counting every level at once
+    bounds what is live.  The pcheck walk's sorts of its first rows + 1
+    erasures hold at most ten int64 keys and temporaries per erasure.  Its
+    elimination holds the r' + 1 packed residuals, words x 8 bytes each
+    with words = ceil(r' / (64 // w)), and either the second gather they
+    are summed with or the copy each step makes of them; at each step, the
+    table of the q multiples of the step's residual, the r' multiples
+    gathered from it, and 32 bytes of coefficient and index temporaries
+    per later residual.
     Each first erasure of a block beyond the t free ones, at most one per
     such block and r' + 1 in all, gathers (t + 1) x r' entries of Q for its
     dual weights, with 6 bytes of gather and product temporaries per entry,
@@ -323,7 +324,7 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
             m, t = block_count(chain[0]), len(chain[0].children)
             words += blocks * (len(chain) * (t + 1) + m * t)
             blocks, chain = blocks * m, chain[0].children
-        extra = 8 * (words + blocks * len(chain))
+        extra = 4 * (words + blocks * len(chain))
     else:
         pc = pcheck.build_parity_check(spec)
         split = pcheck._local_split(pc)
