@@ -30,8 +30,8 @@ times into levels: each block's weakest child that can repair it.
 block levels, and keeps the report in the bounded memo `_outcome`, with
 the levels until the mask's first decode takes them.  So a repeated mask
 costs one plan fill and no capability rule.  `anetf` reads the top time
-along whole erasure orders.  Every entry point validates its spec first;
-`decode` does so in `_outcome`, so a repeated mask pays nothing.
+along whole erasure orders.  The rule's entry points validate their spec
+first; `decode` does so in `_outcome`, so a repeated mask pays nothing.
 
 Encoding does not use the decoder: data fills the systematic positions,
 every parity position is an erasure, and one lookup in the plan table
@@ -130,6 +130,9 @@ def _rejection_times(chain: tuple, when: np.ndarray, never) -> list:
     """
     head = chain[0]
     index, axis, past = _chain_tails(chain)
+    # fancy indexing lays each gather out member-major, so the sort a level
+    # up runs over contiguous block times; a C-ordered `take` doubled the
+    # walk's time on 1,000-trial batches
     if isinstance(head, LeafSpec):
         when.sort(axis=-1)
         below, at = [], when[..., index]
