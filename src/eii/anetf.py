@@ -6,9 +6,9 @@ decoding oracle rejects the pattern.  Two oracles are supported: the
 guaranteed-capability predicate of `codec` and parity-check decoding
 (erased columns of the reduced matrix stay linearly independent).  Both
 oracles walk a whole batch of trials at once; a single permutation is a
-batch of one.  Every entry validates its spec first.  The capability walk
-is `codec`'s one rule, `_rejection_times`, run on each trial's erasure
-times: the count is the time at which the code first rejects.
+batch of one.  Every entry checks its spec and mode in `AnetfConfig` first.
+The capability walk is `codec`'s one rule, `_rejection_times`, run on each
+trial's erasure times: the count is the time at which the code first rejects.
 The pcheck walk is local to the layer whose block sums give the most
 checks (`pcheck._local_split`): with t of them, the first erasures of t
 distinct blocks are always independent, and each further erasure adds one
@@ -342,9 +342,7 @@ def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
     first erasure.  The count comes from the batched walk of `simulate`,
     run on a batch of one permutation.
     """
-    validate(spec)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    AnetfConfig(spec, mode)  # the spec and mode checks of `simulate`
     perm = list(permutation)
     if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in perm):
         raise InvalidPermutationError("permutation entries must be integers")

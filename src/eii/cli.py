@@ -38,16 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_spec_arguments(sub):
-    sub.add_argument("--spec", metavar="FILE", help="JSON code description")
-    sub.add_argument("--capability", metavar="TREE",
-                     help="capability string such as ((1,1,2),(1,2,3))")
-    sub.add_argument("--field", type=int, metavar="W",
-                     help="extension degree for --capability (GF(2^W))")
-    sub.add_argument("--n", type=int, metavar="N", dest="row_length",
-                     help="innermost row length for --capability")
-
-
 def _load_spec(args):
     if bool(args.spec) == bool(args.capability):
         raise UsageError("give exactly one spec source: --spec FILE or --capability TREE")
@@ -59,7 +49,7 @@ def _load_spec(args):
 
 
 def _write_output(args, text: str):
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -68,50 +58,49 @@ def _write_output(args, text: str):
 def build_parser() -> _Parser:
     parser = _Parser(prog="eii", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", metavar="FILE", help="JSON code description")
+    spec.add_argument("--capability", metavar="TREE",
+                      help="capability string such as ((1,1,2),(1,2,3))")
+    spec.add_argument("--field", type=int, metavar="W",
+                      help="extension degree for --capability (GF(2^W))")
+    spec.add_argument("--n", type=int, metavar="N", dest="row_length",
+                      help="innermost row length for --capability")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", metavar="FILE")
 
-    p = subs.add_parser("info", help="print [N, k, d] and code structure")
-    _add_spec_arguments(p)
+    subs.add_parser("info", parents=[spec], help="print [N, k, d] and code structure")
 
-    p = subs.add_parser("encode", help="systematic encode a data file")
-    _add_spec_arguments(p)
+    p = subs.add_parser("encode", parents=[spec, output], help="systematic encode a data file")
     p.add_argument("--data", required=True, metavar="FILE",
                    help="whitespace-separated data symbols, length k")
-    p.add_argument("--output", metavar="FILE")
 
-    p = subs.add_parser("decode", help="erasure-decode a word file")
-    _add_spec_arguments(p)
+    p = subs.add_parser("decode", parents=[spec, output], help="erasure-decode a word file")
     p.add_argument("--word", required=True, metavar="FILE",
                    help="word file; ? marks an erasure")
     p.add_argument("--erasures", metavar="LIST",
                    help="extra erased positions, comma-separated zero-based indices")
     p.add_argument("--mode", choices=("alg", "pcheck"), default="alg")
-    p.add_argument("--output", metavar="FILE")
 
-    p = subs.add_parser("pcheck", help="print the parity-check matrix")
-    _add_spec_arguments(p)
+    p = subs.add_parser("pcheck", parents=[spec, output], help="print the parity-check matrix")
     p.add_argument("--reduce", action="store_true", help="drop dependent rows")
     p.add_argument("--format", choices=("csv", "alist"), default="csv")
-    p.add_argument("--output", metavar="FILE")
 
-    p = subs.add_parser("density", help="nonzero density of the parity-check matrix")
-    _add_spec_arguments(p)
+    subs.add_parser("density", parents=[spec], help="nonzero density of the parity-check matrix")
 
-    p = subs.add_parser("anetf", help="Monte-Carlo average number of erasures to failure")
-    _add_spec_arguments(p)
+    p = subs.add_parser("anetf", parents=[spec, output],
+                        help="Monte-Carlo average number of erasures to failure")
     p.add_argument("--trials", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=anetf.MODES, default=anetf.CAPABILITY)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", metavar="FILE")
 
-    p = subs.add_parser("mindist-brute", help="exhaustive minimum-distance check")
-    _add_spec_arguments(p)
+    subs.add_parser("mindist-brute", parents=[spec], help="exhaustive minimum-distance check")
 
     return parser
 
 
-def _cmd_info(args) -> int:
-    spec = _load_spec(args)
+def _cmd_info(args, spec) -> int:
     print(f"[{length(spec)}, {dimension(spec)}, {min_distance(spec)}]")
     print(f"field: GF(2^{spec.ctx.w})")
     print(f"layers: {layer_count(spec)}")
@@ -120,16 +109,14 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_encode(args) -> int:
-    spec = _load_spec(args)
+def _cmd_encode(args, spec) -> int:
     data = [int(tok) for tok in Path(args.data).read_text().split()]
     word = codec.encode(spec, data)
     _write_output(args, word_to_text(word) + "\n")
     return 0
 
 
-def _cmd_decode(args) -> int:
-    spec = _load_spec(args)
+def _cmd_decode(args, spec) -> int:
     word = word_from_text(Path(args.word).read_text())
     if args.erasures:
         positions = [int(tok) for tok in args.erasures.split(",") if tok.strip()]
@@ -148,8 +135,7 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _cmd_pcheck(args) -> int:
-    spec = _load_spec(args)
+def _cmd_pcheck(args, spec) -> int:
     pc = pcheck.build_parity_check(spec)
     h = pc.reduced if args.reduce else pc.h
     text = mx.to_csv(h) if args.format == "csv" else mx.to_alist(h)
@@ -157,8 +143,7 @@ def _cmd_pcheck(args) -> int:
     return 0
 
 
-def _cmd_density(args) -> int:
-    spec = _load_spec(args)
+def _cmd_density(args, spec) -> int:
     pc = pcheck.build_parity_check(spec)
     nz = pc.h.nonzero_count()
     total = pc.h.rows * pc.h.cols
@@ -167,8 +152,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _cmd_anetf(args) -> int:
-    spec = _load_spec(args)
+def _cmd_anetf(args, spec) -> int:
     config = anetf.AnetfConfig(spec, args.mode, args.trials, args.seed)
     report = anetf.simulate(config)
     if args.format == "json":
@@ -178,8 +162,7 @@ def _cmd_anetf(args) -> int:
     return 0
 
 
-def _cmd_mindist_brute(args) -> int:
-    spec = _load_spec(args)
+def _cmd_mindist_brute(args, spec) -> int:
     weight = codec.brute_force_min_weight(spec)
     print(f"brute-force minimum distance: {weight}")
     print(f"formula minimum distance: {min_distance(spec)}")
@@ -198,14 +181,9 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args, _load_spec(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -30,8 +30,9 @@ times into levels: each block's weakest child that can repair it.
 block levels, and keeps the report in the bounded memo `_outcome`, with
 the levels until the mask's first decode takes them.  So a repeated mask
 costs one plan fill and no capability rule.  `anetf` reads the top time
-along whole erasure orders.  The rule's entry points validate their spec
-first; `decode` does so in `_outcome`, so a repeated mask pays nothing.
+along whole erasure orders.  Every entry point validates its spec first;
+`decode`, `encode` and `is_codeword` do so through `build_parity_check`,
+whose memo makes a replay pay nothing.
 
 Encoding does not use the decoder: data fills the systematic positions,
 every parity position is an erasure, and one lookup in the plan table
@@ -171,11 +172,12 @@ def correctable(spec: CodeSpec, mask) -> bool:
 
 def is_codeword(spec: CodeSpec, word: SymbolWord) -> bool:
     """Membership test H . c = 0; the word must be fully known."""
-    symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
+    pc = build_parity_check(spec)
+    symbols, erased = word_arrays(word, pc.layers[0], spec.ctx.q)
     if erased.any():
         raise ValueError("membership test needs a fully known word")
     try:  # the plan with nothing erased is always solvable: fill returns True
-        return _plan(build_parity_check(spec).reduced, erased.tobytes()).fill(symbols)
+        return _plan(pc.reduced, erased.tobytes()).fill(symbols)
     except InconsistentWordError:
         return False
 
@@ -190,6 +192,7 @@ def parity_mask(spec: CodeSpec) -> tuple:
     Leaves keep their u parity symbols last; a node lays out s_i blocks per
     child with that child's own layout, then s_t all-parity blocks.
     """
+    validate(spec)
     if isinstance(spec, LeafSpec):
         return (False,) * (spec.n - spec.u) + (True,) * spec.u
     out = []
@@ -296,7 +299,6 @@ def _outcome(spec: CodeSpec, bits: bytes) -> tuple:
     of a correctable mask is emptied by its first decode, so from then on
     the record holds its report alone; that of any other mask stays empty.
     """
-    validate(spec)
     erased = np.frombuffer(bits, dtype=bool)
     verdict, *levels = _chain_levels((spec,), erased)
     assignment = tuple(levels[0].tolist()) if levels else ()
@@ -328,12 +330,12 @@ def decode(spec: CodeSpec, word: SymbolWord):
     the known symbols fit no codeword.  Decoding writes only erased
     positions.
     """
-    symbols, erased = word_arrays(word, length(spec), spec.ctx.q)
+    pc = build_parity_check(spec)
+    symbols, erased = word_arrays(word, pc.layers[0], spec.ctx.q)
     bits = erased.tobytes()
     report, held = _outcome(spec, bits)
     if report.outcome == UNCORRECTABLE:
         return word, report
-    pc = build_parity_check(spec)
     try:
         if held:
             if isinstance(spec, NodeSpec) and pc.u0:
@@ -355,6 +357,7 @@ def encode(spec: CodeSpec, data) -> SymbolWord:
     order, and the parities come from one lookup in the plan table: the
     plan of `parity_mask(spec)` against the reduced parity-check matrix,
     built on a code's first encode and replayed from then on."""
+    pc = build_parity_check(spec)
     data = list(data)
     k = dimension(spec)
     if len(data) != k:
@@ -363,7 +366,7 @@ def encode(spec: CodeSpec, data) -> SymbolWord:
     bits = bytes(parity_mask(spec))
     syms = np.zeros(len(bits), dtype=np.uint8)
     syms[~np.frombuffer(bits, dtype=bool)] = data
-    if not _plan(build_parity_check(spec).reduced, bits).fill(syms):
+    if not _plan(pc.reduced, bits).fill(syms):
         raise AssertionError("systematic parity columns are dependent")
     return SymbolWord._from_array(syms)
 
@@ -411,6 +414,7 @@ BRUTE_FORCE_GUARD = 1 << 24  # the most data vectors brute_force_min_weight enum
 
 def brute_force_min_weight(spec: CodeSpec) -> int:
     """Minimum nonzero codeword weight by enumerating all q^k data vectors."""
+    validate(spec)
     k, q = dimension(spec), spec.ctx.q
     if k < 1:
         raise NoCodewordsError("zero-dimensional code")

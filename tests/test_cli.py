@@ -64,6 +64,30 @@ def test_validation_error_exit_code(capsys):
     assert out.out == "" and "zero-dimensional code has no minimum distance" in out.err
 
 
+@pytest.mark.parametrize("command", ["info", "encode", "decode", "pcheck", "density", "anetf",
+                                     "mindist-brute"])
+def test_every_command_loads_its_spec_the_same_way(command, tmp_path, capsys):
+    spec_file, data = tmp_path / "spec.json", tmp_path / "in.txt"
+    spec_file.write_text(spec_to_json(spec_from_capability(field(3), "(1,2,7)", 7)))
+    data.write_text("0")
+    inputs = {"encode": ["--data", str(data)], "decode": ["--word", str(data)]}
+    argv = [command, *inputs.get(command, [])]
+    small = ["--capability", "(1,2,7)", "--field", "3", "--n", "7"]
+    for options, code in (([], 1),  # no spec source
+                          (["--spec", str(spec_file), *small], 1),  # both sources
+                          (small[:4], 1),  # --capability without --n
+                          (["--spec", str(tmp_path / "missing.json")], 2),
+                          (["--capability", "(10)", "--field", "3", "--n", "10"], 2)):  # n >= q
+        assert run([*argv, *options]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out
+    for option in ("--spec FILE", "--capability TREE", "--field W", "--n N"):
+        assert option in usage
+
+
 def test_deep_specs_exit_2(tmp_path, capsys):
     # one-block nodes, 400 and 200 layers deep: the first nests past the
     # JSON parser's recursion limit, the second past the layer cap

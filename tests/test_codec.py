@@ -982,6 +982,24 @@ def test_codec_entry_points_validate_their_spec(label):
             codec.decode(spec, word.with_erasures(erased))
     with pytest.raises(ValidationError):
         codec.min_weight_codeword(spec)
+    with pytest.raises(ValidationError):
+        codec.encode(spec, [0] * max(dimension(spec), 0))
+    with pytest.raises(ValidationError):
+        codec.is_codeword(spec, word)
+    with pytest.raises(ValidationError):
+        codec.parity_mask(spec)
+    with pytest.raises(ValidationError):
+        codec.brute_force_min_weight(spec)
+
+
+@pytest.mark.parametrize("spec", ["abc", None])
+def test_codec_entry_points_reject_a_spec_that_is_not_a_code(spec):
+    word = SymbolWord.known([0])
+    for call in (lambda: codec.decode(spec, word), lambda: codec.encode(spec, [0]),
+                 lambda: codec.is_codeword(spec, word), lambda: codec.parity_mask(spec),
+                 lambda: codec.brute_force_min_weight(spec)):
+        with pytest.raises(ValidationError, match="LeafSpec or NodeSpec"):
+            call()
 
 
 def test_correctable_rejects_a_mask_of_the_wrong_shape():
