@@ -52,7 +52,6 @@ erased, from the same table, whose checks are the matrix itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +65,7 @@ from .codespec import (
     dimension,
     _weakest_term,
     length,
+    spec_lru_cache,
     tail_counts,
     validate,
 )
@@ -185,7 +185,7 @@ def is_codeword(spec: CodeSpec, word: SymbolWord) -> bool:
 # -- systematic layout ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@spec_lru_cache
 def parity_mask(spec: CodeSpec) -> tuple:
     """True at parity positions of the systematic layout.
 
@@ -420,26 +420,15 @@ def brute_force_min_weight(spec: CodeSpec) -> int:
         raise NoCodewordsError("zero-dimensional code")
     if q ** k > BRUTE_FORCE_GUARD:
         raise ValueError(f"refusing brute force: q^k = {q}^{k} exceeds the enumeration guard")
-    n = length(spec)
-    gen = np.zeros((k, n), dtype=np.uint8)
-    for i in range(k):
-        unit = [0] * k
-        unit[i] = 1
-        gen[i] = word_arrays(encode(spec, unit), n, q)[0]
-    mt = spec.ctx.mul_table
-    best = n + 1
-    chunk = max(1, (1 << 18) // max(n, 1))
-    stream = itertools.product(range(q), repeat=k)
-    while True:
-        block = list(itertools.islice(stream, chunk))
-        if not block:
-            break
-        arr = np.array(block, dtype=np.uint8)
-        words = np.bitwise_xor.reduce(mt[arr[:, :, None], gen[None, :, :]], axis=1)
-        weights = np.count_nonzero(words, axis=1)
-        nz = weights[np.any(arr != 0, axis=1)]
-        if nz.size:
-            best = min(best, int(nz.min()))
+    n, total = length(spec), q ** k
+    gen = np.array([word_arrays(encode(spec, unit), n, q)[0] for unit in np.eye(k, dtype=int).tolist()])
+    powers = q ** np.arange(k)
+    chunk = max(1, (1 << 18) // n)
+    best = n
+    for start in range(1, total, chunk):  # data vector i has digit j = i // q**j % q; 0 is skipped
+        digits = np.arange(start, min(start + chunk, total))[:, None] // powers % q
+        words = np.bitwise_xor.reduce(spec.ctx.mul_arrays(digits[:, :, None], gen), axis=1)
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
 

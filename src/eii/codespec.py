@@ -14,7 +14,7 @@ import ast
 import json
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from operator import itemgetter
 
 from .gf import FieldContext, field
@@ -229,6 +229,23 @@ def validate(spec: CodeSpec) -> None:
         raise ValidationError("spec nests too deeply") from None
 
 
+def spec_lru_cache(fn):
+    """An unbounded `lru_cache` of `fn`, a function of one spec that
+    validates it on a miss, behind the type test `validate` starts with:
+    the memo hashes its key, where an unhashable non-spec would raise
+    TypeError."""
+    memo = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def entry(spec):
+        if not isinstance(spec, (LeafSpec, NodeSpec)):
+            validate(spec)  # raises ValidationError
+        return memo(spec)
+
+    entry.cache_info, entry.cache_clear = memo.cache_info, memo.cache_clear
+    return entry
+
+
 @lru_cache(maxsize=None)
 def _validate(spec: CodeSpec) -> None:
     if isinstance(spec, LeafSpec):
@@ -365,13 +382,10 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     n) are zero-code blocks; the rest, in chain order, are built into the
     children that every entry shares, as nesting requires.
     """
+    # `entries` are one tree, or siblings that passed the mixed-shapes check
+    # below: all ints, or all tuples of one width
     if all(isinstance(e, int) for e in entries):
         return [LeafSpec(ctx, n, u) for u in entries]
-    if any(isinstance(e, int) for e in entries):
-        raise NotTotallyOrderedError("sibling capabilities mix rows with sub-arrays")
-    widths = {len(e) for e in entries}
-    if len(widths) != 1:
-        raise NotTotallyOrderedError("sibling capabilities have different block counts")
     flats, full = {}, set()  # distinct sub-entries: chain members' flattened rows; full ones
     for e in entries:
         for sub in e:

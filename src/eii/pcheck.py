@@ -68,6 +68,7 @@ from .codespec import (
     block_count,
     dimension,
     length,
+    spec_lru_cache,
     tail_counts,
     validate,
 )
@@ -138,7 +139,7 @@ def _construct(spec: CodeSpec) -> tuple:
     return top if base == spec else top + _increment(base, spec)
 
 
-@lru_cache(maxsize=None)
+@spec_lru_cache
 def build_parity_check(spec: CodeSpec) -> ParityCheck:
     """The parity-check record of a spec; ValidationError when `validate` rejects it."""
     validate(spec)

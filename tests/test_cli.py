@@ -267,6 +267,7 @@ def test_decode_symbol_out_of_range(mode, tmp_path, capsys):
     {"node": {"s": ["1", 0], "children": [{"leaf": {"n": 7, "u": 1}}]}},
     {"leaf": {"n": 7}},
     {"leaf": [7, 1]},
+    {"tree": {"n": 7, "u": 1}},
 ])
 def test_spec_json_schema(code, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -965,6 +965,10 @@ def invalid_specs() -> dict:
         "u>n": LeafSpec(G8, 7, 9),
         "n>=q": LeafSpec(G8, 9, 1),
         "no-blocks": NodeSpec(G8, (leaf,), (0, 0)),
+        "n=0": LeafSpec(G8, 0, 0),
+        "other-field": NodeSpec(G8, (LeafSpec(G4, 3, 1),), (1, 0)),
+        "unequal-lengths": NodeSpec(G8, (leaf, LeafSpec(G8, 5, 2)), (1, 1, 0)),
+        "k=0-child": NodeSpec(G8, (LeafSpec(G8, 7, 7),), (1, 0)),
         **chains,
     }
 
@@ -992,12 +996,13 @@ def test_codec_entry_points_validate_their_spec(label):
         codec.brute_force_min_weight(spec)
 
 
-@pytest.mark.parametrize("spec", ["abc", None])
+@pytest.mark.parametrize("spec", ["abc", None, [1], {}])
 def test_codec_entry_points_reject_a_spec_that_is_not_a_code(spec):
     word = SymbolWord.known([0])
     for call in (lambda: codec.decode(spec, word), lambda: codec.encode(spec, [0]),
                  lambda: codec.is_codeword(spec, word), lambda: codec.parity_mask(spec),
-                 lambda: codec.brute_force_min_weight(spec)):
+                 lambda: codec.brute_force_min_weight(spec),
+                 lambda: pcheck.build_parity_check(spec)):
         with pytest.raises(ValidationError, match="LeafSpec or NodeSpec"):
             call()
 

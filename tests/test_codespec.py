@@ -247,6 +247,10 @@ def test_is_nested_different_children():
         is_nested(a, b)
     with pytest.raises(DifferentChildrenError):
         is_nested(a, LeafSpec(G8, 14, 2))
+    with pytest.raises(DifferentChildrenError, match="length or field"):
+        is_nested(LeafSpec(G8, 7, 1), LeafSpec(G8, 5, 1))
+    with pytest.raises(DifferentChildrenError, match="different block counts"):
+        is_nested(a, NodeSpec(G8, L12, (2, 1, 0)))
 
 
 def test_is_nested_partial_order():

@@ -81,6 +81,9 @@ def test_vandermonde_rank():
 def test_vandermonde_rejects_large_s():
     with pytest.raises(ValueError):
         mx.vandermonde(field(3), 8, 10, 0)
+    for s, w in ((1, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="bad Vandermonde parameters"):
+            mx.vandermonde(field(3), s, w, 0)
 
 
 def test_vandermonde_prefix_identity():
@@ -121,6 +124,18 @@ def test_kronecker_context_mismatch():
     b = mx.identity(field(4), 2)
     with pytest.raises(ValueError):
         mx.kronecker(a, b)
+
+
+def test_matrix_and_stack_reject_malformed_input():
+    f = field(3)
+    with pytest.raises(ValueError, match="must be 2-D"):
+        mx.MatrixGF(f, np.zeros((2, 2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="out of field range"):
+        mx.MatrixGF(f, np.array([[1, 8]]))
+    with pytest.raises(ValueError, match="nothing to stack"):
+        mx.stack([])
+    with pytest.raises(ValueError, match="same field"):
+        mx.stack([mx.identity(f, 2), mx.identity(field(4), 2)])
 
 
 def test_kronecker_rank_product():
