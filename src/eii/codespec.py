@@ -382,7 +382,7 @@ def _build_chain(ctx: FieldContext, entries: list, n: int) -> list:
     n) are zero-code blocks; the rest, in chain order, are built into the
     children that every entry shares, as nesting requires.
     """
-    # `entries` are one tree, or siblings that passed the mixed-shapes check
+    # `entries` hold one tree, or siblings that passed the mixed-shapes check
     # below: all ints, or all tuples of one width
     if all(isinstance(e, int) for e in entries):
         return [LeafSpec(ctx, n, u) for u in entries]
