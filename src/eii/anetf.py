@@ -18,13 +18,11 @@ erasure of a block beyond the t free ones the combination of t + 1 columns
 by the dual weights of the Vandermonde checks; an MDS leaf, whose rows are
 all leaf-local, leaves r' = 0.  One batched forward elimination over each
 trial's first r' + 1 residuals, one residual per step, finds the first
-dependent one.  The residuals are packed, 64 // w lanes of w bits per
-uint64 word, so a step clears its lead lane from every later residual of
-every trial with one gather from the table of the step residual's
-multiples, built by lane-wise xtime, and one XOR per word, in the
-word-parallel manner of Plank, Greenan & Miller, "Screaming Fast Galois
-Field Arithmetic Using Intel SIMD Instructions" (FAST 2013).  Batches are
-capped so their working arrays stay within a fixed memory budget.
+dependent one.  The residuals are packed into uint64 lanes, so a step
+clears its lead lane from every later residual of every trial with one
+gather from the step residual's `FieldContext.multiples` and one XOR per
+word.  Batches are capped so their working arrays stay within a fixed
+memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -182,41 +180,6 @@ def _residuals(perms: np.ndarray, split, first: int, count: int):
     return late >> bits, late & (1 << bits) - 1, free
 
 
-def _lead(x: np.ndarray, w: int):
-    """Word, bit offset and value of the lowest nonzero w-bit lane of each
-    column of x, (words, R) uint64 lanes of `FieldContext.pack` with no
-    zero column.
-
-    The lowest set bit of the first nonzero word is v & -v, a power of two
-    that a float holds exactly, so `np.frexp` reads its index; its lane
-    starts at that index rounded down to a multiple of w.
-    """
-    word = (x != 0).argmax(axis=0)
-    v = x[word, np.arange(x.shape[1])]
-    bit = np.frexp(v & -v)[1] - 1
-    shift = (bit - bit % w).astype(np.uint64)
-    return word, shift, (v >> shift) & (1 << w) - 1
-
-
-def _multiples(ctx, x: np.ndarray) -> np.ndarray:
-    """c x for every symbol c, (words, q, R), of the packed vectors x, (words, R).
-
-    x alpha^i comes from x alpha^(i-1) by a lane-wise xtime: each lane
-    shifts up one bit, and the modulus is XORed into the lanes whose top
-    bit was set.  Entries 2^i to 2^(i+1) - 1 are then x alpha^i plus the
-    entries below 2^i.
-    """
-    w = ctx.w
-    top = sum(1 << b for b in range(w - 1, 64 // w * w, w))  # each lane's top bit
-    table = np.empty((len(x), ctx.q, x.shape[1]), dtype=np.uint64)
-    table[:, 0], table[:, 1] = 0, x
-    for i in range(1, w):
-        hi = x & top
-        x = (x ^ hi) << 1 ^ (hi >> w - 1) * (ctx.modulus ^ ctx.q)  # the modulus less x^w
-        np.bitwise_xor(table[:, :1 << i], x[:, None], out=table[:, 1 << i:2 << i])
-    return table
-
-
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per permutation under parity-check decoding.
 
@@ -240,22 +203,22 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     t = 0 every erasure is one.  Any r' + 1 residuals are dependent, and
     the first rows + 1 erasures hold at least that many, so one forward
     elimination over each trial's first r' + 1 residuals decides it.
-    Residuals are kept packed, 64 // w lanes of w bits per uint64 word
-    (`Split.lanes`), so adding them is one XOR per word.  Step s takes
-    residual s, already cleared at the lead lanes of residuals 0 .. s-1.
-    Each of those is zero at the lead lanes before its own and nonzero at
-    its own, so residual s is dependent on them exactly when it is zero;
-    that trial fails at its erasure time and leaves the batch.  Otherwise
-    its lowest nonzero lane is its lead (`_lead`), and each later residual
-    loses c / lead times it, c being its own entry in that lane: one flat
-    `take` from the table of every multiple of residual s (`_multiples`)
-    and one XOR.  Which lane leads changes no count, only the basis.
+    Residuals are kept packed (`Split.lanes`), so adding them is one XOR
+    per word.  Step s takes residual s, already cleared at the lead lanes
+    of residuals 0 .. s-1.  Each of those is zero at the lead lanes before
+    its own and nonzero at its own, so residual s is dependent on them
+    exactly when it is zero; that trial fails at its erasure time and
+    leaves the batch.  Otherwise its lowest nonzero lane is its lead
+    (`FieldContext.lead`), and each later residual loses c / lead times it,
+    c being its own entry in that lane: one `take` from the
+    `FieldContext.multiples` of residual s and one XOR.  Which lane leads
+    changes no count, only the basis.
     Trials that never fail get the time of residual r'.
     """
     pc = pcheck.build_parity_check(spec)
     split = pcheck._local_split(pc)
-    ctx, qt = spec.ctx, split.qt
-    trials, rest, first = perms.shape[0], qt.shape[1], pc.rank + 1
+    ctx = spec.ctx
+    trials, rest, first = perms.shape[0], split.qt.shape[1], pc.rank + 1
     times, before, free = _residuals(perms, split, first, rest + 1)
     r = split.lanes.take(np.take_along_axis(perms, times, axis=1).T, axis=0)  # (r' + 1, trials, words)
     if rest:
@@ -265,8 +228,7 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
             group = np.vstack([np.take_along_axis(perms, free, axis=1)[trial].T,
                                perms[trial, times[trial, slot]]])  # (t + 1, residuals)
             weights = _dual_weights(ctx, group // split.n, perms.shape[1] // split.n)
-            r[slot, trial] = ctx.pack(np.bitwise_xor.reduce(
-                ctx.mul_arrays(qt.take(group, axis=0), weights[:, :, None]), axis=0))
+            r[slot, trial] = ctx.pack(ctx.dot(split.offsets.take(group, axis=0), weights[:, :, None], axis=0))
     r = np.ascontiguousarray(r.transpose(0, 2, 1))  # (r' + 1, words, trials)
     times += 1
     counts = times[:, rest].astype(np.int64)
@@ -279,10 +241,10 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
         if not ids.size:
             break
         at = np.arange(ids.size)
-        word, shift, lead = _lead(r[0], ctx.w)
+        word, shift, lead = ctx.lead(r[0])
         coef = r[1:].reshape(rest - s, -1).take(word * ids.size + at, axis=1)  # (later residuals, trials)
         scale = ctx.mul_arrays(ctx.inv_table[lead], ((coef >> shift) & ctx.q - 1).view(np.int64))
-        table = _multiples(ctx, r[0]).reshape(r.shape[1], -1)
+        table = ctx.multiples(r[0]).reshape(r.shape[1], -1)
         r = r[1:] ^ table.take(scale.astype(np.intp) * ids.size + at, axis=1).transpose(1, 0, 2)
     return counts
 

@@ -217,14 +217,13 @@ def _triangulate(ctx: FieldContext, col_blocks: tuple, n_rows: int) -> np.ndarra
     p_k(x) = prod_{l<k} (x - x_{c_l}) scaled to 1 at x_{c_k}, the Newton
     form of a Vandermonde LU (Bjorck and Pereyra, Math. Comp. 24, 1970): so
     entry (k, i) is p_k(x_{c_i}) / p_k(x_{c_k}), 0 for i < k, computed here
-    as a cumulative sum of discrete logs.  Each entry c is kept as its
-    flat `mul_table` offset c << w, in a read-only uint16 array.
+    as a cumulative sum of discrete logs, and kept as `FieldContext.offsets`.
     """
     exp, log, m = ctx.exp_table, ctx.log_table, len(col_blocks)
     x = exp[list(col_blocks)]
     logs = np.zeros((n_rows, m), dtype=np.int64)
     np.cumsum(log[x[:n_rows - 1, None] ^ x], axis=0, out=logs[1:])
-    tri = exp[(logs - logs.diagonal()[:, None]) % (ctx.q - 1)].astype(np.uint16) << ctx.w
+    tri = ctx.offsets(exp[(logs - logs.diagonal()[:, None]) % (ctx.q - 1)])
     tri *= np.arange(m) >= np.arange(n_rows)[:, None]  # zero below the diagonal
     tri.setflags(write=False)
     return tri
@@ -259,11 +258,10 @@ def _repair(spec: CodeSpec, symbols, erased, levels: list) -> None:
     cols = pending + [j for j in range(m) if not top[j]]
     tri = _triangulate(spec.ctx, tuple(cols), len(pending))
     cols = np.array(cols)
-    mt = spec.ctx.mul_table.ravel()
     for k in range(len(pending) - 1, -1, -1):
         j = pending[k]
         known = sym.take(cols[k + 1:], axis=0)
-        combo = np.bitwise_xor.reduce(mt.take(tri[k, k + 1:, None] | known), axis=0)
+        combo = spec.ctx.dot(tri[k, k + 1:, None], known, axis=0)
         mixed = sym[j] ^ combo
         if top[j] == len(spec.children):
             mixed[era[j]] = 0  # the combination lies in the zero code
@@ -398,6 +396,7 @@ def _min_weight_symbols(spec: CodeSpec) -> np.ndarray:
     witness = _min_weight_symbols(spec.children[j])
     # v(x) = (x + 1)(x + alpha) ... (x + alpha^(deg-1)), lowest degree first;
     # all of its coefficients are nonzero because deg <= m - 1 < order(alpha) + 1
+    # 2-D gathers: faster than mul_arrays on deg + 1 coefficients and one row
     poly = np.ones(1, dtype=np.uint8)
     for root in ctx.exp_table[:deg]:
         poly = np.append(0, poly) ^ np.append(ctx.mul_table[root, poly], 0)
@@ -427,7 +426,7 @@ def brute_force_min_weight(spec: CodeSpec) -> int:
     best = n
     for start in range(1, total, chunk):  # data vector i has digit j = i // q**j % q; 0 is skipped
         digits = np.arange(start, min(start + chunk, total))[:, None] // powers % q
-        words = np.bitwise_xor.reduce(spec.ctx.mul_arrays(digits[:, :, None], gen), axis=1)
+        words = spec.ctx.dot(spec.ctx.offsets(digits[:, :, None]), gen, axis=1)
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 

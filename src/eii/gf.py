@@ -6,6 +6,12 @@ Addition is XOR; multiplication goes through discrete-log tables built
 from a fixed irreducible modulus for each w.  The modulus is chosen so
 that x itself is primitive, which makes alpha = 2 a generator in every
 supported field.
+
+Bulk products take two forms: gathers from the flattened multiplication
+table at (a << w) | b (`offsets`, `dot`, `mul_arrays`), and packed lanes
+of 64 // w symbols per uint64 word (`pack`, `lead`, `multiples`), after
+Plank, Greenan & Miller, "Screaming Fast Galois Field Arithmetic Using
+Intel SIMD Instructions" (FAST 2013).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ MODULI = {
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Immutable GF(2^w) arithmetic context.
+    """Immutable GF(2^w) arithmetic context; all four tables are built with it.
 
     Attributes
     ----------
@@ -44,11 +50,8 @@ class FieldContext:
         0 <= i <= q-1 (period q-1)
     log_table : read-only int64 array, log_table[a] = discrete log of a;
         log_table[0] = -1 sentinel
-    mul_table : read-only q x q uint8 array, mul_table[a, b] = a * b, for
-        numpy fancy indexing
+    mul_table : read-only q x q uint8 array, mul_table[a, b] = a * b
     inv_table : read-only uint8 array, inv_table[a] = 1 / a; inv_table[0] = 0
-
-    All four tables are built with the context.
     """
 
     w: int
@@ -105,17 +108,22 @@ class FieldContext:
 
     # -- vectorized products ------------------------------------------------
 
-    def mul_arrays(self, a, b) -> np.ndarray:
-        """Elementwise product of symbol arrays, broadcast like mul_table[a, b].
+    def offsets(self, a) -> np.ndarray:
+        """a as uint16 offsets a << w into the flat `mul_table`, where a * b
+        is (a << w) | b; intp ones would gather a 22 x 68 plan 0.5 us faster
+        but take four times the memory."""
+        return np.asarray(a, dtype=np.uint16) << self.w
 
-        One gather from the flattened table at a * q + b.  Its fixed cost is
-        higher than the 2-D fancy index's, so it is faster only above about
-        500 products; on large operands it costs about half as much per
-        element.  `matrix.ErasurePlan` uses the same gather with the shift
-        of its left operand done once per plan, which makes it faster than
-        the 2-D fancy index on every plan but the smallest leaf plans.
-        """
-        return self.mul_table.ravel().take((np.asarray(a, dtype=np.uint16) << self.w) | b)
+    def mul_arrays(self, a, b) -> np.ndarray:
+        """Elementwise product of symbol arrays, broadcast like mul_table[a, b]:
+        one flat gather, dearer than the 2-D fancy index below about 500
+        products, about half its cost per element on large operands."""
+        return self.mul_table.ravel().take(self.offsets(a) | b)
+
+    def dot(self, offsets, b, axis: int) -> np.ndarray:
+        """XOR-sum along `axis` of the products of b and the symbols whose
+        `offsets` are given, broadcast together."""
+        return np.bitwise_xor.reduce(self.mul_table.ravel().take(offsets | b), axis=axis)
 
     def pack(self, a) -> np.ndarray:
         """The last axis of a symbol array in uint64 words of 64 // w lanes.
@@ -131,6 +139,32 @@ class FieldContext:
         padded[..., :a.shape[-1]] = a
         shifts = np.arange(0, lanes * self.w, self.w, dtype=np.uint64)
         return np.bitwise_or.reduce(padded.reshape(a.shape[:-1] + (words, lanes)) << shifts, axis=-1)
+
+    def lead(self, x: np.ndarray):
+        """Word, bit offset and value of the lowest nonzero w-bit lane of each
+        column of x, (words, R) uint64 lanes of `pack` with no zero column.
+        The lowest set bit of the first nonzero word is v & -v, whose index
+        `np.frexp` reads exactly; its lane starts at the multiple of w below."""
+        word = (x != 0).argmax(axis=0)
+        v = x[word, np.arange(x.shape[1])]
+        bit = np.frexp(v & -v)[1] - 1
+        shift = (bit - bit % self.w).astype(np.uint64)
+        return word, shift, (v >> shift) & self.q - 1
+
+    def multiples(self, x: np.ndarray) -> np.ndarray:
+        """c x for every symbol c, (words, q, R), of the packed vectors x, (words, R).
+        x alpha^i is x alpha^(i-1) by a lane-wise xtime: each lane shifts up
+        one bit, and the modulus is XORed into the lanes whose top bit was
+        set.  Entries 2^i to 2^(i+1) - 1 are x alpha^i plus those below 2^i."""
+        w = self.w
+        top = sum(1 << b for b in range(w - 1, 64 // w * w, w))  # each lane's top bit
+        table = np.empty((len(x), self.q, x.shape[1]), dtype=np.uint64)
+        table[:, 0], table[:, 1] = 0, x
+        for i in range(1, w):
+            hi = x & top
+            x = (x ^ hi) << 1 ^ (hi >> w - 1) * (self.modulus ^ self.q)  # the modulus less x^w
+            np.bitwise_xor(table[:, :1 << i], x[:, None], out=table[:, 1 << i:2 << i])
+        return table
 
     def __repr__(self):
         return f"FieldContext(w={self.w})"

@@ -15,9 +15,9 @@ the same mask, and `pcheck.pc_decode` solves a fresh mask on the residual
 columns of the local split, or, when not every block sum is a check, with
 `solve_erasures`' core `_solve_symbols` on the word arrays it has checked.
 The one table of plans sits in `pcheck`.  A plan keeps its rows as flat
-offsets into the multiplication table, shifted once when it is built, so
-each fill is one gather (see `gf.mul_arrays`).  A matrix prints as CSV
-(`to_csv`) or as an alist (`to_alist`).
+offsets into the multiplication table (`FieldContext.offsets`), shifted
+once when it is built, so each fill is one `FieldContext.dot`.  A matrix
+prints as CSV (`to_csv`) or as an alist (`to_alist`).
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def kronecker(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     """Kronecker product: block (i, j) of the result is a[i, j] * b."""
     if a.ctx != b.ctx:
         raise ValueError("Kronecker product needs matrices over the same field")
-    mt = a.ctx.mul_table
-    out = mt[a.data[:, None, :, None], b.data[None, :, None, :]]
+    # a 2-D gather: no library code calls this, the tests' Kronecker oracle does
+    out = a.ctx.mul_table[a.data[:, None, :, None], b.data[None, :, None, :]]
     return MatrixGF(a.ctx, out.reshape(a.rows * b.rows, a.cols * b.cols))
 
 
@@ -181,6 +181,7 @@ def solve_erasures(h: MatrixGF, word: SymbolWord):
 
 def _solve_symbols(h: MatrixGF, syms: np.ndarray, mask: np.ndarray):
     """`solve_erasures` on a word's checked arrays; fills `syms` in place."""
+    # a 2-D gather: each mask's columns are read once, so no offsets are kept
     syndrome = np.bitwise_xor.reduce(h.ctx.mul_table[h.data[:, ~mask], syms[~mask]], axis=1)
     checks, solution = _solve(h.ctx, h.data[:, mask], syndrome[:, None])
     if np.count_nonzero(checks):
@@ -199,11 +200,8 @@ class ErasurePlan:
     symbols in position order.  C (the first `n_checks` rows) is stacked
     over X, so one product evaluates both; X is left out, and `solvable`
     is false, when the erased columns are dependent.  The stack is kept as
-    `offsets`, each coefficient c as the flat `mul_table` offset c << w,
-    shifted once when the plan is built: a fill ORs in the known symbols
-    and gathers every product in one `take`.  The offsets are uint16, as
-    in `gf.mul_arrays`: intp indices gather about 0.5 us faster on a
-    22 x 68 plan but take four times the memory in every cached plan.
+    its `FieldContext.offsets`, shifted once when the plan is built, so a
+    fill is one `FieldContext.dot` with the known symbols.
     """
 
     __slots__ = ("ctx", "erased", "known", "n_checks", "solvable", "offsets")
@@ -215,7 +213,7 @@ class ErasurePlan:
         self.n_checks = len(checks)
         self.solvable = solution is not None
         rows = np.vstack([checks, solution]) if self.solvable else checks
-        self.offsets = rows.astype(np.uint16) << h.ctx.w
+        self.offsets = h.ctx.offsets(rows)
 
     def fill(self, syms: np.ndarray) -> bool:
         """Fill the erased entries of the uint8 array `syms` in place.
@@ -224,8 +222,7 @@ class ErasurePlan:
         False, leaving `syms` as it was, when the erased columns are
         dependent.
         """
-        out = np.bitwise_xor.reduce(
-            self.ctx.mul_table.ravel().take(self.offsets | syms[self.known]), axis=1)
+        out = self.ctx.dot(self.offsets, syms[self.known], axis=1)
         if np.count_nonzero(out[:self.n_checks]):
             raise InconsistentWordError("known symbols are inconsistent with the parity checks")
         if self.solvable:

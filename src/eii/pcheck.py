@@ -168,7 +168,7 @@ class Split(NamedTuple):
     u0: int          # erasures of each free block that are free
     t: int           # free blocks: L has t u0 rows
     qt: np.ndarray   # Q^T, (N, r') with r' = rows - t u0
-    offsets: np.ndarray  # Q^T as flat mul_table offsets, each c as c << w
+    offsets: np.ndarray  # Q^T as FieldContext.offsets
     lanes: np.ndarray  # Q^T packed by FieldContext.pack, (N, words) uint64
 
 
@@ -207,8 +207,7 @@ def _local_split(pc: ParityCheck) -> Split:
     (`_block_sum_checks`).  The layer with the largest t is taken, the
     deepest one on ties unless a higher one has t = M.  Extending L to a
     basis [L; Q] leaves Q with r' = rows - t rows; Q^T is returned as an
-    (N, r') array, and beside it as flat `mul_table` offsets, each entry c
-    shifted once to c << w, which `_split_solve` gathers in one `take`,
+    (N, r') array, beside it as `FieldContext.offsets` for `FieldContext.dot`,
     and packed into uint64 lanes (`FieldContext.pack`) for `anetf`'s walk.
     Any t blocks have independent columns in L, so the first erasures of
     t distinct blocks are free.  A later erasure e of a block leaves the
@@ -221,7 +220,7 @@ def _local_split(pc: ParityCheck) -> Split:
     rows = h.cols // pc.layers[-1]
     if h.rows == rows * pc.u0 > 0:
         qt = np.zeros((h.cols, 0), dtype=np.uint8)
-        return Split(pc.layers[-1], pc.u0, rows, qt, qt.astype(np.uint16), ctx.pack(qt))
+        return Split(pc.layers[-1], pc.u0, rows, qt, ctx.offsets(qt), ctx.pack(qt))
     t, full, n = 0, False, h.cols  # no block sum is a check
     for width in reversed(pc.layers):
         checks = _block_sum_checks(h, width)
@@ -231,7 +230,7 @@ def _local_split(pc: ParityCheck) -> Split:
     both = np.vstack([np.repeat(g.data, n, axis=1), h.data])
     kept = [r for r, _ in mx._eliminate(both.copy(), ctx) if r >= t]
     qt = np.ascontiguousarray(both[kept].T)
-    return Split(n, 1, t, qt, qt.astype(np.uint16) << ctx.w, ctx.pack(qt))
+    return Split(n, 1, t, qt, ctx.offsets(qt), ctx.pack(qt))
 
 
 def density(pc: ParityCheck) -> float:
@@ -300,8 +299,7 @@ def _split_solve(ctx, split: Split, syms: np.ndarray, mask: np.ndarray):
     late = mask.copy()
     late[heads] = False
     erased = np.flatnonzero(late)
-    products = ctx.mul_table.ravel().take(split.offsets | syms[:, None])
-    syndrome = np.bitwise_xor.reduce(products, axis=0)
+    syndrome = ctx.dot(split.offsets, syms[:, None], axis=0)
     checks, solution = mx._solve(ctx, (qt[erased] ^ qt[first[erased // n]]).T, syndrome[:, None])
     # a block without erasures must sum to 0
     if np.count_nonzero(sums[~struck]) or np.count_nonzero(checks):

@@ -10,6 +10,7 @@ from eii.codespec import LeafSpec, NodeSpec, ValidationError, length, min_distan
 from eii.gf import field
 from test_acceptance import TABLE_1
 from test_codec import invalid_specs, ordered_chains, recursive_correctable
+from test_gf import unpack
 from test_golden import STRIPE_SHAPES
 from test_matrix import rank
 
@@ -254,40 +255,6 @@ def test_table1_splits():
         assert u0 == (22 if cap == "(22)" else 1) and qt.shape[0] == 84
         assert offsets.dtype == np.uint16 and np.array_equal(offsets, qt.astype(np.uint16) << w)
         assert lanes.dtype == np.uint64 and np.array_equal(unpack(field(w), lanes, qt.shape[1]), qt)
-
-
-def unpack(ctx, lanes, count):
-    """The first `count` symbols of the `FieldContext.pack` words along the
-    last axis of `lanes` (the inverse of the packing)."""
-    shifts = np.arange(0, 64 // ctx.w * ctx.w, ctx.w, dtype=np.uint64)
-    symbols = (lanes[..., None] >> shifts) & np.uint64(ctx.q - 1)
-    return symbols.reshape(lanes.shape[:-1] + (-1,))[..., :count].astype(np.uint8)
-
-
-@pytest.mark.parametrize("w", range(2, 9))
-def test_multiples_of_packed_vectors_match_the_mul_table(w):
-    # three words, the last one partly filled, so every lane edge is crossed
-    ctx = field(w)
-    size = 2 * (64 // w) + 1
-    v = np.random.default_rng(w).integers(0, ctx.q, (5, size)).astype(np.uint8)
-    v[0] = ctx.q - 1  # every lane's top bit set
-    x = ctx.pack(v).T  # (words, vectors)
-    assert x.shape == (3, 5) and np.array_equal(unpack(ctx, x.T, size), v)
-    table = anetf._multiples(ctx, x)
-    assert table.shape == (3, ctx.q, 5)
-    for c in range(ctx.q):
-        assert np.array_equal(unpack(ctx, table[:, c].T, size), ctx.mul_table[c][v]), c
-
-
-@pytest.mark.parametrize("w", [2, 4, 8])
-def test_lead_lane_of_the_top_bit_of_the_last_word(w):
-    # 64 % w == 0, so bit 63 is the top bit of the last lane, and v & -v is 2^63
-    x = np.array([[0, 1, 0], [1 << 63, 1 << 63, 3 << 62]], dtype=np.uint64)  # (words, residuals)
-    assert (x[1] & -x[1])[0] == 1 << 63
-    word, shift, lead = anetf._lead(x, w)
-    assert word.tolist() == [1, 0, 1]
-    assert shift.tolist() == [64 - w, 0, 64 - w]
-    assert lead.tolist() == [1 << w - 1, 1, (3 << w - 2) & (1 << w) - 1]
 
 
 @pytest.mark.parametrize("cap, w, rest", [(cap, 8, 10) for cap in STRIPE_SHAPES]
