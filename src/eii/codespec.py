@@ -116,21 +116,38 @@ def block_count(spec: NodeSpec) -> int:
     return sum(spec.s)
 
 
-@lru_cache(maxsize=None)
+def spec_lru_cache(fn):
+    """An unbounded `lru_cache` of `fn`, a function of one spec, behind the
+    type test `validate` starts with: the memo hashes its key, where an
+    unhashable non-spec would raise TypeError, and `fn` would read a
+    hashable one's missing fields."""
+    memo = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def entry(spec):
+        if not isinstance(spec, (LeafSpec, NodeSpec)):
+            validate(spec)  # raises ValidationError
+        return memo(spec)
+
+    entry.cache_info, entry.cache_clear = memo.cache_info, memo.cache_clear
+    return entry
+
+
+@spec_lru_cache
 def length(spec: CodeSpec) -> int:
     if isinstance(spec, LeafSpec):
         return spec.n
     return block_count(spec) * length(spec.children[0])
 
 
-@lru_cache(maxsize=None)
+@spec_lru_cache
 def dimension(spec: CodeSpec) -> int:
     if isinstance(spec, LeafSpec):
         return spec.n - spec.u
     return sum(si * dimension(ch) for si, ch in zip(spec.s, spec.children))
 
 
-@lru_cache(maxsize=None)
+@spec_lru_cache
 def min_distance(spec: CodeSpec) -> int:
     """Minimum Hamming distance; a zero-dimensional code has none.
 
@@ -163,6 +180,8 @@ def _weakest_term(spec: NodeSpec) -> tuple:
 
 
 def layer_count(spec: CodeSpec) -> int:
+    if not isinstance(spec, (LeafSpec, NodeSpec)):
+        validate(spec)  # raises ValidationError
     layers = 1
     while isinstance(spec, NodeSpec) and spec.children:  # a loop: validate counts before it hashes
         spec, layers = spec.children[0], layers + 1
@@ -227,23 +246,6 @@ def validate(spec: CodeSpec) -> None:
         _validate(spec)
     except RecursionError:  # a later child nested past the cap
         raise ValidationError("spec nests too deeply") from None
-
-
-def spec_lru_cache(fn):
-    """An unbounded `lru_cache` of `fn`, a function of one spec that
-    validates it on a miss, behind the type test `validate` starts with:
-    the memo hashes its key, where an unhashable non-spec would raise
-    TypeError."""
-    memo = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def entry(spec):
-        if not isinstance(spec, (LeafSpec, NodeSpec)):
-            validate(spec)  # raises ValidationError
-        return memo(spec)
-
-    entry.cache_info, entry.cache_clear = memo.cache_info, memo.cache_clear
-    return entry
 
 
 @lru_cache(maxsize=None)
@@ -327,9 +329,16 @@ def capability(spec: CodeSpec) -> tuple:
 
 
 def capability_to_string(tree) -> str:
+    try:
+        return _tree_string(tree)
+    except (RecursionError, TypeError):  # a non-iterable, or a string, which nests itself
+        raise ValidationError(f"not a capability tree: {type(tree).__name__}") from None
+
+
+def _tree_string(tree) -> str:
     if isinstance(tree, int):
         return str(tree)
-    return "(" + ",".join(capability_to_string(e) for e in tree) + ")"
+    return "(" + ",".join(_tree_string(e) for e in tree) + ")"
 
 
 def parse_capability(text: str):
@@ -478,4 +487,6 @@ def spec_from_json(text: str) -> CodeSpec:
         validate(spec)
     except RecursionError:
         raise ValidationError("spec JSON nests too deeply") from None
+    except (TypeError, json.JSONDecodeError) as exc:  # not a str, or not JSON
+        raise ValidationError(f"cannot parse spec JSON: {exc}") from None
     return spec

@@ -366,6 +366,19 @@ def test_validate_checks_each_spec_once():
     assert after.misses == before.misses and after.hits > before.hits
 
 
+@pytest.mark.parametrize("value", ["abc", None, [1], {}])
+@pytest.mark.parametrize("entry", [length, dimension, min_distance, layer_count,
+                                   capability_to_string, spec_from_json])
+def test_spec_entries_reject_a_value_that_is_not_a_spec(entry, value):
+    # a list or dict of ints iterates as a tuple of them does, so
+    # capability_to_string prints it as that tree
+    if entry is capability_to_string and isinstance(value, (list, dict)):
+        assert entry(value) == entry(tuple(value))
+        return
+    with pytest.raises(ValidationError):
+        entry(value)
+
+
 def test_deep_trees_and_json_raise_validation_errors():
     tree = 0
     for _ in range(3000):
