@@ -3,26 +3,31 @@
 Symbols are erased one at a time in a uniformly random order; a trial's
 failure count is the number of erasures present the first time the chosen
 decoding oracle rejects the pattern.  Two oracles are supported: the
-guaranteed-capability predicate of `codec` and parity-check decoding
-(erased columns of the reduced matrix stay linearly independent).  Both
-oracles walk a whole batch of trials at once; a single permutation is a
-batch of one.  Every entry checks its spec and mode in `AnetfConfig` first.
-The capability walk is `codec`'s one rule, `_rejection_times`, run on each
-trial's erasure times: the count is the time at which the code first rejects.
-The pcheck walk is local to the layer whose block sums give the most
-checks (`pcheck._local_split`): with t of them, the first erasures of t
-distinct blocks are always independent, and each further erasure adds one
-residual column in the r' = rows - t dimensions that are left.  A later
-erasure of a block gives the difference of two columns, and the first
-erasure of a block beyond the t free ones the combination of t + 1 columns
-by the dual weights of the Vandermonde checks; an MDS leaf, whose rows are
-all leaf-local, leaves r' = 0.  One batched forward elimination over each
-trial's first r' + 1 residuals, one residual per step, finds the first
-dependent one.  The residuals are packed into uint64 lanes, so a step
-clears its lead lane from every later residual of every trial with one
-gather from the step residual's `FieldContext.multiples` and one XOR per
-word.  Batches are capped so their working arrays stay within a fixed
-memory budget.
+guaranteed-capability predicate of `codec` and parity-check decoding (erased
+columns of the reduced matrix stay linearly independent).  Both oracles walk
+a whole batch of trials at once; a single permutation is a batch of one.
+Every entry checks its spec and mode in `AnetfConfig` first.  Each oracle's
+count is a walk over a stage: arrays per trial that depend only on the
+erasure orders and a few numbers of the code, its stage key.  The capability
+stage (`_leaf_times`) is each trial's erasure times grouped by leaf row and
+sorted within each row, keyed by the row length; its walk is the body of
+`codec`'s one rule, `_sorted_rejection_times`, and the count is the time at
+which the code first rejects.  The pcheck stage (`_residuals`) is the
+erasure times of each trial's residuals, keyed by the split's block length,
+u0 and t and how many erasures and residuals are read.  The pcheck walk is
+local to the layer whose block sums give the most checks
+(`pcheck._local_split`): with t of them, the first erasures of t distinct
+blocks are always independent, and each further erasure adds one residual
+column in the r' = rows - t dimensions that are left.  A later erasure of a
+block gives the difference of two columns, and the first erasure of a block
+beyond the t free ones the combination of t + 1 columns by the dual weights
+of the Vandermonde checks; an MDS leaf, whose rows are all leaf-local,
+leaves r' = 0.  One batched forward elimination over each trial's first
+r' + 1 residuals, one residual per step, finds the first dependent one.  The
+residuals are packed into uint64 lanes, so a step clears its lead lane from
+every later residual of every trial with one gather from the step residual's
+`FieldContext.multiples` and one XOR per word.  Batches are capped so their
+working arrays stay within a fixed memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -30,8 +35,12 @@ no matter how trials are batched.  A chunk of trials builds one Philox and
 resets it before trial i to key (seed, i) and counter 0, as a new one would
 start.  The orders depend only on (seed, trials, n), so `simulate` keeps
 those of its latest key, in the narrowest unsigned dtype, and every mode
-and code of that length reuses them; orders that would take more than
-_PERMS_BYTES are drawn afresh per batch instead.
+and code of that length reuses them.  Beside them it keeps each stage it
+derives from them, once per stage key over every kept order, so codes
+that share a key share the stage.  The orders and stages together stay
+within _PERMS_BYTES: orders that would pass it are drawn afresh per batch,
+and a stage that would pass it is derived per batch, by the same function.
+A stage holds per-trial rows, so neither changes a report.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import codec, pcheck
-from .codespec import CodeSpec, LeafSpec, block_count, dimension, length, validate
+from .codespec import CodeSpec, LeafSpec, block_count, dimension, length, row_length, validate
 
 CAPABILITY = "capability"
 PCHECK = "pcheck"
@@ -95,15 +104,64 @@ def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _kept_permutations(seed: int, trials: int, n: int) -> np.ndarray:
-    """Read-only (trials, n) orders of `_trial_permutations`, narrowest dtype.
+class _KeptOrders:
+    """The erasure orders `simulate` keeps between calls, and the stages of
+    the walks derived from them.
 
-    Filled in chunks, so the int64 temporaries stay within _BATCH_BYTES.
-    The orders are drawn as int64 and stored narrow because shuffling
-    narrow rows is slower: 4.3 ms against 3.6 ms per 1,000 orders of 84 as
-    uint8 (thread CPU, median of 40 interleaved draws).  The orders of the
-    previous key are dropped before the new ones are drawn.
+    `perms` holds the (trials, n) orders of one (seed, trials, n),
+    read-only and in the narrowest unsigned dtype.  `stages` maps each
+    (stage function, arguments) pair that `stage` was asked for to its
+    arrays over every kept order, or to None when they did not fit.  A
+    stage is a tuple of arrays with one row per order.
+    """
+
+    def __init__(self, perms: np.ndarray):
+        self.perms = perms
+        self.stages = {}
+
+    def stage(self, derive, args: tuple, step: int):
+        """derive(orders, *args) over every kept order, computed on the first
+        request in chunks of `step` orders and kept from then on.
+
+        Each array is stored read-only in the narrowest unsigned dtype that
+        holds an erasure time, and the walks read it by slice.  A stage that
+        would take the orders and their stages past _PERMS_BYTES is not
+        kept: the answer is None, then and on every later request, and
+        `simulate` derives it per batch with the same function.
+        """
+        key = (derive, args)
+        if key not in self.stages:
+            self.stages[key] = self._fill(derive, args, step)
+        return self.stages[key]
+
+    def _fill(self, derive, args: tuple, step: int):
+        trials, n = self.perms.shape
+        dtype = np.min_scalar_type(n)
+        held = self.perms.nbytes + sum(a.nbytes for st in self.stages.values() if st for a in st)
+        out = None
+        for start in range(0, trials, step):
+            part = derive(self.perms[start:start + step], *args)
+            if out is None:
+                if held + trials * dtype.itemsize * sum(a.shape[1] for a in part) > _PERMS_BYTES:
+                    return None
+                out = tuple(np.empty((trials, a.shape[1]), dtype) for a in part)
+            for whole, a in zip(out, part):
+                whole[start:start + len(a)] = a
+        for whole in out:
+            whole.flags.writeable = False
+        return out
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_permutations(seed: int, trials: int, n: int) -> _KeptOrders:
+    """The kept record of the (trials, n) orders of `_trial_permutations`.
+
+    The orders are filled in chunks, so the int64 temporaries stay within
+    _BATCH_BYTES.  They are drawn as int64 and stored narrow because
+    shuffling narrow rows is slower: 4.3 ms against 3.6 ms per 1,000 orders
+    of 84 as uint8 (thread CPU, median of 40 interleaved draws).  The record
+    of the previous key, its stages included, is dropped before the new
+    orders are drawn.
     """
     _kept_permutations.cache_clear()  # runs only on a miss
     out = np.empty((trials, n), dtype=np.min_scalar_type(n - 1))
@@ -111,21 +169,44 @@ def _kept_permutations(seed: int, trials: int, n: int) -> np.ndarray:
     for start in range(0, trials, step):
         out[start:start + step] = _trial_permutations(seed, start, min(step, trials - start), n)
     out.flags.writeable = False
-    return out
+    return _KeptOrders(out)
+
+
+def _leaf_times(perms: np.ndarray, n: int) -> tuple:
+    """The capability walk's stage: (when,), each order's erasure times
+    (from 1) grouped by leaf row of length n and ascending within each row,
+    in the narrowest unsigned dtype.
+
+    These are the times of `codec._rejection_times`, when[b, perms[b, i]] =
+    i + 1, with every leaf row sorted.  A stable argsort of the row that
+    each erasure hits lists each row's erasures in time order, rows in
+    order; the row index is narrow, so numpy radix-sorts it.
+    """
+    size = perms.shape[1]
+    rows = (perms // n).astype(np.min_scalar_type(size // n - 1), copy=False)
+    when = np.argsort(rows, axis=1, kind="stable")
+    when += 1
+    return (when.astype(np.min_scalar_type(size)),)
+
+
+def _capability_walk(spec: CodeSpec, perms: np.ndarray, stage: tuple) -> np.ndarray:
+    """Failure count per order under `codec`'s capability predicate, from
+    the stage of `_leaf_times`.
+
+    The count is the time at which the code first rejects under `codec`'s
+    rule, capped at n.  The walk runs on int32 times: a batch's arrays take
+    half the memory of int64 ones, and numpy sorts uint8 ones more slowly
+    (0.77 against 0.22 ms for the (1000, 12, 3) block times of a flat Table
+    1 row, thread CPU, median of 40).
+    """
+    (when,) = stage
+    return codec._sorted_rejection_times((spec,), when.astype(np.int32), perms.shape[1])[0][:, 0]
 
 
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
-    """Failure count per permutation under `codec`'s capability predicate.
-
-    The count is the time at which the code first rejects under `codec`'s
-    rule, with when[b, perms[b, i]] = i + 1, capped at n.  The times are
-    int32: a batch's arrays take half the memory of int64 ones, and numpy
-    sorts narrower integers more slowly.
-    """
-    n = perms.shape[1]
-    when = np.empty(perms.shape, dtype=np.int32)
-    np.put_along_axis(when, perms, np.arange(1, n + 1, dtype=np.int32), axis=1)
-    return codec._rejection_times((spec,), when, n)[0][:, 0]
+    """Failure count per order under `codec`'s capability predicate: the
+    walk `_capability_walk` over the stage `_leaf_times`."""
+    return _capability_walk(spec, perms, _leaf_times(perms, row_length(spec)))
 
 
 def _dual_weights(ctx, blocks: np.ndarray, m: int) -> np.ndarray:
@@ -147,11 +228,21 @@ def _dual_weights(ctx, blocks: np.ndarray, m: int) -> np.ndarray:
     return exp[-np.take_along_axis(logs @ member, blocks, axis=0) % (ctx.q - 1)]
 
 
-def _residuals(perms: np.ndarray, split, first: int, count: int):
-    """Erasure times (from 0) of each trial's first `count` residuals in
-    the split `split` of `pcheck._local_split`, the time of the erasure
-    each is taken against, and the first-erasure times of each trial's
-    free blocks.
+def _pcheck_key(spec: CodeSpec) -> tuple:
+    """The arguments of the pcheck walk's stage `_residuals` after the
+    orders: the (n, u0, t) of the split of `pcheck._local_split`, the
+    erasures read, rank + 1, and the residuals kept, r' + 1."""
+    pc = pcheck.build_parity_check(spec)
+    split = pcheck._local_split(pc)
+    return split.n, split.u0, split.t, pc.rank + 1, split.qt.shape[1] + 1
+
+
+def _residuals(perms: np.ndarray, n: int, u0: int, t: int, first: int, count: int) -> tuple:
+    """The pcheck walk's stage: (times, before, free), the erasure times
+    (from 0) of each trial's first `count` residuals in a split with blocks
+    of length n, u0 free erasures per free block and t free blocks, the
+    time of the erasure each is taken against, and the first-erasure times
+    of each trial's free blocks.
 
     Only the first `first` erasures are read, and they must hold `count`
     residuals.  Sorted by (block, time), an erasure is late when the one u0
@@ -161,16 +252,15 @@ def _residuals(perms: np.ndarray, split, first: int, count: int):
     first.  When t is below the block count, the first erasures of the t
     earliest blocks are free, the t smallest of these times per trial, and
     a later block's first erasure is a residual too, taken against `first`
-    to mark it.  The free times are None when every block is free.
+    to mark it.  The free times are empty when every block is free.
     """
-    n, u0, t = split.n, split.u0, split.t
     bits = first.bit_length()
-    key = np.sort(perms[:, :first] // n << bits | np.arange(first))
+    key = np.sort((perms[:, :first] // n).astype(np.int64, copy=False) << bits | np.arange(first))
     block, when = key >> bits, key & (1 << bits) - 1
     late = np.full(key.shape, first << bits)
     late[:, u0:] = np.where(block[:, u0:] == block[:, :first - u0],
                             when[:, u0:] << bits | when[:, u0 - 1:first - 1], late[:, u0:])
-    free = None
+    free = when[:, :0]
     if t * n < perms.shape[1]:  # then u0 = 1
         heads = np.where(late == first << bits, when, first)
         free = np.partition(heads, t - 1, axis=1)[:, :t] if t else heads[:, :0]
@@ -180,8 +270,9 @@ def _residuals(perms: np.ndarray, split, first: int, count: int):
     return late >> bits, late & (1 << bits) - 1, free
 
 
-def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
-    """Failure count per permutation under parity-check decoding.
+def _pcheck_walk(spec: CodeSpec, perms: np.ndarray, stage: tuple) -> np.ndarray:
+    """Failure count per permutation under parity-check decoding, from the
+    stage of `_residuals`.
 
     The count is the first k at which the erased columns h[:, perm[:k]] of
     the reduced matrix are linearly dependent; any rows + 1 columns are, so
@@ -219,18 +310,18 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     split = pcheck._local_split(pc)
     ctx = spec.ctx
     trials, rest, first = perms.shape[0], split.qt.shape[1], pc.rank + 1
-    times, before, free = _residuals(perms, split, first, rest + 1)
+    times, before, free = stage
     r = split.lanes.take(np.take_along_axis(perms, times, axis=1).T, axis=0)  # (r' + 1, trials, words)
     if rest:
         r ^= split.lanes.take(np.take_along_axis(perms, np.minimum(before, first - 1), axis=1).T, axis=0)
-        if free is not None:
+        if split.t * split.n < perms.shape[1]:  # some first erasures are residuals
             trial, slot = np.nonzero(before == first)
             group = np.vstack([np.take_along_axis(perms, free, axis=1)[trial].T,
                                perms[trial, times[trial, slot]]])  # (t + 1, residuals)
             weights = _dual_weights(ctx, group // split.n, perms.shape[1] // split.n)
             r[slot, trial] = ctx.pack(ctx.dot(split.offsets.take(group, axis=0), weights[:, :, None], axis=0))
     r = np.ascontiguousarray(r.transpose(0, 2, 1))  # (r' + 1, words, trials)
-    times += 1
+    times = times + 1  # a kept stage is read-only
     counts = times[:, rest].astype(np.int64)
     ids = np.arange(trials)
     for s in range(rest):
@@ -249,36 +340,43 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
+    """Failure count per permutation under parity-check decoding: the walk
+    `_pcheck_walk` over the stage `_residuals`."""
+    return _pcheck_walk(spec, perms, _residuals(perms, *_pcheck_key(spec)))
+
+
 _COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
 
 _BATCH_BYTES = 16 << 20  # cap on the working arrays of one simulate batch
-_PERMS_BYTES = 32 << 20  # cap on the erasure orders simulate keeps between calls
+_PERMS_BYTES = 80 << 20  # cap on the erasure orders simulate keeps between calls, with their stages
 
 
 def _batch_trials(spec: CodeSpec, mode: str) -> int:
     """Trials per batch that keep its largest arrays within _BATCH_BYTES.
 
     Per trial these are the int64 permutation, plus either the capability
-    walk's arrays or the pcheck walk's.  The capability walk holds the int32
-    erasure times, which it sorts in place, and at each tree level the
-    int32 rejection times it returns (blocks x members), which the list of
-    levels keeps alive to the end; at a node also the sorted copy of the
-    times below (blocks x children) and the order statistics it gathers
-    from it (blocks x members x children).  Counting every level at once
-    bounds what is live.  The pcheck walk's sorts of its first rows + 1
-    erasures hold at most ten int64 keys and temporaries per erasure.  Its
-    elimination holds the r' + 1 packed residuals, words x 8 bytes each
-    with words = ceil(r' / (64 // w)), and either the second gather they
-    are summed with or the copy each step makes of them; at each step, the
-    table of the q multiples of the step's residual, the r' multiples
-    gathered from it, and 32 bytes of coefficient and index temporaries
-    per later residual.
+    stage and walk's arrays or the pcheck ones.  The capability stage holds
+    10 bytes per position: its int64 argsort, the narrow row index it sorts
+    and the narrow times it returns.  The walk holds an int32 copy of those
+    times, and at each tree level the int32 rejection times it returns
+    (blocks x members), which the list of levels keeps alive to the end; at
+    a node also the sorted copy of the times below (blocks x children) and
+    the order statistics it gathers from it (blocks x members x children).
+    Counting every level at once bounds what is live.  The pcheck stage's
+    sorts of its first rows + 1 erasures hold at most ten int64 keys and
+    temporaries per erasure.  The walk's elimination holds the r' + 1
+    packed residuals, words x 8 bytes each with words = ceil(r' / (64 //
+    w)), and either the second gather they are summed with or the copy each
+    step makes of them; at each step, the table of the q multiples of the
+    step's residual, the r' multiples gathered from it, and 32 bytes of
+    coefficient and index temporaries per later residual.
     Each first erasure of a block beyond the t free ones, at most one per
     such block and r' + 1 in all, gathers (t + 1) x r' entries of Q for its
     dual weights, with 6 bytes of gather and product temporaries per entry,
     and packs the sum in two uint64 temporaries of 64 // w lanes per word.
-    The orders `simulate` keeps between calls sit outside this budget,
-    under _PERMS_BYTES, and so do the forms of Q^T that
+    The orders `simulate` keeps between calls and their stages sit outside
+    this budget, under _PERMS_BYTES, and so do the forms of Q^T that
     `pcheck._local_split` caches per parity check, N x (3 r' + 8 words)
     bytes.
     """
@@ -289,7 +387,7 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
             m, t = block_count(chain[0]), len(chain[0].children)
             words += blocks * (len(chain) * (t + 1) + m * t)
             blocks, chain = blocks * m, chain[0].children
-        extra = 4 * (words + blocks * len(chain))
+        extra = 10 * n + 4 * (words + blocks * len(chain))
     else:
         pc = pcheck.build_parity_check(spec)
         split = pcheck._local_split(pc)
@@ -327,14 +425,20 @@ def simulate(config: AnetfConfig) -> AnetfReport:
     if dimension(spec) == 0:
         all_counts.append(np.ones(config.trials, dtype=np.int64))
     else:
+        if config.mode == CAPABILITY:
+            derive, args, walk = _leaf_times, (row_length(spec),), _capability_walk
+        else:
+            derive, args, walk = _residuals, _pcheck_key(spec), _pcheck_walk
         batch = _batch_trials(spec, config.mode)
         fits = config.trials * n * np.min_scalar_type(n - 1).itemsize <= _PERMS_BYTES
         kept = _kept_permutations(config.seed, config.trials, n) if fits else None
+        whole = None if kept is None else kept.stage(derive, args, batch)
         for start in range(0, config.trials, batch):
-            count = min(batch, config.trials - start)
-            perms = (_trial_permutations(config.seed, start, count, n) if kept is None
-                     else kept[start:start + count].astype(np.int64))
-            all_counts.append(_COUNTS[config.mode](spec, perms))
+            stop = min(start + batch, config.trials)
+            perms = (_trial_permutations(config.seed, start, stop - start, n) if kept is None
+                     else kept.perms[start:stop])
+            stage = derive(perms, *args) if whole is None else tuple(a[start:stop] for a in whole)
+            all_counts.append(walk(spec, perms, stage))
     counts = np.concatenate(all_counts)
     mean = float(counts.mean())
     std_error = float(counts.std(ddof=1) / np.sqrt(len(counts))) if len(counts) > 1 else 0.0

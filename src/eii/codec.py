@@ -18,19 +18,23 @@ row that has one erasure from its own sum, since the leaf's first check
 is the all-ones row; such a row sits at level 0 and changes no level or
 report, so `_repair` finds it known.
 
-Guaranteed correctability is one rule, `_rejection_times`, the
-package's only one.  It takes the time at which each position is erased.
-It returns the first prefix that each code of a nested chain rejects, and
-the same for every block below.  A code's time is an order statistic of
-its blocks' times, so the rule is one sort per tree level.  A mask is the
-order that erases its positions at time 0 and the rest never.
+Guaranteed correctability is one rule, the package's only one, with two
+entries.  `_rejection_times` takes the time at which each position is
+erased and sorts each leaf row of those times in place;
+`_sorted_rejection_times`, the rule's one body, takes times whose leaf rows
+are already sorted.  It returns the first prefix that each code of a
+nested chain rejects, and the same for every block below.  A code's time
+is an order statistic of its blocks' times, so the rule is one sort per
+tree level above the leaves.  A mask is the order that erases its
+positions at time 0 and the rest never.
 `correctable` reads the top code's time.  `_chain_levels` turns a mask's
 times into levels: each block's weakest child that can repair it.
 `decode` takes them once per mask, for its verdict and for every node's
 block levels, and keeps the report in the bounded memo `_outcome`, with
 the levels until the mask's first decode takes them.  So a repeated mask
 costs one plan fill and no capability rule.  `anetf` reads the top time
-along whole erasure orders.  Every entry point validates its spec first;
+along whole erasure orders from the body, on leaf-sorted times it keeps
+beside the orders.  Every entry point validates its spec first;
 `decode`, `encode` and `is_codeword` do so through `build_parity_check`,
 whose memo makes a replay pay nothing.
 
@@ -65,6 +69,7 @@ from .codespec import (
     dimension,
     _weakest_term,
     length,
+    row_length,
     spec_lru_cache,
     tail_counts,
     validate,
@@ -120,14 +125,25 @@ def _rejection_times(chain: tuple, when: np.ndarray, never) -> list:
     block below it: the package's one capability rule.
 
     `chain` is a strictly nested tuple of siblings sharing their children;
-    `when` is (..., N), the time at which each position is erased, and is
-    sorted in place.  Entry 0, (..., C), holds each member's time; entry
-    d, (..., m_1, ..., m_d, C_d), the times of every depth-d block against
-    the chain of C_d children the members share at that depth.  A leaf
-    rejects at its (u + 1)-th erasure.  A block reaches level i when child
-    i - 1 rejects it, so a node rejects at the least, over i, of the
-    (tail_i + 1)-th smallest time of child i - 1 over its blocks.  A term
-    that never trips gives `never`.
+    `when` is (..., N), the time at which each position is erased.  Each
+    leaf row of `when` is sorted in place, and `_sorted_rejection_times`
+    reads the rule off the sorted rows.
+    """
+    when.reshape(when.shape[:-1] + (-1, row_length(chain[0]))).sort(axis=-1)
+    return _sorted_rejection_times(chain, when, never)
+
+
+def _sorted_rejection_times(chain: tuple, when: np.ndarray, never) -> list:
+    """`_rejection_times` on erasure times whose leaf rows are each sorted.
+
+    Entry 0, (..., C), holds each member's time; entry d, (..., m_1, ...,
+    m_d, C_d), the times of every depth-d block against the chain of C_d
+    children the members share at that depth.  A leaf rejects at its
+    (u + 1)-th erasure, the (u + 1)-th time of its sorted row.  A block
+    reaches level i when child i - 1 rejects it, so a node rejects at the
+    least, over i, of the (tail_i + 1)-th smallest time of child i - 1 over
+    its blocks.  A term that never trips gives `never`.  `when` is only
+    read.
     """
     head = chain[0]
     index, axis, past = _chain_tails(chain)
@@ -135,10 +151,10 @@ def _rejection_times(chain: tuple, when: np.ndarray, never) -> list:
     # up runs over contiguous block times; a C-ordered `take` doubled the
     # walk's time on 1,000-trial batches
     if isinstance(head, LeafSpec):
-        when.sort(axis=-1)
         below, at = [], when[..., index]
     else:
-        below = _rejection_times(head.children, when.reshape(when.shape[:-1] + (block_count(head), -1)), never)
+        shape = when.shape[:-1] + (block_count(head), -1)
+        below = _sorted_rejection_times(head.children, when.reshape(shape), never)
         at = np.sort(below[0], axis=-2)[..., index, axis]  # a copy: below keeps its block order
     if past is not None:
         at[..., past] = never

@@ -329,15 +329,19 @@ def capability(spec: CodeSpec) -> tuple:
 
 
 def capability_to_string(tree) -> str:
+    """The text of a tree of ints, tuples and lists; ValidationError for
+    any other node, bools, numpy integers and dicts included."""
     try:
         return _tree_string(tree)
-    except (RecursionError, TypeError):  # a non-iterable, or a string, which nests itself
-        raise ValidationError(f"not a capability tree: {type(tree).__name__}") from None
+    except RecursionError:
+        raise ValidationError("capability tree nests too deeply") from None
 
 
 def _tree_string(tree) -> str:
-    if isinstance(tree, int):
+    if type(tree) is int:
         return str(tree)
+    if type(tree) is not tuple and type(tree) is not list:
+        raise ValidationError(f"not a capability tree node: {type(tree).__name__}")
     return "(" + ",".join(_tree_string(e) for e in tree) + ")"
 
 
@@ -482,7 +486,11 @@ def _code_from_dict(ctx: FieldContext, d) -> CodeSpec:
 def spec_from_json(text: str) -> CodeSpec:
     try:
         doc = json.loads(text)
-        ctx = field(_entry(_entry(doc, "field", dict), "w", int))
+        w = _entry(_entry(doc, "field", dict), "w", int)
+        try:
+            ctx = field(w)
+        except ValueError as exc:  # w outside the supported degrees
+            raise ValidationError(f"spec JSON: {exc}") from None
         spec = _code_from_dict(ctx, _entry(doc, "code", dict))
         validate(spec)
     except RecursionError:

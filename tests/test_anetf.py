@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -257,6 +258,40 @@ def test_table1_splits():
         assert lanes.dtype == np.uint64 and np.array_equal(unpack(field(w), lanes, qt.shape[1]), qt)
 
 
+def block_sum_is_check(pc, start, size):
+    """Whether the sum of positions start .. start + size - 1 lies in the
+    row space of the reduced matrix, tested alone."""
+    h = pc.reduced
+    row = np.zeros((1, h.cols), dtype=np.uint8)
+    row[0, start:start + size] = 1
+    return rank(mx.MatrixGF(h.ctx, np.vstack([h.data, row]))) == h.rows
+
+
+@pytest.mark.parametrize("cap, w, n", [(cap, w, n) for cap, w, n, _, _ in TABLE_1])
+def test_no_partition_into_checked_tree_blocks_beats_the_split(cap, w, n):
+    # a tree block is a block of some layer; a partition of the positions
+    # into tree blocks whose sums are each a check gives that many free
+    # blocks, and none gives more than the split's t
+    pc = pcheck.build_parity_check(spec_from_capability(field(w), cap, n))
+    layers = pc.layers
+
+    def most_blocks(depth, start):  # -1: no such partition of this block
+        size = layers[depth]
+        whole = 1 if block_sum_is_check(pc, start, size) else -1
+        if depth + 1 == len(layers):
+            return whole
+        parts = [most_blocks(depth + 1, at) for at in range(start, start + size, layers[depth + 1])]
+        return max(whole, -1 if min(parts) < 0 else sum(parts))
+
+    t = pcheck._local_split(pc).t
+    assert most_blocks(0, 0) <= t, cap
+    if cap == TABLE_1[11][0]:
+        # row 12: no row sum is a check alone, and each of its four
+        # 21-symbol sub-block sums is, so t = 4 (r' = 18)
+        assert not any(block_sum_is_check(pc, at, 7) for at in range(0, 84, 7))
+        assert all(block_sum_is_check(pc, at, 21) for at in range(0, 84, 21)) and t == 4
+
+
 @pytest.mark.parametrize("cap, w, rest", [(cap, 8, 10) for cap in STRIPE_SHAPES]
                          + [(TABLE_1[10][0], 8, 12)])
 def test_pcheck_counts_match_elimination_oracle_on_two_words(cap, w, rest):
@@ -448,7 +483,7 @@ def test_simulate_keeps_one_set_of_orders(philox_built):
     for (spec, mode), want in zip(calls, fresh):
         assert anetf.simulate(anetf.AnetfConfig(spec, mode, trials=500, seed=6)) == want
         assert len(philox_built) == 1, mode
-    kept = anetf._kept_permutations(6, 500, 84)
+    kept = anetf._kept_permutations(6, 500, 84).perms
     assert kept.dtype == np.uint8 and not kept.flags.writeable
     assert np.array_equal(kept, anetf._trial_permutations(6, 0, 500, 84))
 
@@ -459,15 +494,86 @@ def test_kept_orders_are_dropped_before_the_next_key_is_drawn(monkeypatch):
     want = [anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=t, seed=6)) for t in (300, 400)]
     anetf._kept_permutations.cache_clear()
     old = weakref.ref(anetf._kept_permutations(6, 300, 84))
+    for mode in anetf.MODES:  # each mode leaves its stage beside the orders
+        anetf.simulate(anetf.AnetfConfig(spec, mode, trials=300, seed=6))
+    stages = [weakref.ref(a) for stage in old().stages.values() for a in stage]
+    assert len(stages) == 4  # the leaf times; the pcheck times, anchors and free times
     draw = anetf._trial_permutations
 
     def after_the_old_orders_went(*args):
         assert old() is None, "the previous orders are still held"
+        assert all(a() is None for a in stages), "the previous stages are still held"
         return draw(*args)
 
     monkeypatch.setattr(anetf, "_trial_permutations", after_the_old_orders_went)
     assert anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=400, seed=6)) == want[1]
     assert anetf.simulate(anetf.AnetfConfig(spec, anetf.PCHECK, trials=300, seed=6)) == want[0]
+
+def table1_reports(trials, seed):
+    specs = [spec_from_capability(field(w), cap, n) for cap, w, n, _, _ in TABLE_1]
+    return [anetf.simulate(anetf.AnetfConfig(spec, mode, trials=trials, seed=seed))
+            for spec in specs for mode in anetf.MODES]
+
+
+def test_simulate_derives_each_stage_once_per_kept_orders(monkeypatch):
+    # 26 Table 1 calls on one seed: the capability stage once per leaf row
+    # length, the pcheck stage once per (n, u0, t, rank + 1, r' + 1), and
+    # every report as when each call draws its orders and stages afresh
+    fresh = []
+    for cap, w, n, _, _ in TABLE_1:
+        spec = spec_from_capability(field(w), cap, n)
+        for mode in anetf.MODES:
+            anetf._kept_permutations.cache_clear()
+            fresh.append(anetf.simulate(anetf.AnetfConfig(spec, mode, trials=1000, seed=13)))
+    derived = Counter()
+    for name in ("_leaf_times", "_residuals"):
+        real = getattr(anetf, name)
+        monkeypatch.setattr(anetf, name, lambda perms, *args, _real=real, _name=name:
+                            derived.update([(_name, args)]) or _real(perms, *args))
+    anetf._kept_permutations.cache_clear()
+    assert table1_reports(1000, 13) == fresh
+    assert table1_reports(1000, 13) == fresh  # all from the kept stages
+    assert set(derived.values()) == {1}
+    assert sorted(args for name, args in derived if name == "_leaf_times") == [(7,), (84,)]
+    assert sorted(args for name, args in derived if name == "_residuals") == [
+        (7, 1, 10, 23, 13), (7, 1, 12, 23, 11), (21, 1, 4, 23, 19), (84, 22, 1, 23, 1)]
+
+
+@pytest.mark.parametrize("mode", anetf.MODES)
+def test_a_stage_past_the_cap_is_derived_per_batch(mode, monkeypatch):
+    # the orders fit and the stage does not: every batch derives it with
+    # the same function, and the report is the one a kept stage gives
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    config = anetf.AnetfConfig(spec, mode, trials=400, seed=12)
+    anetf._kept_permutations.cache_clear()
+    want = simulate_in_batches(monkeypatch, config, 150)
+    monkeypatch.setattr(anetf, "_PERMS_BYTES", 400 * 84)
+    anetf._kept_permutations.cache_clear()
+    calls = []
+    stage = {anetf.CAPABILITY: "_leaf_times", anetf.PCHECK: "_residuals"}[mode]
+    real = getattr(anetf, stage)
+    monkeypatch.setattr(anetf, stage, lambda perms, *args: calls.append(len(perms)) or real(perms, *args))
+    # the first request derives one chunk before it finds the stage too
+    # large, and remembers that
+    for first in ([150], []):
+        calls.clear()
+        assert simulate_in_batches(monkeypatch, config, 150) == want
+        kept = anetf._kept_permutations(12, 400, 84)
+        assert list(kept.stages.values()) == [None]
+        assert calls == first + [150, 150, 100]
+
+
+def test_leaf_times_are_the_sorted_erasure_times():
+    # codec's times, when[b, perms[b, i]] = i + 1, with each leaf row sorted
+    for n, size in ((7, 84), (84, 84), (3, 9), (1, 5), (5, 420)):
+        perms = anetf._trial_permutations(size, 0, 50, size)
+        when = np.empty(perms.shape, dtype=np.int64)
+        np.put_along_axis(when, perms, np.arange(1, size + 1), axis=1)
+        when.reshape(50, -1, n).sort(axis=-1)
+        for orders in (perms, perms.astype(np.min_scalar_type(size - 1))):
+            (got,) = anetf._leaf_times(orders, n)
+            assert got.dtype == np.min_scalar_type(size) and np.array_equal(got, when), (n, size)
+
 
 @pytest.mark.parametrize("mode", anetf.MODES)
 def test_simulate_streams_orders_past_the_cap(mode, monkeypatch):

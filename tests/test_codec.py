@@ -832,7 +832,8 @@ def test_decode_runs_the_capability_rule_once_per_layer(monkeypatch, cap, w, n):
         if not codec.correctable(spec, mask):
             break
     calls, schedules = [], []
-    for name, log in (("_rejection_times", calls), ("_schedule", schedules)):
+    # the rule's recursion is its body, which reads leaf-sorted times
+    for name, log in (("_sorted_rejection_times", calls), ("_schedule", schedules)):
         real = getattr(codec, name)
         monkeypatch.setattr(codec, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
     codec._outcome.cache_clear()

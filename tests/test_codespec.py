@@ -366,13 +366,18 @@ def test_validate_checks_each_spec_once():
     assert after.misses == before.misses and after.hits > before.hits
 
 
-@pytest.mark.parametrize("value", ["abc", None, [1], {}])
+@pytest.mark.parametrize("value", [
+    "abc", None, [1], {},
+    pytest.param((True, 2), id="bool-node"),  # a bool is an int, but not a tree node
+    pytest.param({1: 2}, id="dict-of-ints"),
+    pytest.param('{"field": {"w": 9}, "code": {"leaf": {"n": 3, "u": 1}}}', id="json-w9"),
+])
 @pytest.mark.parametrize("entry", [length, dimension, min_distance, layer_count,
                                    capability_to_string, spec_from_json])
 def test_spec_entries_reject_a_value_that_is_not_a_spec(entry, value):
-    # a list or dict of ints iterates as a tuple of them does, so
-    # capability_to_string prints it as that tree
-    if entry is capability_to_string and isinstance(value, (list, dict)):
+    # a list of ints is a tree node, so capability_to_string prints it as
+    # the tuple of them; a dict is not, though it iterates over its keys
+    if entry is capability_to_string and type(value) is list:
         assert entry(value) == entry(tuple(value))
         return
     with pytest.raises(ValidationError):

@@ -126,6 +126,23 @@ def test_kronecker_context_mismatch():
         mx.kronecker(a, b)
 
 
+def test_matrix_equality_compares_field_shape_and_entries():
+    f = field(3)
+    data = np.arange(12, dtype=np.uint8).reshape(3, 4) % 8
+    a, b = mx.MatrixGF(f, data), mx.MatrixGF(f, data.copy())
+    assert a is not b and a.data is not b.data
+    assert a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    assert a != mx.MatrixGF(f, data.reshape(4, 3))  # the same bytes in another shape
+    assert a != mx.MatrixGF(f, data.reshape(2, 6))
+    assert a != mx.MatrixGF(field(4), data)  # the same entries over another field
+    changed = data.copy()
+    changed[2, 3] ^= 1
+    assert a != mx.MatrixGF(f, changed)
+    assert mx.identity(f, 0) == mx.MatrixGF(f, np.zeros((0, 0), dtype=np.uint8))
+    assert mx.MatrixGF(f, np.zeros((0, 2), dtype=np.uint8)) != mx.MatrixGF(f, np.zeros((2, 0), dtype=np.uint8))
+
+
 def test_matrix_and_stack_reject_malformed_input():
     f = field(3)
     with pytest.raises(ValueError, match="must be 2-D"):
