@@ -330,7 +330,7 @@ def capability(spec: CodeSpec) -> tuple:
 
 def capability_to_string(tree) -> str:
     """The text of a tree of ints, tuples and lists; ValidationError for
-    any other node, bools, numpy integers and dicts included."""
+    any other node, bools and dicts included."""
     try:
         return _tree_string(tree)
     except RecursionError:
