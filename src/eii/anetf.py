@@ -34,13 +34,11 @@ Determinism: trial i draws its permutation from a Philox stream keyed by
 no matter how trials are batched.  A chunk of trials builds one Philox and
 resets it before trial i to key (seed, i) and counter 0, as a new one would
 start.  The orders depend only on (seed, trials, n), so `simulate` keeps
-those of its latest key, in the narrowest unsigned dtype, and every mode
-and code of that length reuses them.  Beside them it keeps each stage it
-derives from them, once per stage key over every kept order, so codes
-that share a key share the stage.  The orders and stages together stay
-within _PERMS_BYTES: orders that would pass it are drawn afresh per batch,
-and a stage that would pass it is derived per batch, by the same function.
-A stage holds per-trial rows, so neither changes a report.
+those of its latest key, and every mode and code of that length reuses
+them.  Beside them it keeps each stage, derived once per stage key over
+every kept order: one store of per-trial arrays in the narrowest unsigned
+dtype, within _PERMS_BYTES.  An array past it is made afresh per batch by
+the same function, so what is kept never changes a report.
 """
 
 from __future__ import annotations
@@ -105,46 +103,47 @@ def _trial_permutations(seed: int, start: int, count: int, n: int) -> np.ndarray
 
 
 class _KeptOrders:
-    """The erasure orders `simulate` keeps between calls, and the stages of
-    the walks derived from them.
+    """The arrays `simulate` keeps between calls for one (seed, trials, n):
+    `arrays` maps each (derive, args) that `rows` was asked for to its
+    read-only arrays over every trial, or to None when they did not fit.
+    derive None means the orders of `_trial_permutations`; any other is a
+    stage function, derive(orders, *args), with one row per order."""
 
-    `perms` holds the (trials, n) orders of one (seed, trials, n),
-    read-only and in the narrowest unsigned dtype.  `stages` maps each
-    (stage function, arguments) pair that `stage` was asked for to its
-    arrays over every kept order, or to None when they did not fit.  A
-    stage is a tuple of arrays with one row per order.
-    """
+    def __init__(self, seed: int, trials: int, n: int):
+        self.seed, self.trials, self.n = seed, trials, n
+        self.arrays = {}
 
-    def __init__(self, perms: np.ndarray):
-        self.perms = perms
-        self.stages = {}
-
-    def stage(self, derive, args: tuple, step: int):
-        """derive(orders, *args) over every kept order, computed on the first
-        request in chunks of `step` orders and kept from then on.
-
-        Each array is stored read-only in the narrowest unsigned dtype that
-        holds an erasure time, and the walks read it by slice.  A stage that
-        would take the orders and their stages past _PERMS_BYTES is not
-        kept: the answer is None, then and on every later request, and
-        `simulate` derives it per batch with the same function.
-        """
+    def rows(self, derive, args: tuple, start: int, stop: int, perms=None) -> tuple:
+        """Rows start:stop of the arrays of (derive, args), `perms` being
+        the orders of those rows if the caller holds them.  The first request
+        fills them in chunks of stop - start rows; rows of arrays that were
+        not kept are made afresh by the same function."""
         key = (derive, args)
-        if key not in self.stages:
-            self.stages[key] = self._fill(derive, args, step)
-        return self.stages[key]
+        if key not in self.arrays:
+            self.arrays[key] = None  # while it fills, rows are made afresh
+            self.arrays[key] = self._fill(derive, args, stop - start)
+        if self.arrays[key] is not None:
+            return tuple(a[start:stop] for a in self.arrays[key])
+        if derive is None:
+            return (_trial_permutations(self.seed, start, stop - start, self.n),)
+        return derive(self.rows(None, (), start, stop)[0] if perms is None else perms, *args)
 
     def _fill(self, derive, args: tuple, step: int):
-        trials, n = self.perms.shape
-        dtype = np.min_scalar_type(n)
-        held = self.perms.nbytes + sum(a.nbytes for st in self.stages.values() if st for a in st)
+        """The arrays of (derive, args) over every trial, or None if they
+        would take the store past _PERMS_BYTES (the first chunk is made
+        before that is known), in the narrowest unsigned dtype: orders are
+        below n, times at most n.  Orders are drawn as int64, as shuffling
+        uint8 rows is slower (4.3 against 3.6 ms per 1,000 orders of 84,
+        thread CPU, median of 40 interleaved draws)."""
+        dtype = np.min_scalar_type(self.n - (derive is None))
+        held = sum(a.nbytes for whole in self.arrays.values() if whole for a in whole)
         out = None
-        for start in range(0, trials, step):
-            part = derive(self.perms[start:start + step], *args)
+        for start in range(0, self.trials, step):
+            part = self.rows(derive, args, start, min(start + step, self.trials))
             if out is None:
-                if held + trials * dtype.itemsize * sum(a.shape[1] for a in part) > _PERMS_BYTES:
+                if held + self.trials * dtype.itemsize * sum(a.shape[1] for a in part) > _PERMS_BYTES:
                     return None
-                out = tuple(np.empty((trials, a.shape[1]), dtype) for a in part)
+                out = tuple(np.empty((self.trials, a.shape[1]), dtype) for a in part)
             for whole, a in zip(out, part):
                 whole[start:start + len(a)] = a
         for whole in out:
@@ -154,22 +153,10 @@ class _KeptOrders:
 
 @functools.lru_cache(maxsize=1)
 def _kept_permutations(seed: int, trials: int, n: int) -> _KeptOrders:
-    """The kept record of the (trials, n) orders of `_trial_permutations`.
-
-    The orders are filled in chunks, so the int64 temporaries stay within
-    _BATCH_BYTES.  They are drawn as int64 and stored narrow because
-    shuffling narrow rows is slower: 4.3 ms against 3.6 ms per 1,000 orders
-    of 84 as uint8 (thread CPU, median of 40 interleaved draws).  The record
-    of the previous key, its stages included, is dropped before the new
-    orders are drawn.
-    """
+    """The kept record of one (seed, trials, n).  The previous key's record,
+    with every array it kept, is dropped before the new one is made."""
     _kept_permutations.cache_clear()  # runs only on a miss
-    out = np.empty((trials, n), dtype=np.min_scalar_type(n - 1))
-    step = max(1, _BATCH_BYTES // (8 * n))
-    for start in range(0, trials, step):
-        out[start:start + step] = _trial_permutations(seed, start, min(step, trials - start), n)
-    out.flags.writeable = False
-    return _KeptOrders(out)
+    return _KeptOrders(seed, trials, n)
 
 
 def _leaf_times(perms: np.ndarray, n: int) -> tuple:
@@ -349,7 +336,7 @@ def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
 _COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
 
 _BATCH_BYTES = 16 << 20  # cap on the working arrays of one simulate batch
-_PERMS_BYTES = 80 << 20  # cap on the erasure orders simulate keeps between calls, with their stages
+_PERMS_BYTES = 80 << 20  # cap on the orders and stages simulate keeps between calls
 
 
 def _batch_trials(spec: CodeSpec, mode: str) -> int:
@@ -375,10 +362,9 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     such block and r' + 1 in all, gathers (t + 1) x r' entries of Q for its
     dual weights, with 6 bytes of gather and product temporaries per entry,
     and packs the sum in two uint64 temporaries of 64 // w lanes per word.
-    The orders `simulate` keeps between calls and their stages sit outside
-    this budget, under _PERMS_BYTES, and so do the forms of Q^T that
-    `pcheck._local_split` caches per parity check, N x (3 r' + 8 words)
-    bytes.
+    The orders and stages `simulate` keeps between calls sit outside this
+    budget, under _PERMS_BYTES, and so do the forms of Q^T that
+    `pcheck._local_split` caches per parity check, N x (3 r' + 8 words) bytes.
     """
     n = length(spec)
     if mode == CAPABILITY:
@@ -430,15 +416,11 @@ def simulate(config: AnetfConfig) -> AnetfReport:
         else:
             derive, args, walk = _residuals, _pcheck_key(spec), _pcheck_walk
         batch = _batch_trials(spec, config.mode)
-        fits = config.trials * n * np.min_scalar_type(n - 1).itemsize <= _PERMS_BYTES
-        kept = _kept_permutations(config.seed, config.trials, n) if fits else None
-        whole = None if kept is None else kept.stage(derive, args, batch)
+        kept = _kept_permutations(config.seed, config.trials, n)
         for start in range(0, config.trials, batch):
             stop = min(start + batch, config.trials)
-            perms = (_trial_permutations(config.seed, start, stop - start, n) if kept is None
-                     else kept.perms[start:stop])
-            stage = derive(perms, *args) if whole is None else tuple(a[start:stop] for a in whole)
-            all_counts.append(walk(spec, perms, stage))
+            (perms,) = kept.rows(None, (), start, stop)
+            all_counts.append(walk(spec, perms, kept.rows(derive, args, start, stop, perms)))
     counts = np.concatenate(all_counts)
     mean = float(counts.mean())
     std_error = float(counts.std(ddof=1) / np.sqrt(len(counts))) if len(counts) > 1 else 0.0

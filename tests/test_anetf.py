@@ -483,7 +483,7 @@ def test_simulate_keeps_one_set_of_orders(philox_built):
     for (spec, mode), want in zip(calls, fresh):
         assert anetf.simulate(anetf.AnetfConfig(spec, mode, trials=500, seed=6)) == want
         assert len(philox_built) == 1, mode
-    kept = anetf._kept_permutations(6, 500, 84).perms
+    (kept,) = anetf._kept_permutations(6, 500, 84).rows(None, (), 0, 500)
     assert kept.dtype == np.uint8 and not kept.flags.writeable
     assert np.array_equal(kept, anetf._trial_permutations(6, 0, 500, 84))
 
@@ -496,13 +496,14 @@ def test_kept_orders_are_dropped_before_the_next_key_is_drawn(monkeypatch):
     old = weakref.ref(anetf._kept_permutations(6, 300, 84))
     for mode in anetf.MODES:  # each mode leaves its stage beside the orders
         anetf.simulate(anetf.AnetfConfig(spec, mode, trials=300, seed=6))
-    stages = [weakref.ref(a) for stage in old().stages.values() for a in stage]
-    assert len(stages) == 4  # the leaf times; the pcheck times, anchors and free times
+    arrays = [weakref.ref(a) for whole in old().arrays.values() for a in whole]
+    # the orders; the leaf times; the pcheck times, anchors and free times
+    assert len(arrays) == 5
     draw = anetf._trial_permutations
 
     def after_the_old_orders_went(*args):
         assert old() is None, "the previous orders are still held"
-        assert all(a() is None for a in stages), "the previous stages are still held"
+        assert all(a() is None for a in arrays), "the previous orders or stages are still held"
         return draw(*args)
 
     monkeypatch.setattr(anetf, "_trial_permutations", after_the_old_orders_went)
@@ -558,8 +559,8 @@ def test_a_stage_past_the_cap_is_derived_per_batch(mode, monkeypatch):
     for first in ([150], []):
         calls.clear()
         assert simulate_in_batches(monkeypatch, config, 150) == want
-        kept = anetf._kept_permutations(12, 400, 84)
-        assert list(kept.stages.values()) == [None]
+        orders, whole = anetf._kept_permutations(12, 400, 84).arrays.values()
+        assert orders is not None and whole is None
         assert calls == first + [150, 150, 100]
 
 
@@ -586,7 +587,7 @@ def test_simulate_streams_orders_past_the_cap(mode, monkeypatch):
     for b, want in zip((1, 300, 50_000), kept):
         report = simulate_in_batches(monkeypatch, config, b)
         assert anetf.report_to_json(report) == anetf.report_to_json(want)
-    assert anetf._kept_permutations.cache_info().currsize == 0
+    assert set(anetf._kept_permutations(11, 400, 84).arrays.values()) == {None}
 
 
 def test_simulate_batch_memory_is_capped():
