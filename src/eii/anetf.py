@@ -134,18 +134,22 @@ class _KeptOrders:
         before that is known), in the narrowest unsigned dtype: orders are
         below n, times at most n.  Orders are drawn as int64, as shuffling
         uint8 rows is slower (4.3 against 3.6 ms per 1,000 orders of 84,
-        thread CPU, median of 40 interleaved draws)."""
+        thread CPU, median of 40 interleaved draws).  An array whose rows
+        all stride 0 is kept as that view of its one row, and counts 0 bytes."""
         dtype = np.min_scalar_type(self.n - (derive is None))
-        held = sum(a.nbytes for whole in self.arrays.values() if whole for a in whole)
+        held = sum(a.nbytes for whole in self.arrays.values() if whole for a in whole if a.strides[0])
         out = None
         for start in range(0, self.trials, step):
             part = self.rows(derive, args, start, min(start + step, self.trials))
             if out is None:
-                if held + self.trials * dtype.itemsize * sum(a.shape[1] for a in part) > _PERMS_BYTES:
+                if (held + self.trials * dtype.itemsize * sum(a.shape[1] for a in part if a.strides[0])
+                        > _PERMS_BYTES):
                     return None
-                out = tuple(np.empty((self.trials, a.shape[1]), dtype) for a in part)
+                out = tuple(np.empty((self.trials, a.shape[1]), dtype) if a.strides[0]
+                            else np.broadcast_to(a[0].astype(dtype), (self.trials, a.shape[1])) for a in part)
             for whole, a in zip(out, part):
-                whole[start:start + len(a)] = a
+                if whole.strides[0]:
+                    whole[start:start + len(a)] = a
         for whole in out:
             whole.flags.writeable = False
         return out
@@ -167,9 +171,13 @@ def _leaf_times(perms: np.ndarray, n: int) -> tuple:
     These are the times of `codec._rejection_times`, when[b, perms[b, i]] =
     i + 1, with every leaf row sorted.  A stable argsort of the row that
     each erasure hits lists each row's erasures in time order, rows in
-    order; the row index is narrow, so numpy radix-sorts it.
+    order; the row index is narrow, so numpy radix-sorts it.  A single
+    leaf row, n = N, gives every order the times 1 .. N: a read-only
+    broadcast of that one row.
     """
     size = perms.shape[1]
+    if n == size:
+        return (np.broadcast_to(np.arange(1, size + 1, dtype=np.min_scalar_type(size)), perms.shape),)
     rows = (perms // n).astype(np.min_scalar_type(size // n - 1), copy=False)
     when = np.argsort(rows, axis=1, kind="stable")
     when += 1

@@ -1,6 +1,8 @@
+import ast
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +564,61 @@ def test_a_stage_past_the_cap_is_derived_per_batch(mode, monkeypatch):
         orders, whole = anetf._kept_permutations(12, 400, 84).arrays.values()
         assert orders is not None and whole is None
         assert calls == first + [150, 150, 100]
+
+
+def test_a_stage_is_kept_while_the_orders_stream(monkeypatch):
+    # the pcheck stage, 11 + 11 columns with every block free, fits where
+    # the orders' 84 do not: the first call fills the stage from orders drawn per chunk, and
+    # from then on only the orders are drawn, once per batch
+    spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
+    config = anetf.AnetfConfig(spec, anetf.PCHECK, trials=400, seed=14)
+    anetf._kept_permutations.cache_clear()
+    want = simulate_in_batches(monkeypatch, config, 150)
+    monkeypatch.setattr(anetf, "_PERMS_BYTES", 400 * 50)
+    anetf._kept_permutations.cache_clear()
+    derived, drawn = [], []
+    real, draw = anetf._residuals, anetf._trial_permutations
+    monkeypatch.setattr(anetf, "_residuals", lambda perms, *args: derived.append(len(perms)) or real(perms, *args))
+    monkeypatch.setattr(anetf, "_trial_permutations", lambda seed, start, count, n:
+                        drawn.append(start) or draw(seed, start, count, n))
+    # the first call draws the chunk that finds the orders too large, its
+    # first batch, the stage's three chunks, then its other two batches
+    for fill, draws in (([150, 150, 100], [0, 0, 0, 150, 300, 150, 300]), ([], [0, 150, 300])):
+        derived.clear(), drawn.clear()
+        assert simulate_in_batches(monkeypatch, config, 150) == want
+        assert derived == fill and drawn == draws
+        orders, whole = anetf._kept_permutations(14, 400, 84).arrays.values()
+        assert orders is None and [a.shape for a in whole] == [(400, 11), (400, 11), (400, 0)]
+
+
+def test_a_one_row_leaf_stage_is_kept_as_a_view_of_its_row(monkeypatch):
+    # Table 1 row 1 is one leaf row of 84, whose leaf-sorted times are
+    # 1 .. 84 for every order: the store keeps that one row and counts it
+    # as 0 bytes, so it fits beside orders that fill the cap
+    cap, w, n, _, _ = TABLE_1[0]
+    config = anetf.AnetfConfig(spec_from_capability(field(w), cap, n), anetf.CAPABILITY, trials=400, seed=15)
+    anetf._kept_permutations.cache_clear()
+    want = anetf.simulate(config)
+    monkeypatch.setattr(anetf, "_PERMS_BYTES", 400 * 84)
+    anetf._kept_permutations.cache_clear()
+    assert anetf.simulate(config) == want
+    (orders,), (when,) = anetf._kept_permutations(15, 400, 84).arrays.values()
+    assert orders.strides[0] and when.strides[0] == 0 and not when.flags.writeable
+    assert when.dtype == np.uint8 and np.array_equal(when, np.tile(np.arange(1, 85), (400, 1)))
+
+
+def test_only_the_kept_record_draws_orders():
+    # every order simulate walks comes through _KeptOrders.rows, kept or
+    # drawn afresh: no other code in the package calls _trial_permutations
+    inside, outside = [], []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "eii").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        record = {id(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "_KeptOrders"
+                  for node in ast.walk(c)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_trial_permutations":
+                (inside if id(node) in record else outside).append(f"{path.stem}.py:{node.lineno}")
+    assert inside and outside == []
 
 
 def test_leaf_times_are_the_sorted_erasure_times():
