@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import codec, pcheck
-from .codespec import CodeSpec, LeafSpec, block_count, dimension, length, row_length, validate
+from .codespec import CodeSpec, LeafSpec, ValidationError, block_count, dimension, length, row_length, validate
 
 CAPABILITY = "capability"
 PCHECK = "pcheck"
@@ -413,6 +413,8 @@ def erasures_to_failure(spec: CodeSpec, mode: str, permutation) -> int:
 def simulate(config: AnetfConfig) -> AnetfReport:
     """Monte-Carlo ANETF estimate; deterministic for a fixed (seed, trials, mode)
     however the trials are batched (see `_batch_trials`)."""
+    if not isinstance(config, AnetfConfig):
+        raise ValidationError(f"config must be an AnetfConfig, got {type(config).__name__}")
     spec = config.spec
     n = length(spec)
     all_counts = []
@@ -438,6 +440,8 @@ def simulate(config: AnetfConfig) -> AnetfReport:
 
 
 def report_to_text(report: AnetfReport) -> str:
+    if not isinstance(report, AnetfReport):
+        raise ValidationError(f"report must be an AnetfReport, got {type(report).__name__}")
     lines = [
         f"mode {report.mode}",
         f"trials {report.trials}",
@@ -454,6 +458,8 @@ def report_to_text(report: AnetfReport) -> str:
 def report_to_json(report: AnetfReport) -> str:
     import json
 
+    if not isinstance(report, AnetfReport):
+        raise ValidationError(f"report must be an AnetfReport, got {type(report).__name__}")
     doc = asdict(report)
     doc["histogram"] = {str(k): report.histogram[k] for k in sorted(report.histogram)}
     return json.dumps(doc, indent=2)

@@ -190,6 +190,7 @@ def layer_count(spec: CodeSpec) -> int:
 
 def level_count(spec: CodeSpec) -> int:
     """Number of distinct child slots actually used (nonzero s_i, i < t)."""
+    validate(spec)
     if isinstance(spec, LeafSpec):
         return 1
     return sum(1 for x in spec.s[:-1] if x != 0)
@@ -323,6 +324,7 @@ def capability(spec: CodeSpec) -> tuple:
     each child's capability, then s_t fully-saturated entries (every leaf
     value equal to the row length) for the zero-code blocks.
     """
+    validate(spec)
     if isinstance(spec, LeafSpec):
         return (spec.u,)
     return _capability_entry(spec)
@@ -458,6 +460,7 @@ def _code_to_dict(spec: CodeSpec) -> dict:
 
 
 def spec_to_json(spec: CodeSpec) -> str:
+    validate(spec)
     return json.dumps({"field": {"w": spec.ctx.w}, "code": _code_to_dict(spec)}, indent=2)
 
 

@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .codespec import ValidationError
 from .gf import FieldContext
 from .words import SymbolWord, word_arrays
 
@@ -234,6 +235,8 @@ class ErasurePlan:
 
 def to_csv(m: MatrixGF) -> str:
     """One row per line, comma-separated; header `# gf=2^w rows=R cols=C`."""
+    if not isinstance(m, MatrixGF):
+        raise ValidationError(f"matrix must be a MatrixGF, got {type(m).__name__}")
     lines = [f"# gf=2^{m.ctx.w} rows={m.rows} cols={m.cols}"]
     for row in m.data:
         lines.append(",".join(str(int(v)) for v in row))
@@ -242,6 +245,8 @@ def to_csv(m: MatrixGF) -> str:
 
 def to_alist(m: MatrixGF) -> str:
     """Sparse export: `rows cols` header, then 1-based column indices per row."""
+    if not isinstance(m, MatrixGF):
+        raise ValidationError(f"matrix must be a MatrixGF, got {type(m).__name__}")
     lines = [f"{m.rows} {m.cols}"]
     for row in m.data:
         lines.append(" ".join(str(int(c)) for c in np.nonzero(row)[0] + 1))

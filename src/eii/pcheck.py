@@ -65,6 +65,7 @@ from .codespec import (
     CodeSpec,
     LeafSpec,
     NodeSpec,
+    ValidationError,
     block_count,
     dimension,
     length,
@@ -235,6 +236,8 @@ def _local_split(pc: ParityCheck) -> Split:
 
 def density(pc: ParityCheck) -> float:
     """Fraction of nonzero entries of the as-constructed matrix (0 for no rows)."""
+    if not isinstance(pc, ParityCheck):
+        raise ValidationError(f"pc must be a ParityCheck, got {type(pc).__name__}")
     total = pc.h.rows * pc.h.cols
     return pc.h.nonzero_count() / total if total else 0.0
 
@@ -266,6 +269,8 @@ def pc_decode(pc: ParityCheck, word: SymbolWord):
     the rows of H as by `matrix.solve_erasures` otherwise; the result is
     the same either way.
     """
+    if not isinstance(pc, ParityCheck):
+        raise ValidationError(f"pc must be a ParityCheck, got {type(pc).__name__}")
     h = pc.reduced
     syms, mask = word_arrays(word, h.cols, h.ctx.q)
     bits = mask.tobytes()

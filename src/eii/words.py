@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codespec import ValidationError
+
 
 @dataclass(frozen=True)
 class SymbolWord:
@@ -95,6 +97,8 @@ def word_arrays(word: SymbolWord, n: int, q: int):
 
 
 def word_to_text(word: SymbolWord) -> str:
+    if not isinstance(word, SymbolWord):
+        raise ValidationError(f"word must be a SymbolWord, got {type(word).__name__}")
     return " ".join("?" if e else str(s) for s, e in zip(word.symbols, word.erased))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eii import anetf, codec, codespec
+from eii import anetf, codec, codespec, matrix, pcheck, words
 from eii.codespec import (
     MAX_LAYERS,
     DifferentChildrenError,
@@ -380,6 +380,23 @@ def test_spec_entries_reject_a_value_that_is_not_a_spec(entry, value):
     if entry is capability_to_string and type(value) is list:
         assert entry(value) == entry(tuple(value))
         return
+    with pytest.raises(ValidationError):
+        entry(value)
+
+
+# every other public one-argument entry, by what it takes; pc_decode's
+# word is a valid one, so only its parity check is wrong
+OTHER_ENTRIES = {
+    "capability": capability, "level_count": level_count, "spec_to_json": spec_to_json,
+    "simulate": anetf.simulate, "report_to_text": anetf.report_to_text, "report_to_json": anetf.report_to_json,
+    "density": pcheck.density, "pc_decode": lambda pc: pcheck.pc_decode(pc, words.SymbolWord((0,), (True,))),
+    "to_csv": matrix.to_csv, "to_alist": matrix.to_alist, "word_to_text": words.word_to_text,
+}
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1], {}, 3])
+@pytest.mark.parametrize("entry", OTHER_ENTRIES.values(), ids=OTHER_ENTRIES.keys())
+def test_public_entries_reject_a_value_of_the_wrong_type(entry, value):
     with pytest.raises(ValidationError):
         entry(value)
 
