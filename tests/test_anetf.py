@@ -568,8 +568,9 @@ def test_a_stage_past_the_cap_is_derived_per_batch(mode, monkeypatch):
 
 def test_a_stage_is_kept_while_the_orders_stream(monkeypatch):
     # the pcheck stage, 11 + 11 columns with every block free, fits where
-    # the orders' 84 do not: the first call fills the stage from orders drawn per chunk, and
-    # from then on only the orders are drawn, once per batch
+    # the orders' 84 do not: the first call fills the stage from orders
+    # drawn per chunk, and from then on only the orders are drawn, once
+    # per batch
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     config = anetf.AnetfConfig(spec, anetf.PCHECK, trials=400, seed=14)
     anetf._kept_permutations.cache_clear()
