@@ -113,37 +113,42 @@ class _KeptOrders:
         self.seed, self.trials, self.n = seed, trials, n
         self.arrays = {}
 
-    def rows(self, derive, args: tuple, start: int, stop: int, perms=None) -> tuple:
-        """Rows start:stop of the arrays of (derive, args), `perms` being
-        the orders of those rows if the caller holds them.  The first request
+    def rows(self, derive, args: tuple, start: int, stop: int) -> tuple:
+        """Rows start:stop of the arrays of (derive, args).  The first request
         fills them in chunks of stop - start rows; rows of arrays that were
         not kept are made afresh by the same function."""
         key = (derive, args)
         if key not in self.arrays:
-            self.arrays[key] = None  # while it fills, rows are made afresh
             self.arrays[key] = self._fill(derive, args, stop - start)
-        if self.arrays[key] is not None:
-            return tuple(a[start:stop] for a in self.arrays[key])
+        if self.arrays[key] is None:
+            return self._make(derive, args, start, stop)
+        return tuple(a[start:stop] for a in self.arrays[key])
+
+    def _make(self, derive, args: tuple, start: int, stop: int) -> tuple:
+        """Rows start:stop of the arrays of (derive, args), made afresh from
+        the orders of those rows, kept or drawn."""
         if derive is None:
             return (_trial_permutations(self.seed, start, stop - start, self.n),)
-        return derive(self.rows(None, (), start, stop)[0] if perms is None else perms, *args)
+        return derive(self.rows(None, (), start, stop)[0], *args)
 
     def _fill(self, derive, args: tuple, step: int):
         """The arrays of (derive, args) over every trial, or None if they
-        would take the store past _PERMS_BYTES (the first chunk is made
-        before that is known), in the narrowest unsigned dtype: orders are
-        below n, times at most n.  Orders are drawn as int64, as shuffling
-        uint8 rows is slower (4.3 against 3.6 ms per 1,000 orders of 84,
-        thread CPU, median of 40 interleaved draws).  An array whose rows
-        all stride 0 is kept as that view of its one row, and counts 0 bytes."""
+        would take the store past _PERMS_BYTES, in the narrowest unsigned
+        dtype: orders are below n, times and positions at most n.  The
+        orders' width is n, so their fit is known before any is drawn; a
+        stage's first chunk is made before its fit is known.  Orders are
+        drawn as int64, as shuffling uint8 rows is slower (4.3 against 3.6
+        ms per 1,000 orders of 84, thread CPU, median of 40 interleaved
+        draws).  An array whose rows all stride 0 is kept as that view of
+        its one row, and counts 0 bytes."""
         dtype = np.min_scalar_type(self.n - (derive is None))
-        held = sum(a.nbytes for whole in self.arrays.values() if whole for a in whole if a.strides[0])
+        if derive is None and self.trials * self.n * dtype.itemsize > self._room():
+            return None
         out = None
         for start in range(0, self.trials, step):
-            part = self.rows(derive, args, start, min(start + step, self.trials))
+            part = self._make(derive, args, start, min(start + step, self.trials))
             if out is None:
-                if (held + self.trials * dtype.itemsize * sum(a.shape[1] for a in part if a.strides[0])
-                        > _PERMS_BYTES):
+                if self.trials * dtype.itemsize * sum(a.shape[1] for a in part if a.strides[0]) > self._room():
                     return None
                 out = tuple(np.empty((self.trials, a.shape[1]), dtype) if a.strides[0]
                             else np.broadcast_to(a[0].astype(dtype), (self.trials, a.shape[1])) for a in part)
@@ -153,6 +158,11 @@ class _KeptOrders:
         for whole in out:
             whole.flags.writeable = False
         return out
+
+    def _room(self) -> int:
+        """Bytes left under _PERMS_BYTES beside the arrays kept so far."""
+        return _PERMS_BYTES - sum(a.nbytes for whole in self.arrays.values() if whole for a in whole
+                                  if a.strides[0])
 
 
 @functools.lru_cache(maxsize=1)
@@ -184,7 +194,7 @@ def _leaf_times(perms: np.ndarray, n: int) -> tuple:
     return (when.astype(np.min_scalar_type(size)),)
 
 
-def _capability_walk(spec: CodeSpec, perms: np.ndarray, stage: tuple) -> np.ndarray:
+def _capability_walk(spec: CodeSpec, stage: tuple) -> np.ndarray:
     """Failure count per order under `codec`'s capability predicate, from
     the stage of `_leaf_times`.
 
@@ -195,13 +205,13 @@ def _capability_walk(spec: CodeSpec, perms: np.ndarray, stage: tuple) -> np.ndar
     1 row, thread CPU, median of 40).
     """
     (when,) = stage
-    return codec._sorted_rejection_times((spec,), when.astype(np.int32), perms.shape[1])[0][:, 0]
+    return codec._sorted_rejection_times((spec,), when.astype(np.int32), when.shape[1])[0][:, 0]
 
 
 def _capability_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per order under `codec`'s capability predicate: the
     walk `_capability_walk` over the stage `_leaf_times`."""
-    return _capability_walk(spec, perms, _leaf_times(perms, row_length(spec)))
+    return _capability_walk(spec, _leaf_times(perms, row_length(spec)))
 
 
 def _dual_weights(ctx, blocks: np.ndarray, m: int) -> np.ndarray:
@@ -233,11 +243,13 @@ def _pcheck_key(spec: CodeSpec) -> tuple:
 
 
 def _residuals(perms: np.ndarray, n: int, u0: int, t: int, first: int, count: int) -> tuple:
-    """The pcheck walk's stage: (times, before, free), the erasure times
-    (from 0) of each trial's first `count` residuals in a split with blocks
-    of length n, u0 free erasures per free block and t free blocks, the
-    time of the erasure each is taken against, and the first-erasure times
-    of each trial's free blocks.
+    """The pcheck walk's stage: (times, at, against, free).  times holds the
+    erasure times (from 0) of each trial's first `count` residuals in a
+    split with blocks of length n, u0 free erasures per free block and t
+    free blocks; at the erased positions of the first count - 1, which the
+    walk eliminates, and against the position each of those is taken
+    against; free the positions of the first erasures of each trial's free
+    blocks.
 
     Only the first `first` erasures are read, and they must hold `count`
     residuals.  Sorted by (block, time), an erasure is late when the one u0
@@ -246,8 +258,8 @@ def _residuals(perms: np.ndarray, n: int, u0: int, t: int, first: int, count: in
     among the first u0 of its block, and with u0 = 1 it is the block's
     first.  When t is below the block count, the first erasures of the t
     earliest blocks are free, the t smallest of these times per trial, and
-    a later block's first erasure is a residual too, taken against `first`
-    to mark it.  The free times are empty when every block is free.
+    a later block's first erasure is a residual too, taken against itself
+    to mark it.  free is empty when every block is free.
     """
     bits = first.bit_length()
     key = np.sort((perms[:, :first] // n).astype(np.int64, copy=False) << bits | np.arange(first))
@@ -260,12 +272,27 @@ def _residuals(perms: np.ndarray, n: int, u0: int, t: int, first: int, count: in
         heads = np.where(late == first << bits, when, first)
         free = np.partition(heads, t - 1, axis=1)[:, :t] if t else heads[:, :0]
         later = heads > (free[:, t - 1:] if t else -1)
-        late = np.where(later & (heads < first), when << bits | first, late)
+        late = np.where(later & (heads < first), when << bits | when, late)
     late = np.sort(late)[:, :count]
-    return late >> bits, late & (1 << bits) - 1, free
+    times = late >> bits
+    at, against = (np.take_along_axis(perms, i[:, :-1], axis=1) for i in (times, late & (1 << bits) - 1))
+    return times, at, against, np.take_along_axis(perms, free, axis=1)
 
 
-def _pcheck_walk(spec: CodeSpec, perms: np.ndarray, stage: tuple) -> np.ndarray:
+def _dual_residuals(ctx, split: pcheck.Split, group: np.ndarray) -> np.ndarray:
+    """The packed residuals, (words, R), of first erasures beyond the t free
+    blocks: sum_S w_i Q[:, f_i] over the t + 1 positions f_i of each column
+    of `group`, (t + 1, R), with the dual weights w of V(t, M) at their
+    blocks (`_dual_weights`).  Each term is an entry of the
+    `FieldContext.multiples` of Q^T's packed columns, w_i N + f_i in the
+    flattened table, so the sum is one gather and one XOR-reduce."""
+    size = len(split.lanes)
+    weights = _dual_weights(ctx, group // split.n, size // split.n)
+    table = ctx.multiples(split.lanes.T).reshape(-1, ctx.q * size)  # (words, q N)
+    return np.bitwise_xor.reduce(table.take(weights.astype(np.intp) * size + group, axis=1), axis=1)
+
+
+def _pcheck_walk(spec: CodeSpec, stage: tuple) -> np.ndarray:
     """Failure count per permutation under parity-check decoding, from the
     stage of `_residuals`.
 
@@ -281,64 +308,58 @@ def _pcheck_walk(spec: CodeSpec, perms: np.ndarray, stage: tuple) -> np.ndarray:
       - the first erasure f of a block beyond the t free ones gives
         sum_S w_i Q[:, f_i] over S, the free blocks' first erasures f_i and
         f itself, with the dual weights w of V(t, M) at their blocks
-        (`_dual_weights`): the combination of their columns that is zero
-        in L.
+        (`_dual_residuals`): the combination of their columns that is zero
+        in L.  The stage takes f against itself, which marks it.
     Each residual is the erasure's column less earlier columns, so every
     prefix spans the same space, and the erasures are dependent exactly
     when the residuals are.  With r' = 0 no residual is read, and with
     t = 0 every erasure is one.  Any r' + 1 residuals are dependent, and
     the first rows + 1 erasures hold at least that many, so one forward
-    elimination over each trial's first r' + 1 residuals decides it.
+    elimination over each trial's first r' residuals decides it, and a
+    trial that passes them fails at residual r'.
     Residuals are kept packed (`Split.lanes`), so adding them is one XOR
     per word.  Step s takes residual s, already cleared at the lead lanes
     of residuals 0 .. s-1.  Each of those is zero at the lead lanes before
     its own and nonzero at its own, so residual s is dependent on them
-    exactly when it is zero; that trial fails at its erasure time and
-    leaves the batch.  Otherwise its lowest nonzero lane is its lead
-    (`FieldContext.lead`), and each later residual loses c / lead times it,
-    c being its own entry in that lane: one `take` from the
-    `FieldContext.multiples` of residual s and one XOR.  Which lane leads
-    changes no count, only the basis.
-    Trials that never fail get the time of residual r'.
+    exactly when it is zero: its lead (`FieldContext.lead`) is 0, and the
+    trial fails at its erasure time unless it failed before.  Otherwise its
+    lowest nonzero lane leads, and each later residual loses c / lead times
+    it, c being its own entry in that lane: one `take` of c / lead from a
+    q x q quotient table, scaled by the trial count so that it indexes the
+    `FieldContext.multiples` of residual s, and one XOR.  Trials stay in
+    the batch after they fail: a zero residual's quotients are all 0, so
+    its step changes nothing.  Which lane leads changes no count, only the
+    basis.
     """
-    pc = pcheck.build_parity_check(spec)
-    split = pcheck._local_split(pc)
+    split = pcheck._local_split(pcheck.build_parity_check(spec))
     ctx = spec.ctx
-    trials, rest, first = perms.shape[0], split.qt.shape[1], pc.rank + 1
-    times, before, free = stage
-    r = split.lanes.take(np.take_along_axis(perms, times, axis=1).T, axis=0)  # (r' + 1, trials, words)
-    if rest:
-        r ^= split.lanes.take(np.take_along_axis(perms, np.minimum(before, first - 1), axis=1).T, axis=0)
-        if split.t * split.n < perms.shape[1]:  # some first erasures are residuals
-            trial, slot = np.nonzero(before == first)
-            group = np.vstack([np.take_along_axis(perms, free, axis=1)[trial].T,
-                               perms[trial, times[trial, slot]]])  # (t + 1, residuals)
-            weights = _dual_weights(ctx, group // split.n, perms.shape[1] // split.n)
-            r[slot, trial] = ctx.pack(ctx.dot(split.offsets.take(group, axis=0), weights[:, :, None], axis=0))
-    r = np.ascontiguousarray(r.transpose(0, 2, 1))  # (r' + 1, words, trials)
-    times = times + 1  # a kept stage is read-only
-    counts = times[:, rest].astype(np.int64)
-    ids = np.arange(trials)
+    times, at, against, free = stage
+    trials, rest = at.shape
+    lanes = np.ascontiguousarray(split.lanes.T)  # (words, N)
+    r = lanes.take(at.T, axis=1)  # (words, r', trials)
+    r ^= lanes.take(against.T, axis=1)
+    if split.t * split.n < len(split.lanes):  # some first erasures are residuals
+        slot, trial = np.nonzero(at.T == against.T)
+        r[:, slot, trial] = _dual_residuals(ctx, split, np.vstack([free[trial].T, at[trial, slot]]))
+    r = np.ascontiguousarray(r.transpose(1, 0, 2))  # (r', words, trials)
+    quotient = ctx.mul_table[ctx.inv_table].astype(np.intp) * trials  # c / lead at [lead, c]
+    column = np.arange(trials)
+    dead = np.ones((rest + 1, trials), dtype=bool)  # dead[s]: residual s is dependent
     for s in range(rest):
-        dead = ~r[0].any(axis=0)
-        if dead.any():
-            counts[ids[dead]] = times[ids[dead], s]
-            ids, r = ids[~dead], r.compress(~dead, axis=2)
-        if not ids.size:
-            break
-        at = np.arange(ids.size)
-        word, shift, lead = ctx.lead(r[0])
-        coef = r[1:].reshape(rest - s, -1).take(word * ids.size + at, axis=1)  # (later residuals, trials)
-        scale = ctx.mul_arrays(ctx.inv_table[lead], ((coef >> shift) & ctx.q - 1).view(np.int64))
-        table = ctx.multiples(r[0]).reshape(r.shape[1], -1)
-        r = r[1:] ^ table.take(scale.astype(np.intp) * ids.size + at, axis=1).transpose(1, 0, 2)
-    return counts
+        word, shift, lead = ctx.lead(r[s])
+        np.equal(lead, 0, out=dead[s])
+        if s + 1 < rest:
+            c = r[s + 1:].reshape(rest - s - 1, -1).take(word * trials + column, axis=1)
+            scale = quotient.take(c >> shift & ctx.q - 1 | lead << ctx.w) + column
+            table = ctx.multiples(r[s]).reshape(r.shape[1], -1)
+            r[s + 1:] ^= table.take(scale, axis=1).transpose(1, 0, 2)
+    return np.take_along_axis(times, dead.argmax(axis=0)[:, None], axis=1)[:, 0].astype(np.int64) + 1
 
 
 def _pcheck_counts(spec: CodeSpec, perms: np.ndarray) -> np.ndarray:
     """Failure count per permutation under parity-check decoding: the walk
     `_pcheck_walk` over the stage `_residuals`."""
-    return _pcheck_walk(spec, perms, _residuals(perms, *_pcheck_key(spec)))
+    return _pcheck_walk(spec, _residuals(perms, *_pcheck_key(spec)))
 
 
 _COUNTS = {CAPABILITY: _capability_counts, PCHECK: _pcheck_counts}
@@ -360,19 +381,22 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     the order statistics it gathers from it (blocks x members x children).
     Counting every level at once bounds what is live.  The pcheck stage's
     sorts of its first rows + 1 erasures hold at most ten int64 keys and
-    temporaries per erasure.  The walk's elimination holds the r' + 1
-    packed residuals, words x 8 bytes each with words = ceil(r' / (64 //
-    w)), and either the second gather they are summed with or the copy each
-    step makes of them; at each step, the table of the q multiples of the
-    step's residual, the r' multiples gathered from it, and 32 bytes of
-    coefficient and index temporaries per later residual.
+    temporaries per erasure, and it returns 3 r' + 1 + t int64 times and
+    positions.  The walk's elimination holds the r' packed residuals, words
+    x 8 bytes each with words = ceil(r' / (64 // w)), the gather they are
+    summed with and their transposed copy; at each step, the table of the q
+    multiples of the step's residual, the multiples gathered from it for
+    each later residual, 40 bytes of coefficient and index temporaries per
+    later residual, and one byte per residual that marks it dependent.
     Each first erasure of a block beyond the t free ones, at most one per
-    such block and r' + 1 in all, gathers (t + 1) x r' entries of Q for its
-    dual weights, with 6 bytes of gather and product temporaries per entry,
-    and packs the sum in two uint64 temporaries of 64 // w lanes per word.
+    such block and r' in all, gathers t + 1 multiples of packed columns of
+    Q^T for its dual weights, with 48 bytes of index and weight temporaries
+    per column, and 16 per block for the weights' membership product.
     The orders and stages `simulate` keeps between calls sit outside this
     budget, under _PERMS_BYTES, and so do the forms of Q^T that
-    `pcheck._local_split` caches per parity check, N x (3 r' + 8 words) bytes.
+    `pcheck._local_split` caches per parity check, N x (3 r' + 8 words)
+    bytes, and the per-batch tables: the q x q quotients and the q multiples
+    of Q^T's N packed columns.
     """
     n = length(spec)
     if mode == CAPABILITY:
@@ -385,10 +409,10 @@ def _batch_trials(spec: CodeSpec, mode: str) -> int:
     else:
         pc = pcheck.build_parity_check(spec)
         split = pcheck._local_split(pc)
-        rest, beyond = split.qt.shape[1], n // split.n - split.t
+        rest, blocks, t = split.qt.shape[1], n // split.n, split.t
         size = 8 * split.lanes.shape[1]  # bytes of one packed residual
-        extra = 80 * (pc.rank + 1) + size * (3 * rest + 2 + spec.ctx.q) + 32 * rest
-        extra += min(beyond, rest + 1) * (6 * (split.t + 1) * rest + 2 * (64 // spec.ctx.w) * size)
+        extra = 80 * (pc.rank + 1) + 8 * (3 * rest + 1 + t) + size * (4 * rest + spec.ctx.q) + 41 * rest
+        extra += min(blocks - t, rest) * ((t + 1) * (48 + size) + 16 * blocks + size)
     return max(1, _BATCH_BYTES // (8 * n + extra))
 
 
@@ -428,14 +452,13 @@ def simulate(config: AnetfConfig) -> AnetfReport:
         batch = _batch_trials(spec, config.mode)
         kept = _kept_permutations(config.seed, config.trials, n)
         for start in range(0, config.trials, batch):
-            stop = min(start + batch, config.trials)
-            (perms,) = kept.rows(None, (), start, stop)
-            all_counts.append(walk(spec, perms, kept.rows(derive, args, start, stop, perms)))
+            all_counts.append(walk(spec, kept.rows(derive, args, start, min(start + batch, config.trials))))
     counts = np.concatenate(all_counts)
     mean = float(counts.mean())
     std_error = float(counts.std(ddof=1) / np.sqrt(len(counts))) if len(counts) > 1 else 0.0
-    values, freqs = np.unique(counts, return_counts=True)
-    histogram = {int(v): int(f) for v, f in zip(values, freqs)}
+    freqs = np.bincount(counts)
+    values = np.flatnonzero(freqs)
+    histogram = dict(zip(values.tolist(), freqs[values].tolist()))
     return AnetfReport(mean, std_error, histogram, config.trials, config.seed, config.mode)
 
 

@@ -38,7 +38,7 @@ MODULI = {
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Immutable GF(2^w) arithmetic context; all four tables are built with it.
+    """Immutable GF(2^w) arithmetic context; all five tables are built with it.
 
     Attributes
     ----------
@@ -52,6 +52,9 @@ class FieldContext:
         log_table[0] = -1 sentinel
     mul_table : read-only q x q uint8 array, mul_table[a, b] = a * b
     inv_table : read-only uint8 array, inv_table[a] = 1 / a; inv_table[0] = 0
+    lane_shifts : read-only uint64 array, lane_shifts[e] = the bit offset of
+        the w-bit lane that holds bit e - 1 of a word, for 1 <= e <= 64;
+        lane_shifts[0] = 0
     """
 
     w: int
@@ -62,6 +65,7 @@ class FieldContext:
     log_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
     mul_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
     inv_table: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
+    lane_shifts: np.ndarray = _field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.w not in MODULI:
@@ -87,7 +91,10 @@ class FieldContext:
         mul[:, 0] = 0
         inv = exp[-log % (q - 1)]
         inv[0] = 0
-        for name, table in dict(exp_table=exp, log_table=log, mul_table=mul, inv_table=inv).items():
+        bits = np.arange(-1, 64)
+        shifts = np.where(bits < 0, 0, bits - bits % self.w).astype(np.uint64)
+        tables = dict(exp_table=exp, log_table=log, mul_table=mul, inv_table=inv, lane_shifts=shifts)
+        for name, table in tables.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -142,13 +149,16 @@ class FieldContext:
 
     def lead(self, x: np.ndarray):
         """Word, bit offset and value of the lowest nonzero w-bit lane of each
-        column of x, (words, R) uint64 lanes of `pack` with no zero column.
-        The lowest set bit of the first nonzero word is v & -v, whose index
-        `np.frexp` reads exactly; its lane starts at the multiple of w below."""
-        word = (x != 0).argmax(axis=0)
-        v = x[word, np.arange(x.shape[1])]
-        bit = np.frexp(v & -v)[1] - 1
-        shift = (bit - bit % self.w).astype(np.uint64)
+        column of x, (words, R) uint64 lanes of `pack`; a zero column gives
+        the last word, offset 0 and value 0.  The first nonzero word is found by a
+        `where` over the words, from the last down.  Its lowest set bit is
+        v & -v, whose index `np.frexp` reads exactly as its exponent e, and
+        `lane_shifts[e]` is the offset of the lane that holds it."""
+        word, v = np.full(x.shape[1], len(x) - 1), x[-1]
+        for i in range(len(x) - 2, -1, -1):
+            nonzero = x[i] != 0
+            word, v = np.where(nonzero, i, word), np.where(nonzero, x[i], v)
+        shift = self.lane_shifts.take(np.frexp(v & -v)[1])
         return word, shift, (v >> shift) & self.q - 1
 
     def multiples(self, x: np.ndarray) -> np.ndarray:
@@ -157,7 +167,7 @@ class FieldContext:
         one bit, and the modulus is XORed into the lanes whose top bit was
         set.  Entries 2^i to 2^(i+1) - 1 are x alpha^i plus those below 2^i."""
         w = self.w
-        top = sum(1 << b for b in range(w - 1, 64 // w * w, w))  # each lane's top bit
+        top = ((1 << 64 // w * w) - 1) // (self.q - 1) << w - 1  # each lane's top bit
         table = np.empty((len(x), self.q, x.shape[1]), dtype=np.uint64)
         table[:, 0], table[:, 1] = 0, x
         for i in range(1, w):

@@ -338,6 +338,69 @@ def test_pcheck_counts_match_elimination_oracle_at_lane_edges(w, cap, n, rest, w
         elimination_pcheck_counts(spec, perms).tolist()
 
 
+@pytest.mark.parametrize("cap, w", [(TABLE_1[10][0], 4), (TABLE_1[12][0], 4), (TABLE_1[10][0], 8)],
+                         ids=["row-11", "row-13", "row-11-gf256"])
+def test_packed_dual_residuals_match_the_byte_form(cap, w):
+    # the oracle forms sum_S w_i Q[:, f_i] in bytes, from Q^T's offsets, and
+    # packs it; over GF(256) row 11's r' = 12 takes two words
+    spec = spec_from_capability(field(w), cap, 7)
+    ctx = spec.ctx
+    split = pcheck._local_split(pcheck.build_parity_check(spec))
+    m = length(spec) // split.n
+    assert split.t < m and split.lanes.shape[1] == (2 if w == 8 else 1)
+    rng = np.random.default_rng(w)
+    blocks = np.array([rng.choice(m, split.t + 1, replace=False) for _ in range(300)]).T
+    group = blocks * split.n + rng.integers(0, split.n, blocks.shape)  # (t + 1, R) positions
+    weights = anetf._dual_weights(ctx, blocks, m)
+    want = ctx.pack(ctx.dot(split.offsets.take(group, axis=0), weights[:, :, None], axis=0))
+    for positions in (group, group.astype(np.uint8)):
+        got = anetf._dual_residuals(ctx, split, positions)
+        assert got.dtype == np.uint64 and np.array_equal(got.T, want)
+
+
+def test_residual_positions_are_the_orders_at_their_times():
+    # at is each eliminated residual's erased position; against is an
+    # earlier erasure of its block, or the position itself for the first
+    # erasure of a block beyond the free ones; free is the first erasures
+    # of the t blocks first erased, or the erasure at time `first` where
+    # fewer blocks are erased in the erasures read
+    perms = anetf._trial_permutations(21, 0, 300, 84)
+    when = np.empty_like(perms)
+    np.put_along_axis(when, perms, np.arange(84), axis=1)
+    for cap, w, row_n, _, _ in TABLE_1:
+        key = n, u0, t, first, count = anetf._pcheck_key(spec_from_capability(field(w), cap, row_n))
+        for orders in (perms, perms.astype(np.uint8)):
+            times, at, against, free = anetf._residuals(orders, *key)
+            assert times.shape == (300, count) and at.shape == against.shape == (300, count - 1), cap
+            assert np.array_equal(at, np.take_along_axis(perms, times[:, :-1], axis=1)), cap
+            own = at == against
+            late = np.take_along_axis(when, against.astype(np.int64), axis=1) < times[:, :-1]
+            assert (late | own).all() and (against // n == at // n)[~own].all(), cap
+            heads = np.sort(when.reshape(300, -1, n).min(axis=2), axis=1)
+            if t * n == 84:
+                assert not own.any() and free.shape == (300, 0), cap
+            else:
+                assert own.any() and free.shape == (300, t), cap
+                free_times = np.sort(np.take_along_axis(when, free.astype(np.int64), axis=1), axis=1)
+                assert np.array_equal(free_times, np.minimum(heads[:, :t], first)), cap
+                assert (np.take_along_axis(when, at, axis=1)[own] > heads[:, t - 1:t].repeat(count - 1, 1)[own]).all(), cap
+
+
+@pytest.mark.parametrize("row", [2, 10, 11])
+def test_a_batch_whose_trials_all_fail_early_gets_the_oracle_counts(row):
+    # trials stay in the batch after they fail, so a batch in which every
+    # trial fails before its last residual is walked to the end
+    cap, w, n, _, _ = TABLE_1[row]
+    spec = spec_from_capability(field(w), cap, n)
+    perms = anetf._trial_permutations(31, 0, 2000, 84)
+    times = anetf._residuals(perms, *anetf._pcheck_key(spec))[0]
+    want = elimination_pcheck_counts(spec, perms)
+    early = want < times[:, -1] + 1
+    assert early.sum() >= 50, cap
+    assert anetf._pcheck_counts(spec, perms[early]).tolist() == want[early].tolist()
+    assert anetf._pcheck_counts(spec, perms[early][:1]).tolist() == want[early][:1].tolist()
+
+
 @pytest.mark.parametrize("w", range(2, 9))
 def test_dual_weights_annihilate_vandermonde(w):
     ctx = field(w)
@@ -499,8 +562,9 @@ def test_kept_orders_are_dropped_before_the_next_key_is_drawn(monkeypatch):
     for mode in anetf.MODES:  # each mode leaves its stage beside the orders
         anetf.simulate(anetf.AnetfConfig(spec, mode, trials=300, seed=6))
     arrays = [weakref.ref(a) for whole in old().arrays.values() for a in whole]
-    # the orders; the leaf times; the pcheck times, anchors and free times
-    assert len(arrays) == 5
+    # the orders; the leaf times; the pcheck times, positions, anchor
+    # positions and free positions
+    assert len(arrays) == 6
     draw = anetf._trial_permutations
 
     def after_the_old_orders_went(*args):
@@ -567,10 +631,10 @@ def test_a_stage_past_the_cap_is_derived_per_batch(mode, monkeypatch):
 
 
 def test_a_stage_is_kept_while_the_orders_stream(monkeypatch):
-    # the pcheck stage, 11 + 11 columns with every block free, fits where
-    # the orders' 84 do not: the first call fills the stage from orders
-    # drawn per chunk, and from then on only the orders are drawn, once
-    # per batch
+    # the pcheck stage, 11 + 10 + 10 columns with every block free, fits
+    # where the orders' 84 do not: the first call fills the stage from
+    # orders drawn once per chunk, and from then on none is drawn, as the
+    # walk reads the stage alone
     spec = spec_from_capability(G8, "((1,1,2),(1,2,3),(1,2,3),(1,2,3))", 7)
     config = anetf.AnetfConfig(spec, anetf.PCHECK, trials=400, seed=14)
     anetf._kept_permutations.cache_clear()
@@ -582,14 +646,14 @@ def test_a_stage_is_kept_while_the_orders_stream(monkeypatch):
     monkeypatch.setattr(anetf, "_residuals", lambda perms, *args: derived.append(len(perms)) or real(perms, *args))
     monkeypatch.setattr(anetf, "_trial_permutations", lambda seed, start, count, n:
                         drawn.append(start) or draw(seed, start, count, n))
-    # the first call draws the chunk that finds the orders too large, its
-    # first batch, the stage's three chunks, then its other two batches
-    for fill, draws in (([150, 150, 100], [0, 0, 0, 150, 300, 150, 300]), ([], [0, 150, 300])):
+    # the orders' fit is known before any is drawn, so the first call draws
+    # only the stage's three chunks
+    for fill, draws in (([150, 150, 100], [0, 150, 300]), ([], [])):
         derived.clear(), drawn.clear()
         assert simulate_in_batches(monkeypatch, config, 150) == want
         assert derived == fill and drawn == draws
         orders, whole = anetf._kept_permutations(14, 400, 84).arrays.values()
-        assert orders is None and [a.shape for a in whole] == [(400, 11), (400, 11), (400, 0)]
+        assert orders is None and [a.shape for a in whole] == [(400, 11), (400, 10), (400, 10), (400, 0)]
 
 
 def test_a_one_row_leaf_stage_is_kept_as_a_view_of_its_row(monkeypatch):

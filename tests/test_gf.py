@@ -196,6 +196,36 @@ def test_lead_lane_of_the_top_bit_of_the_last_word(w):
     assert lead.tolist() == [1 << w - 1, 1, (3 << w - 2) & (1 << w) - 1]
 
 
+def test_lead_of_a_zero_column_is_zero():
+    # beside a column whose lead is 1 in the first lane of its last word
+    x = np.array([[0, 0], [0, 0], [0, 1]], dtype=np.uint64)  # (words, residuals)
+    for w in range(2, 9):
+        word, shift, lead = field(w).lead(x)
+        assert lead.tolist() == [0, 1] and shift.tolist() == [0, 0] and word[1] == 2
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_lead_reads_the_lane_of_every_set_bit(w):
+    # three words: the column whose lowest set bit is bit b of word i, below
+    # random words after it and random bits above b, leads at word i and
+    # the lane of b
+    ctx = field(w)
+    rng = np.random.default_rng(w)
+    lanes = 64 // w * w
+    cols, want = [], []
+    for i in range(3):
+        for b in range(lanes):
+            col = rng.integers(0, 1 << lanes, 3, dtype=np.uint64)
+            col[:i] = 0
+            col[i] = (col[i] | np.uint64(1 << b)) & np.uint64(~((1 << b) - 1) & (1 << 64) - 1)
+            cols.append(col)
+            shift = b - b % w
+            want.append((i, shift, int(col[i]) >> shift & ctx.q - 1))
+    word, shift, lead = ctx.lead(np.array(cols).T)
+    assert list(zip(word.tolist(), shift.tolist(), lead.tolist())) == want
+    assert all(v for _, _, v in want)
+
+
 def test_only_gf_reads_the_modulus_or_the_flat_mul_table():
     # both bulk product forms are written once, in gf: no other module
     # shifts lanes by the modulus or gathers from the flattened table
