@@ -13,21 +13,26 @@ stage (`_leaf_times`) is each trial's erasure times grouped by leaf row and
 sorted within each row, keyed by the row length; its walk is the body of
 `codec`'s one rule, `_sorted_rejection_times`, and the count is the time at
 which the code first rejects.  The pcheck stage (`_residuals`) is the
-erasure times of each trial's residuals, keyed by the split's block length,
-u0 and t and how many erasures and residuals are read.  The pcheck walk is
-local to the layer whose block sums give the most checks
-(`pcheck._local_split`): with t of them, the first erasures of t distinct
-blocks are always independent, and each further erasure adds one residual
-column in the r' = rows - t dimensions that are left.  A later erasure of a
-block gives the difference of two columns, and the first erasure of a block
-beyond the t free ones the combination of t + 1 columns by the dual weights
-of the Vandermonde checks; an MDS leaf, whose rows are all leaf-local,
-leaves r' = 0.  One batched forward elimination over each trial's first
-r' + 1 residuals, one residual per step, finds the first dependent one.  The
+erasure times of each trial's residuals, the erased positions of those the
+walk eliminates and of what each is taken against, and the positions of the
+free blocks' first erasures, keyed by the split's block length, u0 and t
+and how many erasures and residuals are read.  The pcheck walk is local to
+the layer whose block sums give the most checks (`pcheck._local_split`):
+with t of them, the first erasures of t distinct blocks are always
+independent, and each further erasure adds one residual column in the
+r' = rows - t dimensions that are left.  A later erasure of a block gives
+the difference of two columns, and the first erasure of a block beyond the
+t free ones the combination of t + 1 columns by the dual weights of the
+Vandermonde checks; an MDS leaf, whose rows are all leaf-local, leaves
+r' = 0.  One batched forward elimination over each trial's first r'
+residuals, one residual per step, finds the first dependent one.  The
 residuals are packed into uint64 lanes, so a step clears its lead lane from
-every later residual of every trial with one gather from the step residual's
-`FieldContext.multiples` and one XOR per word.  Batches are capped so their
-working arrays stay within a fixed memory budget.
+every later residual of every trial with one gather from the step
+residual's `FieldContext.multiples` and one XOR per word, and the dual
+combinations are one gather from the multiples of Q^T's packed columns.
+Trials stay in the batch after they fail, as a zero residual clears
+nothing.  Batches are capped so their working arrays stay within a fixed
+memory budget.
 
 Determinism: trial i draws its permutation from a Philox stream keyed by
 (seed, i), so reports are bit-identical for a given (seed, trials, mode)
@@ -38,7 +43,8 @@ those of its latest key, and every mode and code of that length reuses
 them.  Beside them it keeps each stage, derived once per stage key over
 every kept order: one store of per-trial arrays in the narrowest unsigned
 dtype, within _PERMS_BYTES.  An array past it is made afresh per batch by
-the same function, so what is kept never changes a report.
+the same function, so what is kept never changes a report.  The walks read
+their stage alone, so a kept stage needs no orders once it is filled.
 """
 
 from __future__ import annotations
@@ -335,13 +341,12 @@ def _pcheck_walk(spec: CodeSpec, stage: tuple) -> np.ndarray:
     ctx = spec.ctx
     times, at, against, free = stage
     trials, rest = at.shape
-    lanes = np.ascontiguousarray(split.lanes.T)  # (words, N)
-    r = lanes.take(at.T, axis=1)  # (words, r', trials)
-    r ^= lanes.take(against.T, axis=1)
+    r = split.lanes.take(at, axis=0)  # (trials, r', words)
+    r ^= split.lanes.take(against, axis=0)
     if split.t * split.n < len(split.lanes):  # some first erasures are residuals
-        slot, trial = np.nonzero(at.T == against.T)
-        r[:, slot, trial] = _dual_residuals(ctx, split, np.vstack([free[trial].T, at[trial, slot]]))
-    r = np.ascontiguousarray(r.transpose(1, 0, 2))  # (r', words, trials)
+        trial, slot = np.nonzero(at == against)
+        r[trial, slot] = _dual_residuals(ctx, split, np.vstack([free[trial].T, at[trial, slot]])).T
+    r = np.ascontiguousarray(r.transpose(1, 2, 0))  # (r', words, trials)
     quotient = ctx.mul_table[ctx.inv_table].astype(np.intp) * trials  # c / lead at [lead, c]
     column = np.arange(trials)
     dead = np.ones((rest + 1, trials), dtype=bool)  # dead[s]: residual s is dependent

@@ -11,7 +11,11 @@ Bulk products take two forms: gathers from the flattened multiplication
 table at (a << w) | b (`offsets`, `dot`, `mul_arrays`), and packed lanes
 of 64 // w symbols per uint64 word (`pack`, `lead`, `multiples`), after
 Plank, Greenan & Miller, "Screaming Fast Galois Field Arithmetic Using
-Intel SIMD Instructions" (FAST 2013).
+Intel SIMD Instructions" (FAST 2013).  On packed lanes `lead` finds each
+vector's lowest nonzero lane with no search along the words: one `where`
+per word and the field's `lane_shifts` at the exponent of the lowest set
+bit.  A zero vector leads with 0, so its multiples, all zero, change
+nothing they are added to.
 """
 
 from __future__ import annotations
@@ -150,10 +154,11 @@ class FieldContext:
     def lead(self, x: np.ndarray):
         """Word, bit offset and value of the lowest nonzero w-bit lane of each
         column of x, (words, R) uint64 lanes of `pack`; a zero column gives
-        the last word, offset 0 and value 0.  The first nonzero word is found by a
-        `where` over the words, from the last down.  Its lowest set bit is
-        v & -v, whose index `np.frexp` reads exactly as its exponent e, and
-        `lane_shifts[e]` is the offset of the lane that holds it."""
+        the last word, offset 0 and value 0.  The first nonzero word is
+        found by a `where` over the words, from the last down.  Its lowest
+        set bit is v & -v, whose index `np.frexp` reads exactly as its
+        exponent e (0 for v = 0), and `lane_shifts[e]` is the offset of the
+        lane that holds it."""
         word, v = np.full(x.shape[1], len(x) - 1), x[-1]
         for i in range(len(x) - 2, -1, -1):
             nonzero = x[i] != 0
