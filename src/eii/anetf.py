@@ -349,7 +349,7 @@ def _pcheck_walk(spec: CodeSpec, stage: tuple) -> np.ndarray:
     r = np.ascontiguousarray(r.transpose(1, 2, 0))  # (r', words, trials)
     quotient = ctx.mul_table[ctx.inv_table].astype(np.intp) * trials  # c / lead at [lead, c]
     column = np.arange(trials)
-    dead = np.ones((rest + 1, trials), dtype=bool)  # dead[s]: residual s is dependent
+    dead = np.ones((rest + 1, trials), dtype=bool)  # dead[s]: residual s is dependent, as r' always is
     for s in range(rest):
         word, shift, lead = ctx.lead(r[s])
         np.equal(lead, 0, out=dead[s])

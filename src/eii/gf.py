@@ -12,9 +12,9 @@ table at (a << w) | b (`offsets`, `dot`, `mul_arrays`), and packed lanes
 of 64 // w symbols per uint64 word (`pack`, `lead`, `multiples`), after
 Plank, Greenan & Miller, "Screaming Fast Galois Field Arithmetic Using
 Intel SIMD Instructions" (FAST 2013).  On packed lanes `lead` finds each
-vector's lowest nonzero lane with no search along the words: one `where`
-per word and the field's `lane_shifts` at the exponent of the lowest set
-bit.  A zero vector leads with 0, so its multiples, all zero, change
+vector's lowest nonzero lane with no search along the words: `where`s
+over the words, from the last down, and the field's `lane_shifts` at the
+exponent of the lowest set bit.  A zero vector leads with 0, so its multiples, all zero, change
 nothing they are added to.
 """
 
